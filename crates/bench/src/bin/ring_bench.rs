@@ -1,35 +1,30 @@
-//! Headline benchmark for the leader→follower channel rewrite: the
-//! lock-free broadcast [`ring::Ring`] vs. the original
-//! [`ring::mutex_ring::MutexRing`] baseline, measured on the workload
-//! that matters to Varan's design — a single producer (the leader)
-//! streaming records to a single consumer (the follower).
+//! Throughput and latency benchmark for the leader→follower channel,
+//! [`ring::Ring`], measured on the workload that matters to Varan's
+//! design — a single producer (the leader) streaming records to a
+//! single consumer (the follower).
 //!
-//! Measures, per implementation:
-//! * single-record SPSC push/pop throughput (Mops/s),
-//! * batched SPSC throughput (Mops/s) — `push_batch`/`pop_batch` on
-//!   the lock-free ring; the mutex baseline predates the batch APIs,
-//!   so the same workload runs through its record-at-a-time interface
-//!   (what a leader shipped on the old design would actually pay),
+//! Measures:
+//! * single-record push/pop throughput (Mops/s),
+//! * batched throughput (Mops/s) through `push_batch`/`pop_batch`,
 //! * p50/p99 publish (push) latency in nanoseconds.
 //!
 //! Emits machine-readable JSON (default `BENCH_ring.json`). CI runs
 //! `--quick` and gates on `--check <baseline> --min-ratio 0.8`: the
-//! run fails if the lock-free ring's throughput regressed more than
-//! 20% below the committed baseline.
+//! run fails if the ring's throughput regressed more than 20% below
+//! the committed baseline.
 //!
 //! Usage: `ring_bench [--quick] [--out PATH] [--check BASELINE [--min-ratio R]]`
 
-use ring::mutex_ring::MutexRing;
 use ring::Ring;
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-/// Channel depth, identical for both implementations. Sized like the
-/// leader→follower replication buffer in the runner (thousands of
-/// in-flight records) rather than a toy queue: a deep ring is exactly
-/// what lets the leader run ahead of a paused follower during an
-/// update, per the paper's availability argument.
+/// Channel depth. Sized like the leader→follower replication buffer
+/// in the runner (thousands of in-flight records) rather than a toy
+/// queue: a deep ring is exactly what lets the leader run ahead of a
+/// paused follower during an update, per the paper's availability
+/// argument.
 const CAPACITY: usize = 16 * 1024;
 const BATCH: usize = 64;
 
@@ -64,63 +59,55 @@ struct RingResult {
     push_p99_ns: u64,
 }
 
-/// The two implementations expose identical single-record method names
-/// but share no trait; a macro keeps one copy of the measurement code.
-/// The batched workload differs by design — the baseline has no batch
-/// API — so each impl gets its own driver below.
-macro_rules! bench_impl {
-    ($fn_name:ident, $ring:ty, $batched:path) => {
-        fn $fn_name(params: &ModeParams) -> RingResult {
-            // Single-record SPSC throughput.
-            let n = params.single_ops;
-            let r: Arc<$ring> = Arc::new(<$ring>::with_capacity(CAPACITY));
-            let consumer = {
-                let r = r.clone();
-                thread::spawn(move || while r.pop(None).is_ok() {})
-            };
-            let begin = Instant::now();
-            for i in 0..n {
-                r.push(i).expect("push");
-            }
-            r.close();
-            consumer.join().expect("consumer");
-            let single_mops = n as f64 / begin.elapsed().as_secs_f64() / 1e6;
-
-            let batched_mops = $batched(params.batched_ops);
-
-            // Publish latency: time each push while a consumer drains
-            // concurrently — the leader-visible cost of logging one
-            // record, which is what MVEDSUA must keep off the hot path.
-            let r: Arc<$ring> = Arc::new(<$ring>::with_capacity(CAPACITY));
-            let consumer = {
-                let r = r.clone();
-                thread::spawn(move || while r.pop(None).is_ok() {})
-            };
-            let mut samples = Vec::with_capacity(params.latency_samples);
-            for i in 0..params.latency_samples as u64 {
-                let begin = Instant::now();
-                r.push(i).expect("push");
-                samples.push(begin.elapsed().as_nanos() as u64);
-            }
-            r.close();
-            consumer.join().expect("consumer");
-            samples.sort_unstable();
-            let push_p50_ns = samples[samples.len() / 2];
-            let push_p99_ns = samples[samples.len() * 99 / 100];
-
-            RingResult {
-                single_mops,
-                batched_mops,
-                push_p50_ns,
-                push_p99_ns,
-            }
-        }
+fn bench_ring(params: &ModeParams) -> RingResult {
+    // Single-record throughput.
+    let n = params.single_ops;
+    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(CAPACITY));
+    let consumer = {
+        let r = r.clone();
+        thread::spawn(move || while r.pop(None).is_ok() {})
     };
+    let begin = Instant::now();
+    for i in 0..n {
+        r.push(i).expect("push");
+    }
+    r.close();
+    consumer.join().expect("consumer");
+    let single_mops = n as f64 / begin.elapsed().as_secs_f64() / 1e6;
+
+    let batched_mops = bench_batched(params.batched_ops);
+
+    // Publish latency: time each push while a consumer drains
+    // concurrently — the leader-visible cost of logging one record,
+    // which is what MVEDSUA must keep off the hot path.
+    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(CAPACITY));
+    let consumer = {
+        let r = r.clone();
+        thread::spawn(move || while r.pop(None).is_ok() {})
+    };
+    let mut samples = Vec::with_capacity(params.latency_samples);
+    for i in 0..params.latency_samples as u64 {
+        let begin = Instant::now();
+        r.push(i).expect("push");
+        samples.push(begin.elapsed().as_nanos() as u64);
+    }
+    r.close();
+    consumer.join().expect("consumer");
+    samples.sort_unstable();
+    let push_p50_ns = samples[samples.len() / 2];
+    let push_p99_ns = samples[samples.len() * 99 / 100];
+
+    RingResult {
+        single_mops,
+        batched_mops,
+        push_p50_ns,
+        push_p99_ns,
+    }
 }
 
-/// Batched workload on the lock-free ring: `push_batch`/`pop_batch`
-/// move `BATCH` records per synchronization round.
-fn batched_lockfree(n: u64) -> f64 {
+/// Batched workload: `push_batch`/`pop_batch` move `BATCH` records per
+/// synchronization round.
+fn bench_batched(n: u64) -> f64 {
     let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(CAPACITY));
     let consumer = {
         let r = r.clone();
@@ -138,41 +125,10 @@ fn batched_lockfree(n: u64) -> f64 {
     n as f64 / begin.elapsed().as_secs_f64() / 1e6
 }
 
-/// The same batched workload on the baseline: the old ring has no
-/// batch interface, so every record is its own lock round-trip — the
-/// cost a leader shipping `BATCH`-record bursts actually paid before
-/// the rewrite.
-fn batched_mutex(n: u64) -> f64 {
-    let r: Arc<MutexRing<u64>> = Arc::new(MutexRing::with_capacity(CAPACITY));
-    let consumer = {
-        let r = r.clone();
-        thread::spawn(move || while r.pop(None).is_ok() {})
-    };
-    let begin = Instant::now();
-    for i in 0..n {
-        r.push(i).expect("push");
-    }
-    r.close();
-    consumer.join().expect("consumer");
-    n as f64 / begin.elapsed().as_secs_f64() / 1e6
-}
-
-bench_impl!(bench_mutex, MutexRing<u64>, batched_mutex);
-bench_impl!(bench_lockfree, Ring<u64>, batched_lockfree);
-
-fn emit_json(mode: &str, mutex: RingResult, lockfree: RingResult) -> String {
-    fn entry(r: RingResult) -> String {
-        format!(
-            "{{\"single_mops\": {:.3}, \"batched_mops\": {:.3}, \"push_p50_ns\": {}, \"push_p99_ns\": {}}}",
-            r.single_mops, r.batched_mops, r.push_p50_ns, r.push_p99_ns
-        )
-    }
+fn emit_json(mode: &str, r: RingResult) -> String {
     format!(
-        "{{\n  \"bench\": \"ring_bench\",\n  \"mode\": \"{mode}\",\n  \"capacity\": {CAPACITY},\n  \"batch\": {BATCH},\n  \"note\": \"mutex_ring batched_mops uses its record-at-a-time API; the baseline predates push_batch/pop_batch\",\n  \"results\": {{\n    \"mutex_ring\": {},\n    \"lockfree_ring\": {}\n  }},\n  \"speedup\": {{\"single\": {:.2}, \"batched\": {:.2}}}\n}}\n",
-        entry(mutex),
-        entry(lockfree),
-        lockfree.single_mops / mutex.single_mops,
-        lockfree.batched_mops / mutex.batched_mops,
+        "{{\n  \"bench\": \"ring_bench\",\n  \"mode\": \"{mode}\",\n  \"capacity\": {CAPACITY},\n  \"batch\": {BATCH},\n  \"results\": {{\n    \"lockfree_ring\": {{\"single_mops\": {:.3}, \"batched_mops\": {:.3}, \"push_p50_ns\": {}, \"push_p99_ns\": {}}}\n  }}\n}}\n",
+        r.single_mops, r.batched_mops, r.push_p50_ns, r.push_p99_ns
     )
 }
 
@@ -223,23 +179,13 @@ fn main() {
         "ring_bench: mode={}, capacity={CAPACITY}, batch={BATCH}",
         params.name
     );
-    let mutex = bench_mutex(params);
-    eprintln!(
-        "  mutex_ring:    single {:8.2} Mops/s  batched {:8.2} Mops/s  push p50 {:5} ns  p99 {:5} ns",
-        mutex.single_mops, mutex.batched_mops, mutex.push_p50_ns, mutex.push_p99_ns
-    );
-    let lockfree = bench_lockfree(params);
+    let lockfree = bench_ring(params);
     eprintln!(
         "  lockfree_ring: single {:8.2} Mops/s  batched {:8.2} Mops/s  push p50 {:5} ns  p99 {:5} ns",
         lockfree.single_mops, lockfree.batched_mops, lockfree.push_p50_ns, lockfree.push_p99_ns
     );
-    eprintln!(
-        "  speedup:       single {:.2}x  batched {:.2}x",
-        lockfree.single_mops / mutex.single_mops,
-        lockfree.batched_mops / mutex.batched_mops
-    );
 
-    let report = emit_json(params.name, mutex, lockfree);
+    let report = emit_json(params.name, lockfree);
     std::fs::write(&out_path, &report).expect("write report");
     eprintln!("  wrote {out_path}");
 
@@ -283,12 +229,6 @@ mod tests {
         let json = emit_json(
             "quick",
             RingResult {
-                single_mops: 10.0,
-                batched_mops: 20.0,
-                push_p50_ns: 100,
-                push_p99_ns: 500,
-            },
-            RingResult {
                 single_mops: 80.0,
                 batched_mops: 400.0,
                 push_p50_ns: 20,
@@ -298,5 +238,9 @@ mod tests {
         assert_eq!(baseline_metric(&json, "single_mops"), Some(80.0));
         assert_eq!(baseline_metric(&json, "batched_mops"), Some(400.0));
         assert_eq!(baseline_metric(&json, "missing"), None);
+        // The committed baseline the CI gate reads has the same shape.
+        let committed = include_str!("../../../../BENCH_ring.json");
+        assert!(baseline_metric(committed, "single_mops").is_some());
+        assert!(baseline_metric(committed, "batched_mops").is_some());
     }
 }

@@ -1,5 +1,5 @@
 //! Data-plane benchmark for the zero-copy vos rewrite: shared [`Buf`]
-//! payloads end-to-end (stream inbox → syscall record → broadcast ring →
+//! payloads end-to-end (stream inbox → syscall record → event ring →
 //! follower comparison) vs. the seed's per-byte `VecDeque<u8>` stream
 //! with `Vec` record clones, which this binary reconstructs faithfully
 //! so the comparison survives the old code's deletion.

@@ -378,7 +378,7 @@ fn payload_buffers_are_shared_not_copied_across_the_ring() {
     );
 
     // The follower replays against the very storage the leader saw: the
-    // syscall record crossed the broadcast ring as a refcount bump, so
+    // syscall record moved through the ring with its payload shared, so
     // there is no payload memcpy between the leader's syscall completion
     // and the follower's identity comparison.
     let mut follower = VariantOs::follower(1, kernel, follower_config(ring_a), None);

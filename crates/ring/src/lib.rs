@@ -1,8 +1,8 @@
 //! The MVE event ring buffer.
 //!
 //! Varan's central data structure is a bounded ring buffer: the leader
-//! registers each intercepted system call and its result; followers
-//! consume the records at their own pace. Decoupling the two is what lets
+//! registers each intercepted system call and its result; the follower
+//! consumes the records at its own pace. Decoupling the two is what lets
 //! MVEDSUA hide the dynamic-update pause — the leader keeps serving while
 //! the follower is busy updating, and the buffered records are replayed
 //! afterwards (paper §3.2, Figure 2).
@@ -14,17 +14,12 @@
 //!   Figure 7's ring-size sweep exists precisely because of this.
 //! * **Records are never dropped or reordered.**
 //!
-//! Two implementations live here:
-//!
-//! * [`Ring`] — the default: a fixed-capacity, cache-line-padded,
-//!   lock-free **broadcast** ring matching Varan's shared-memory design.
-//!   The producer writes into preallocated slots guarded by per-slot
-//!   sequence numbers; each consumer owns an independent cursor; a slot
-//!   is reclaimed only once the slowest live cursor has passed it. See
-//!   `docs/ring.md` for the slot/sequence/cursor protocol.
-//! * [`mutex_ring::MutexRing`] — the original mutex+condvar bounded
-//!   deque, kept as the measured baseline for `ring_bench` (it is what
-//!   the lock-free ring's speedup is quoted against).
+//! [`Ring`] is a fixed-capacity, lock-free single-producer/
+//! single-consumer ring in the style of Varan's shared-memory ring; the
+//! consumer moves records out rather than cloning them. One consumer is
+//! all MVEDSUA needs, since the runner builds fresh rings for every
+//! update. Calling either end from two threads at once panics. See
+//! `docs/ring.md` for the protocol.
 //!
 //! # Example
 //!
@@ -45,11 +40,10 @@
 use std::error::Error;
 use std::fmt;
 
-mod broadcast;
-pub mod mutex_ring;
+mod spsc;
 mod wait;
 
-pub use broadcast::{Cursor, Ring};
+pub use spsc::Ring;
 
 /// Why a ring operation could not complete.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -79,7 +73,8 @@ impl Error for RingError {}
 pub struct RingStats {
     /// Total records ever pushed.
     pub pushed: u64,
-    /// Total records ever popped (summed over all cursors).
+    /// Total records ever popped (records discarded by `poison` are
+    /// not counted).
     pub popped: u64,
     /// Largest occupancy observed.
     pub high_water: usize,

@@ -1,6 +1,6 @@
 //! Spin-then-park waiting for the lock-free ring.
 //!
-//! The fast path of the broadcast ring never takes a lock, so blocked
+//! The fast path of the ring never takes a lock, so blocked
 //! parties (a producer facing a full ring, a consumer facing an empty
 //! one) cannot sleep on a condvar guarding the shared state — there is
 //! none. Instead each side escalates through an adaptive backoff

@@ -1,227 +1,53 @@
-//! Concurrency stress tests for the lock-free broadcast ring's edge
-//! semantics: close/poison wakeup ordering, late-attaching cursors
-//! (the MVEDSUA fork stage), slowest-cursor reclamation, and the
-//! determinism of the `set_pop_stall` chaos hook.
+//! Concurrency stress tests for the ring's edge semantics: close/poison
+//! wakeup ordering, the one-producer/one-consumer contract, move-out
+//! ownership of records, and the determinism of the `set_pop_stall`
+//! chaos hook.
 
 use ring::{Ring, RingError};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-/// Many consumers blocked on an empty ring must all wake on `close`
-/// with `Closed`, and producers blocked on a full ring must all wake on
-/// `poison` with `Poisoned` — no thread may stay parked. Repeated to
+/// A consumer blocked on an empty ring must wake on `close` with
+/// `Closed`, and a producer blocked on a full ring must wake on
+/// `poison` with `Poisoned` — neither may stay parked. Repeated to
 /// shake out lost-wakeup windows in the eventcount protocol.
 #[test]
 fn close_and_poison_wake_every_blocked_thread() {
     for _ in 0..50 {
-        // Blocked consumers, then close.
+        // Blocked consumer, then close.
         let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(4));
-        let barrier = Arc::new(Barrier::new(9));
-        let consumers: Vec<_> = (0..8)
-            .map(|_| {
-                let r = r.clone();
-                let barrier = barrier.clone();
-                thread::spawn(move || {
-                    barrier.wait();
-                    r.pop(None)
-                })
+        let barrier = Arc::new(Barrier::new(2));
+        let consumer = {
+            let r = r.clone();
+            let barrier = barrier.clone();
+            thread::spawn(move || {
+                barrier.wait();
+                r.pop(None)
             })
-            .collect();
+        };
         barrier.wait();
         r.close();
-        for c in consumers {
-            assert_eq!(c.join().unwrap().unwrap_err(), RingError::Closed);
-        }
+        assert_eq!(consumer.join().unwrap().unwrap_err(), RingError::Closed);
 
-        // Blocked producers, then poison.
+        // Blocked producer, then poison.
         let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
         r.push(0).unwrap();
-        let barrier = Arc::new(Barrier::new(5));
-        let producers: Vec<_> = (0..4)
-            .map(|i| {
-                let r = r.clone();
-                let barrier = barrier.clone();
-                thread::spawn(move || {
-                    barrier.wait();
-                    r.push(i)
-                })
+        let barrier = Arc::new(Barrier::new(2));
+        let producer = {
+            let r = r.clone();
+            let barrier = barrier.clone();
+            thread::spawn(move || {
+                barrier.wait();
+                r.push(1)
             })
-            .collect();
+        };
         barrier.wait();
         r.poison();
-        for p in producers {
-            assert_eq!(p.join().unwrap().unwrap_err(), RingError::Poisoned);
-        }
+        assert_eq!(producer.join().unwrap().unwrap_err(), RingError::Poisoned);
     }
-}
-
-/// Close must win the race against consumers still draining: every
-/// record pushed before `close` is delivered exactly once, and only
-/// then does `Closed` surface.
-#[test]
-fn close_drains_under_consumer_contention() {
-    for _ in 0..20 {
-        const N: u64 = 2_000;
-        let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(32));
-        let popped = Arc::new(AtomicU64::new(0));
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let r = r.clone();
-                let popped = popped.clone();
-                thread::spawn(move || loop {
-                    match r.pop(None) {
-                        Ok(_) => {
-                            popped.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(RingError::Closed) => return,
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                })
-            })
-            .collect();
-        for i in 0..N {
-            r.push(i).unwrap();
-        }
-        r.close();
-        for c in consumers {
-            c.join().unwrap();
-        }
-        assert_eq!(popped.load(Ordering::Relaxed), N);
-        assert_eq!(r.stats().popped, N);
-    }
-}
-
-/// A cursor subscribed mid-stream — the fork-stage scenario, where a
-/// freshly forked follower attaches at the leader's current head —
-/// observes exactly the suffix published after it attached, in order.
-#[test]
-fn late_attaching_cursor_sees_exactly_the_suffix() {
-    const TOTAL: u64 = 50_000;
-    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(64));
-    let r_prod = r.clone();
-    let producer = thread::spawn(move || {
-        for i in 0..TOTAL {
-            r_prod.push(i).unwrap();
-        }
-        r_prod.close();
-    });
-    let r_cons = r.clone();
-    let default_consumer = thread::spawn(move || {
-        let mut expected = 0u64;
-        while let Ok(v) = r_cons.pop(None) {
-            assert_eq!(v, expected);
-            expected += 1;
-        }
-        expected
-    });
-    // Let the stream get going, then fork-attach.
-    thread::sleep(Duration::from_millis(5));
-    let cursor = r.subscribe();
-    let late = thread::spawn(move || {
-        let mut got: Vec<u64> = Vec::new();
-        loop {
-            match cursor.pop_batch(32, None) {
-                Ok(batch) => got.extend(batch),
-                Err(RingError::Closed) => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        got
-    });
-    producer.join().unwrap();
-    assert_eq!(default_consumer.join().unwrap(), TOTAL);
-    let got = late.join().unwrap();
-    // The attach point is timing-dependent, but the suffix itself must
-    // be gapless, ordered, and run exactly to the end of the stream.
-    if let Some(&first) = got.first() {
-        let expected: Vec<u64> = (first..TOTAL).collect();
-        assert_eq!(got, expected, "late cursor suffix has gaps or reorders");
-    }
-}
-
-/// The slowest cursor gates reclamation: a producer can never lap a
-/// cursor that has stopped, and resumes the moment it advances or
-/// detaches. Meanwhile every cursor sees every record exactly once.
-#[test]
-fn slowest_cursor_gates_reclamation_under_load() {
-    const N: u64 = 10_000;
-    const CAP: usize = 16;
-    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(CAP));
-    let slow = r.subscribe();
-    let fast = r.subscribe();
-    let r_prod = r.clone();
-    let producer = thread::spawn(move || {
-        for i in 0..N {
-            r_prod.push(i).unwrap();
-        }
-        r_prod.close();
-    });
-    let fast_consumer = thread::spawn(move || {
-        let mut expected = 0u64;
-        loop {
-            match fast.pop(None) {
-                Ok(v) => {
-                    assert_eq!(v, expected);
-                    expected += 1;
-                }
-                Err(RingError::Closed) => return expected,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-    });
-    // The default cursor also drains, concurrently.
-    let r_def = r.clone();
-    let default_consumer = thread::spawn(move || {
-        let mut count = 0u64;
-        while r_def.pop(None).is_ok() {
-            count += 1;
-        }
-        count
-    });
-    // Slow consumer: pops in dribbles with pauses. The producer must
-    // never overtake it — checked implicitly: if a slot were reclaimed
-    // early, the slow cursor would see a gap or a reordered value.
-    let mut expected = 0u64;
-    loop {
-        match slow.pop(Some(Duration::from_secs(10))) {
-            Ok(v) => {
-                assert_eq!(v, expected, "producer lapped the slowest cursor");
-                expected += 1;
-                if expected.is_multiple_of(1024) {
-                    thread::sleep(Duration::from_millis(1));
-                }
-            }
-            Err(RingError::Closed) => break,
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-    }
-    assert_eq!(expected, N);
-    assert_eq!(fast_consumer.join().unwrap(), N);
-    assert_eq!(default_consumer.join().unwrap(), N);
-    producer.join().unwrap();
-    assert!(r.stats().high_water <= CAP);
-}
-
-/// Dropping a stalled cursor releases its backlog: the producer
-/// unblocks without any consumer popping.
-#[test]
-fn dropping_stalled_cursor_unblocks_producer() {
-    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(2));
-    let stalled = r.subscribe();
-    r.push(1).unwrap();
-    r.push(2).unwrap();
-    assert_eq!(r.pop(None).unwrap(), 1);
-    assert_eq!(r.pop(None).unwrap(), 2);
-    // Default cursor drained; the subscriber still pins both slots.
-    assert_eq!(r.try_push(3).unwrap_err(), RingError::TimedOut);
-    let r2 = r.clone();
-    let producer = thread::spawn(move || r2.push(3));
-    thread::sleep(Duration::from_millis(20));
-    drop(stalled);
-    producer.join().unwrap().unwrap();
-    assert_eq!(r.pop(None).unwrap(), 3);
 }
 
 /// The chaos stall schedule is a pure function of the pop **call**
@@ -311,51 +137,6 @@ fn wait_empty_rendezvous_under_contention() {
     }
 }
 
-/// Concurrent `peek` + `pop` through the ring's default cursor: peek
-/// never observes a reclaimed or reallocated payload even while
-/// another thread is consuming (the hazard-count pin must keep the
-/// producer from dropping a slot mid-clone).
-#[test]
-fn peek_races_pop_without_tearing() {
-    const N: u64 = 20_000;
-    // Heap-allocated payload so a reclaimed slot means a dangling
-    // pointer: if peek cloned a freed Arc, the allocator would hand
-    // the block to a later record and the monotonicity assert below
-    // would observe a future (or garbage) value.
-    let r: Arc<Ring<Arc<u64>>> = Arc::new(Ring::with_capacity(8));
-    let r_prod = r.clone();
-    let producer = thread::spawn(move || {
-        for i in 0..N {
-            r_prod.push(Arc::new(i)).unwrap();
-        }
-        r_prod.close();
-    });
-    let r_peek = r.clone();
-    let peeker = thread::spawn(move || {
-        let mut last = 0u64;
-        loop {
-            match r_peek.peek(0, Some(Duration::from_millis(200))) {
-                Ok(v) => {
-                    // The front can only move forward.
-                    assert!(*v >= last || *v == 0, "peek went backwards: {v} < {last}");
-                    last = (*v).max(last);
-                }
-                Err(RingError::Closed) => return,
-                Err(RingError::TimedOut) => continue,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-    });
-    let mut expected = 0u64;
-    while let Ok(v) = r.pop(None) {
-        assert_eq!(*v, expected);
-        expected += 1;
-    }
-    assert_eq!(expected, N);
-    producer.join().unwrap();
-    peeker.join().unwrap();
-}
-
 /// With an injected time source, `producer_stall_nanos` is a pure
 /// function of how far that clock advanced while the producer was
 /// blocked — real scheduling time must not leak in. Two runs of the
@@ -399,4 +180,216 @@ fn injected_stall_clock_makes_stall_nanos_deterministic() {
     // clock: exactly the 40_000 ns it was advanced by, in both runs.
     assert_eq!(fast, 40_000);
     assert_eq!(slow, fast);
+}
+
+/// A payload that counts its drops, per record id.
+#[derive(Debug)]
+struct Tracked {
+    id: usize,
+    drops: Arc<Vec<AtomicU32>>,
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.drops[self.id].fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// `pop` and `pop_batch` move records out of their slots, so the ring
+/// keeps no copy of a record it delivered; records still buffered when
+/// the ring is poisoned or dropped are dropped with it. Either way,
+/// every record pushed is dropped exactly once, across several laps of
+/// a capacity-4 ring.
+#[test]
+fn records_move_out_and_drop_exactly_once() {
+    const CAP: usize = 4;
+    const LAPS: usize = 3;
+    for poison in [false, true] {
+        let total = 2 * LAPS * CAP + 3;
+        let drops: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| AtomicU32::new(0)).collect());
+        let make = |id| {
+            Arc::new(Tracked {
+                id,
+                drops: drops.clone(),
+            })
+        };
+        let mut ids = 0..total;
+        let r: Ring<Arc<Tracked>> = Ring::with_capacity(CAP);
+        for _ in 0..LAPS {
+            for id in ids.by_ref().take(CAP) {
+                r.push(make(id)).unwrap();
+            }
+            for _ in 0..CAP {
+                let record = r.pop(None).unwrap();
+                assert_eq!(Arc::strong_count(&record), 1, "ring kept a copy");
+            }
+        }
+        for _ in 0..LAPS {
+            r.push_batch(ids.by_ref().take(CAP).map(make)).unwrap();
+            let batch = r.pop_batch(CAP, None).unwrap();
+            assert_eq!(batch.len(), CAP);
+            for record in &batch {
+                assert_eq!(Arc::strong_count(record), 1, "ring kept a copy");
+            }
+        }
+        // Leave two records unconsumed.
+        for id in ids {
+            r.push(make(id)).unwrap();
+        }
+        drop(r.pop(None).unwrap());
+        if poison {
+            r.poison();
+            assert_eq!(r.pop(None).unwrap_err(), RingError::Poisoned);
+        }
+        drop(r);
+        for (id, count) in drops.iter().enumerate() {
+            let count = count.load(Ordering::SeqCst);
+            assert_eq!(
+                count, 1,
+                "record {id} dropped {count} times (poison: {poison})"
+            );
+        }
+    }
+}
+
+/// Runs `call` on its own thread and returns its panic message, or
+/// `None` if it returned normally.
+fn panic_message(call: impl FnOnce() + Send + 'static) -> Option<String> {
+    let payload = thread::spawn(call).join().err()?;
+    Some(
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default(),
+    )
+}
+
+/// The ring has one consumer: a second thread calling `pop`,
+/// `pop_batch` or `peek` while another consumer call is blocked
+/// panics instead of racing it, and the blocked call still completes.
+#[test]
+fn second_consumer_call_panics_while_one_is_blocked() {
+    type Call = fn(&Ring<u64>);
+    let calls: [(&str, Call); 3] = [
+        ("pop", |r| {
+            let _ = r.pop(Some(Duration::ZERO));
+        }),
+        ("pop_batch", |r| {
+            let _ = r.pop_batch(4, Some(Duration::ZERO));
+        }),
+        ("peek", |r| {
+            let _ = r.peek(0, Some(Duration::ZERO));
+        }),
+    ];
+    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(4));
+    let blocked = {
+        let r = r.clone();
+        // A probe below may hold the consumer end just as this thread
+        // enters `pop`; then this thread is the one that panics, and
+        // retries.
+        thread::spawn(move || loop {
+            if let Ok(result) = panic::catch_unwind(AssertUnwindSafe(|| r.pop(None))) {
+                return result;
+            }
+        })
+    };
+    for (name, call) in calls {
+        // Until the blocked consumer is inside `pop`, a probe just times
+        // out; retry until one collides with it.
+        let message = loop {
+            thread::sleep(Duration::from_millis(10));
+            let r = r.clone();
+            if let Some(message) = panic_message(move || call(&r)) {
+                break message;
+            }
+        };
+        assert!(
+            message.contains(&format!("`{name}`")) && message.contains("exactly one consumer"),
+            "unexpected panic: {message}"
+        );
+    }
+    r.push(7).unwrap();
+    assert_eq!(blocked.join().unwrap().unwrap(), 7);
+}
+
+/// The ring has one producer: a second thread pushing while another
+/// push is blocked on a full ring panics, and the blocked push still
+/// completes once the consumer makes room.
+#[test]
+fn second_producer_call_panics_while_one_is_blocked() {
+    type Call = fn(&Ring<u64>);
+    let calls: [(&str, Call); 4] = [
+        ("push", |r| {
+            let _ = r.push(9);
+        }),
+        ("push", |r| {
+            let _ = r.push_tagged(9);
+        }),
+        ("try_push", |r| {
+            let _ = r.try_push(9);
+        }),
+        ("push_batch", |r| {
+            let _ = r.push_batch([9]);
+        }),
+    ];
+    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
+    r.push(0).unwrap();
+    let blocked = {
+        let r = r.clone();
+        thread::spawn(move || r.push(1))
+    };
+    // A stall is counted while the blocked push holds the producer end.
+    while r.stats().producer_stalls == 0 {
+        thread::yield_now();
+    }
+    for (name, call) in calls {
+        let r = r.clone();
+        let message = panic_message(move || call(&r)).expect("second producer must panic");
+        assert!(
+            message.contains(&format!("`{name}`")) && message.contains("exactly one producer"),
+            "unexpected panic: {message}"
+        );
+    }
+    assert_eq!(r.pop(None).unwrap(), 0);
+    blocked.join().unwrap().unwrap();
+    assert_eq!(r.pop(None).unwrap(), 1);
+    assert_eq!(r.stats().pushed, 2);
+}
+
+/// `close` and `poison` are not tied to either end: called from a third
+/// thread, each wakes a producer blocked on a full ring and a consumer
+/// blocked on a `peek` past the end at the same time.
+#[test]
+fn close_and_poison_from_a_third_thread_wake_both_ends() {
+    for (poison, expected) in [(false, RingError::Closed), (true, RingError::Poisoned)] {
+        for _ in 0..20 {
+            let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
+            r.push(0).unwrap();
+            let producer = {
+                let r = r.clone();
+                thread::spawn(move || r.push(1))
+            };
+            // Capacity 1 can never hold two records: this peek blocks
+            // until the ring dies.
+            let consumer = {
+                let r = r.clone();
+                thread::spawn(move || r.peek(1, None))
+            };
+            while r.stats().producer_stalls == 0 {
+                thread::yield_now();
+            }
+            let r_third = r.clone();
+            thread::spawn(move || {
+                if poison {
+                    r_third.poison();
+                } else {
+                    r_third.close();
+                }
+            })
+            .join()
+            .unwrap();
+            assert_eq!(producer.join().unwrap().unwrap_err(), expected);
+            assert_eq!(consumer.join().unwrap().unwrap_err(), expected);
+        }
+    }
 }

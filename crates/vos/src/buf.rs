@@ -4,7 +4,7 @@
 //! server's `write` lands in the peer stream's inbox as a `Buf`, a
 //! `read` hands back a `Buf` sliced out of that inbox without copying,
 //! and the *same* allocation is then reference-shared — not cloned —
-//! into the MVE leader's `SyscallRecord`, across the broadcast ring,
+//! into the MVE leader's `SyscallRecord`, across the event ring,
 //! into the follower's identity comparison and into obs forensics.
 //! Cloning and slicing are O(1) (an `Arc` refcount bump plus two
 //! offsets); the bytes themselves are immutable once wrapped.

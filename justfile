@@ -47,11 +47,13 @@ bench-obs:
 lint-rules:
     cargo run --release -p mvedsua-harness -- lint --corpus tests/fixtures/rules/good_wording.rules
 
-# Mirror of the CI pipeline: lint, tier-1 verify, chaos smoke, bench smoke.
+# Mirror of the CI pipeline: lint, tier-1 verify, workspace tests,
+# chaos smoke, bench smoke.
 ci:
     cargo fmt --all -- --check
     cargo clippy --workspace --all-targets -- -D warnings
     just verify
+    just test-all
     just lint-rules
     just chaos-smoke
     just bench-ring-smoke
