@@ -610,26 +610,21 @@ fn monitor_notices(shared: Arc<Shared>, rx: Receiver<Notice>) {
                 // it is the monitored follower itself taking over
                 // (leader-crash promotion / bypassed promotion).
                 let mut active = shared.active_update.lock();
-                let promoted = match active.as_ref() {
+                match active.as_ref() {
                     None => {
                         set_leader(notice.variant);
                         shared.timeline.set_stage(Stage::SingleLeader);
-                        false
                     }
                     Some(a) if a.follower_id == notice.variant => {
                         *active = None;
+                        // Cleared under the era lock, before the stage
+                        // change lets the next update fork.
+                        *shared.promote_action.lock() = None;
                         set_leader(notice.variant);
                         shared.timeline.set_stage(Stage::SingleLeader);
-                        true
                     }
-                    Some(_) => {
-                        // A previous era's leader reporting in; ignore.
-                        false
-                    }
-                };
-                drop(active);
-                if promoted {
-                    *shared.promote_action.lock() = None;
+                    // A previous era's leader reporting in; ignore.
+                    Some(_) => {}
                 }
             }
         }

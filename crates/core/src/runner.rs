@@ -176,30 +176,23 @@ pub(crate) fn run_variant(shared: Arc<Shared>, mut app: Box<dyn DsuApp>, mut os:
 /// Bookkeeping after the new version died during monitoring: the update
 /// is rolled back (if this variant was the monitored follower).
 fn finish_failed_follower(shared: &Shared, id: VariantId) {
-    let was_active_follower = {
-        let mut active = shared.active_update.lock();
-        match active.as_ref() {
-            Some(a) if a.follower_id == id => {
-                *active = None;
-                // Stage first, RolledBack second (under the era lock):
-                // waiters key on the RolledBack event and must observe
-                // the restored stage when they wake.
-                shared.timeline.set_stage(Stage::SingleLeader);
-                shared.timeline.record(TimelineEvent::RolledBack);
-                true
-            }
-            None => {
-                shared.timeline.set_stage(Stage::SingleLeader);
-                false
-            }
-            // A *different* update is already being monitored (the
-            // operator rolled this one back and moved on); its stage is
-            // not ours to touch.
-            Some(_) => false,
+    let mut active = shared.active_update.lock();
+    match active.as_ref() {
+        Some(a) if a.follower_id == id => {
+            *active = None;
+            // Promote action, stage, then RolledBack, all under the era
+            // lock: a waiter woken by RolledBack must observe the
+            // restored stage, and may fork the next update at once, so a
+            // late clear would drop that update's action.
+            *shared.promote_action.lock() = None;
+            shared.timeline.set_stage(Stage::SingleLeader);
+            shared.timeline.record(TimelineEvent::RolledBack);
         }
-    };
-    if was_active_follower {
-        *shared.promote_action.lock() = None;
+        None => shared.timeline.set_stage(Stage::SingleLeader),
+        // A *different* update is already being monitored (the
+        // operator rolled this one back and moved on); its stage is
+        // not ours to touch.
+        Some(_) => {}
     }
 }
 
@@ -400,5 +393,83 @@ fn follower_boot(
             ring_a.poison();
             finish_failed_follower(&shared, id);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn shared() -> Arc<Shared> {
+        let kernel = VirtualKernel::new();
+        Arc::new(Shared {
+            kernel: kernel.clone(),
+            registry: Arc::new(VersionRegistry::new()),
+            timeline: Arc::new(Timeline::new(kernel)),
+            config: MvedsuaConfig::default(),
+            stop: AtomicBool::new(false),
+            fork_slot: Mutex::new(None),
+            threads: Mutex::new(Vec::new()),
+            rings: Mutex::new(Vec::new()),
+            promote_action: Mutex::new(None),
+            active_update: Mutex::new(None),
+            versions: Mutex::new(HashMap::new()),
+            leader_version: Mutex::new(dsu::v("1.0")),
+            next_variant: AtomicU32::new(1),
+            notices: Mutex::new(None),
+            obs: Obs::disabled(),
+            variant_stats: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn rolled_back(shared: &Shared) -> bool {
+        shared
+            .timeline
+            .entries()
+            .iter()
+            .any(|e| matches!(e.event, TimelineEvent::RolledBack))
+    }
+
+    /// A waiter that sees `RolledBack` may fork the next update at once,
+    /// so the failed era's promote action must already be gone: a later
+    /// clear would drop the next era's action and fail its `promote`.
+    #[test]
+    fn failed_follower_clears_promote_action_before_reporting_rollback() {
+        let shared = shared();
+        let ring: EventRing = Arc::new(ring::Ring::with_capacity(1));
+        *shared.active_update.lock() = Some(ActiveUpdate {
+            ring_a: ring.clone(),
+            ring_b: None,
+            follower_id: 7,
+        });
+        *shared.promote_action.lock() = Some(PromoteAction {
+            slot: Arc::new(Mutex::new(None)),
+            config: FollowerConfig {
+                ring,
+                rules: Arc::new(RuleSet::empty()),
+                builtins: Arc::new(dsl::Builtins::standard()),
+                promote_to: None,
+                lag: None,
+            },
+        });
+        // Holding the action's lock parks the failing follower wherever
+        // it clears the action; RolledBack must not be visible by then.
+        // The pause only gives a wrong order time to show; the right
+        // order passes however long it lasts.
+        let held = shared.promote_action.lock();
+        let failing = {
+            let shared = shared.clone();
+            std::thread::spawn(move || finish_failed_follower(&shared, 7))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !rolled_back(&shared),
+            "RolledBack was reported before the promote action was cleared"
+        );
+        drop(held);
+        failing.join().unwrap();
+        assert!(rolled_back(&shared));
+        assert!(shared.promote_action.lock().is_none());
+        assert_eq!(shared.timeline.stage(), Stage::SingleLeader);
     }
 }

@@ -106,7 +106,13 @@ impl<T: Clone> EventLoop<T> {
         self.cursor
     }
 
-    fn ensure_epoll(&mut self, os: &mut dyn Os) -> OsResult<Fd> {
+    /// Creates the epoll instance if it does not exist yet and returns
+    /// it. Every other method calls this lazily; a server calls it up
+    /// front to fix its descriptor number before any client can connect.
+    ///
+    /// # Errors
+    /// Propagates `epoll_create` failures.
+    pub fn open(&mut self, os: &mut dyn Os) -> OsResult<Fd> {
         match self.ep {
             Some(ep) => Ok(ep),
             None => {
@@ -125,7 +131,7 @@ impl<T: Clone> EventLoop<T> {
         if self.entries.iter().any(|(f, _)| *f == fd) {
             return Err(Errno::Inval);
         }
-        let ep = self.ensure_epoll(os)?;
+        let ep = self.open(os)?;
         os.epoll_ctl(ep, CtlOp::Add, fd)?;
         self.entries.push((fd, token));
         Ok(())
@@ -141,7 +147,7 @@ impl<T: Clone> EventLoop<T> {
             .iter()
             .position(|(f, _)| *f == fd)
             .ok_or(Errno::Inval)?;
-        let ep = self.ensure_epoll(os)?;
+        let ep = self.open(os)?;
         os.epoll_ctl(ep, CtlOp::Del, fd)?;
         self.entries.remove(idx);
         if self.cursor > idx {
@@ -165,7 +171,7 @@ impl<T: Clone> EventLoop<T> {
     /// # Errors
     /// Propagates `epoll_wait` failures.
     pub fn poll(&mut self, os: &mut dyn Os, max: usize, timeout_ms: u64) -> OsResult<Vec<(Fd, T)>> {
-        let ep = self.ensure_epoll(os)?;
+        let ep = self.open(os)?;
         let ready = os.epoll_wait(ep, max, timeout_ms)?;
         if ready.is_empty() || self.entries.is_empty() {
             return Ok(Vec::new());
@@ -258,6 +264,18 @@ mod tests {
         rig.kernel.client_send(c1, b"x").unwrap();
         let ready = ev.poll(&mut rig.os, 8, 100).unwrap();
         assert!(ready.contains(&(s1, Tok::Conn(1))));
+    }
+
+    #[test]
+    fn open_creates_the_epoll_instance_once() {
+        let mut rig = rig();
+        let mut ev: EventLoop<Tok> = EventLoop::new();
+        let ep = ev.open(&mut rig.os).unwrap();
+        assert_eq!(ev.epoll_fd(), Some(ep));
+        assert_eq!(ev.open(&mut rig.os).unwrap(), ep);
+        ev.register(&mut rig.os, rig.listener, Tok::Listener)
+            .unwrap();
+        assert_eq!(ev.epoll_fd(), Some(ep), "register reuses the instance");
     }
 
     #[test]

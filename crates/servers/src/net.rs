@@ -148,11 +148,17 @@ impl NetCore {
     /// One event-loop round: binds the listener lazily, waits for
     /// readiness, accepts, reads, and splits lines.
     ///
+    /// The epoll instance is created before the listener: a client can
+    /// connect as soon as `listen` returns, and its descriptors must not
+    /// land between the listener's and the epoll instance's, or every
+    /// later descriptor number would depend on that timing.
+    ///
     /// # Errors
     /// Propagates fatal kernel errors (bind failure); per-connection
     /// errors tear down only that connection.
     pub fn step(&mut self, os: &mut dyn Os) -> OsResult<Vec<NetEvent>> {
         if self.listener.is_none() {
+            self.ev.open(os)?;
             let listener = os.listen(self.port)?;
             self.ev.register(os, listener, Tok::Listener)?;
             self.listener = Some(listener);
@@ -203,22 +209,13 @@ impl NetCore {
         }
     }
 
-    /// Sends a large payload in fixed-size chunks — one syscall per
-    /// chunk, the way a real server loops over `write(2)` (this is what
-    /// makes the paper's "Vsftpd large" workload stress the MVE layer).
-    pub fn send_chunked(&mut self, os: &mut dyn Os, fd: Fd, data: &[u8], chunk: usize) {
-        debug_assert!(chunk > 0);
-        // One heap copy up front; every chunk after that is an O(1)
-        // refcounted slice of the same storage, handed to the kernel
-        // (and the MVE log, and the follower) without further memcpy.
-        let mut rest = Buf::copy_from_slice(data);
-        let chunk = chunk.max(1);
-        while !rest.is_empty() {
-            let piece = rest.split_to(chunk.min(rest.len()));
-            if os.write_buf(fd, piece).is_err() {
-                self.drop_conn(os, fd);
-                return;
-            }
+    /// Sends an already-shared buffer without copying it: the same
+    /// allocation reaches the peer's inbox and, under MVE, the leader's
+    /// logged record and the follower. Failure tears the connection down
+    /// like [`send`](Self::send).
+    pub fn send_buf(&mut self, os: &mut dyn Os, fd: Fd, data: Buf) {
+        if os.write_buf(fd, data).is_err() {
+            self.drop_conn(os, fd);
         }
     }
 
@@ -330,37 +327,20 @@ mod tests {
     }
 
     #[test]
-    fn send_chunked_emits_multiple_writes() {
+    fn first_step_creates_epoll_before_the_listener() {
         let (kernel, mut os, mut core) = rig(6003);
         let _ = core.step(&mut os).unwrap();
+        let ep = core.ev.epoll_fd().expect("epoll created");
+        let listener = core.listener.expect("listener bound");
+        assert!(
+            ep < listener,
+            "epoll {ep} was allocated after listener {listener}"
+        );
+        // A client that connects from here on cannot shift either fd.
         let client = kernel.connect(6003).unwrap();
-        kernel.client_send(client, b"x\n").unwrap();
-        let mut conn = None;
-        for _ in 0..10 {
-            for e in core.step(&mut os).unwrap() {
-                if let NetEvent::Line(fd, _) = e {
-                    conn = Some(fd);
-                }
-            }
-            if conn.is_some() {
-                break;
-            }
-        }
-        let before = kernel
-            .stats
-            .syscalls
-            .load(std::sync::atomic::Ordering::Relaxed);
-        core.send_chunked(&mut os, conn.unwrap(), &[7u8; 10_000], 1024);
-        let after = kernel
-            .stats
-            .syscalls
-            .load(std::sync::atomic::Ordering::Relaxed);
-        assert!(after - before >= 10, "10 KB in 1 KB chunks = 10 writes");
-        let mut received = Vec::new();
-        while received.len() < 10_000 {
-            received.extend_from_slice(&kernel.client_recv(client, 4096).unwrap());
-        }
-        assert_eq!(received.len(), 10_000);
+        assert!(client > listener);
+        let _ = core.step(&mut os).unwrap();
+        assert_eq!(core.ev.epoll_fd(), Some(ep));
     }
 
     #[test]

@@ -188,7 +188,9 @@ impl VsftpdApp {
                         loop {
                             match os.read(file, CHUNK) {
                                 Ok(chunk) if chunk.is_empty() => break,
-                                Ok(chunk) => self.state.net.send(os, fd, &chunk),
+                                // The chunk is a window of the file's
+                                // snapshot; it is sent as is, not copied.
+                                Ok(chunk) => self.state.net.send_buf(os, fd, chunk),
                                 Err(_) => break,
                             }
                         }

@@ -3,6 +3,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::buf::Buf;
 use crate::error::{Errno, OsResult};
 
 /// How a file is opened. Mirrors the subset of `open(2)` flags the FTP
@@ -41,9 +42,75 @@ pub struct FileStat {
     pub size: u64,
 }
 
+/// One file's bytes, held in exactly one of two shapes: growable while
+/// it is being written, frozen into an immutable [`Buf`] once it is read.
+///
+/// Reads hand out O(1) windows of the frozen snapshot, so a server that
+/// streams a file to a socket sends the file's own allocation. The first
+/// write after a read thaws the snapshot into a fresh vector (one copy);
+/// windows handed out earlier keep the old bytes, because a `Buf` is
+/// never mutated. Each switch between the shapes costs one copy, so a
+/// file written once and then read many times is copied once.
+///
+/// `pub` only because [`MemFs::open`] returns it; the crate does not
+/// export it.
+#[derive(Debug)]
+pub enum Contents {
+    Growable(Vec<u8>),
+    Frozen(Buf),
+}
+
+impl Default for Contents {
+    fn default() -> Self {
+        Contents::Growable(Vec::new())
+    }
+}
+
+impl Contents {
+    /// Current size in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// The current bytes, in whichever shape they are held.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match self {
+            Contents::Growable(v) => v,
+            Contents::Frozen(b) => b,
+        }
+    }
+
+    /// The whole file as an immutable buffer, freezing it if needed.
+    pub(crate) fn snapshot(&mut self) -> Buf {
+        if let Contents::Growable(v) = self {
+            *self = Contents::Frozen(Buf::from_vec(std::mem::take(v)));
+        }
+        match self {
+            Contents::Frozen(b) => b.clone(),
+            Contents::Growable(_) => unreachable!("frozen above"),
+        }
+    }
+
+    /// The bytes for mutation, thawing a frozen snapshot into a copy.
+    pub(crate) fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        if let Contents::Frozen(b) = self {
+            *self = Contents::Growable(b.to_vec());
+        }
+        match self {
+            Contents::Growable(v) => v,
+            Contents::Frozen(_) => unreachable!("thawed above"),
+        }
+    }
+
+    /// Empties the file without copying the old bytes.
+    pub(crate) fn truncate(&mut self) {
+        *self = Contents::default();
+    }
+}
+
 /// Shared file contents; open handles keep the bytes alive even if the
 /// path is unlinked (POSIX semantics, which Vsftpd relies on).
-pub(crate) type FileData = Arc<Mutex<Vec<u8>>>;
+pub(crate) type FileData = Arc<Mutex<Contents>>;
 
 #[derive(Debug)]
 enum Node {
@@ -124,7 +191,7 @@ impl MemFs {
             (Some(Node::File(_)), OpenMode::CreateNew) => Err(Errno::Exist),
             (Some(Node::File(data)), OpenMode::Read) => Ok((data.clone(), 0)),
             (Some(Node::File(data)), OpenMode::Write) => {
-                data.lock().clear();
+                data.lock().truncate();
                 Ok((data.clone(), 0))
             }
             (Some(Node::File(data)), OpenMode::Append) => {
@@ -133,7 +200,7 @@ impl MemFs {
             }
             (None, OpenMode::Read) => Err(Errno::NoEnt),
             (None, _) => {
-                let data: FileData = Arc::new(Mutex::new(Vec::new()));
+                let data = FileData::default();
                 dir.insert(name.to_string(), Node::File(data.clone()));
                 Ok((data, 0))
             }
@@ -236,14 +303,14 @@ impl MemFs {
     /// Convenience: create/truncate a file with the given contents.
     pub fn write_file(&self, path: &str, contents: &[u8]) -> OsResult<()> {
         let (data, _) = self.open(path, OpenMode::Write)?;
-        data.lock().extend_from_slice(contents);
+        data.lock().bytes_mut().extend_from_slice(contents);
         Ok(())
     }
 
     /// Convenience: read an entire file.
     pub fn read_file(&self, path: &str) -> OsResult<Vec<u8>> {
         let (data, _) = self.open(path, OpenMode::Read)?;
-        let out = data.lock().clone();
+        let out = data.lock().as_slice().to_vec();
         Ok(out)
     }
 }
@@ -352,7 +419,7 @@ mod tests {
         fs.write_file("/f", b"keep").unwrap();
         let (data, _) = fs.open("/f", OpenMode::Read).unwrap();
         fs.unlink("/f").unwrap();
-        assert_eq!(&*data.lock(), b"keep");
+        assert_eq!(data.lock().as_slice(), b"keep");
     }
 
     #[test]

@@ -311,8 +311,9 @@ impl VirtualKernel {
     /// Reads up to `max` bytes; blocks until data, EOF, or `timeout`.
     /// Works on both streams and files (files never block).
     ///
-    /// Stream reads are zero-copy: the returned [`Buf`] is a slice of the
-    /// writer's own allocation whenever the read does not span chunks.
+    /// Reads are zero-copy: a stream read returns a slice of the writer's
+    /// own allocation whenever the read does not span chunks, and a file
+    /// read returns a window of the file's frozen snapshot.
     pub fn read(&self, fd: Fd, max: usize, timeout: Option<Duration>) -> OsResult<Buf> {
         self.count();
         match self.resource(fd)? {
@@ -325,10 +326,14 @@ impl VirtualKernel {
             }
             Resource::File(handle) => {
                 let mut h = handle.lock();
-                let data = h.data.lock();
+                let mut data = h.data.lock();
                 let start = h.offset.min(data.len());
-                let end = (start + max).min(data.len());
-                let out = Buf::copy_from_slice(&data[start..end]);
+                let end = start.saturating_add(max).min(data.len());
+                let out = if start == end {
+                    Buf::new()
+                } else {
+                    data.snapshot().slice(start..end)
+                };
                 drop(data);
                 h.offset = end;
                 self.stats
@@ -366,7 +371,8 @@ impl VirtualKernel {
                 if !h.mode.writable() {
                     return Err(Errno::Inval);
                 }
-                let mut contents = h.data.lock();
+                let mut guard = h.data.lock();
+                let contents = guard.bytes_mut();
                 let off = h.offset;
                 if off < contents.len() {
                     let overlap = (contents.len() - off).min(data.len());
@@ -376,7 +382,7 @@ impl VirtualKernel {
                     contents.resize(off, 0);
                     contents.extend_from_slice(data);
                 }
-                drop(contents);
+                drop(guard);
                 h.offset += data.len();
                 data.len()
             }
@@ -794,6 +800,58 @@ mod tests {
         k.write(a, b"bb").unwrap();
         k.close(a).unwrap();
         assert_eq!(k.fs().read_file("/f").unwrap(), b"aaaabb");
+    }
+
+    fn read_whole(k: &VirtualKernel, path: &str) -> Buf {
+        let fd = k.fs_open(path, OpenMode::Read).unwrap();
+        let out = k.read(fd, usize::MAX, None).unwrap();
+        k.close(fd).unwrap();
+        out
+    }
+
+    #[test]
+    fn reads_of_an_unchanged_file_share_one_snapshot() {
+        let k = VirtualKernel::new();
+        k.fs().write_file("/f", b"hello world").unwrap();
+        let a = k.fs_open("/f", OpenMode::Read).unwrap();
+        let b = k.fs_open("/f", OpenMode::Read).unwrap();
+        let head = k.read(a, 5, None).unwrap();
+        let tail = k.read(a, 64, None).unwrap();
+        let whole = k.read(b, 64, None).unwrap();
+        assert_eq!((&head[..], &tail[..]), (&b"hello"[..], &b" world"[..]));
+        assert!(head.same_storage(&tail), "one handle reads one snapshot");
+        assert!(head.same_storage(&whole), "two handles read one snapshot");
+    }
+
+    #[test]
+    fn mutations_are_visible_and_never_touch_earlier_reads() {
+        let k = VirtualKernel::new();
+        k.fs().write_file("/f", b"aaaa").unwrap();
+        let before = read_whole(&k, "/f");
+
+        // Write through another handle: open(Write) truncates first.
+        let w = k.fs_open("/f", OpenMode::Write).unwrap();
+        assert_eq!(read_whole(&k, "/f"), b"");
+        k.write(w, b"bb").unwrap();
+        let written = read_whole(&k, "/f");
+        assert_eq!(written, b"bb");
+        assert!(!written.same_storage(&before));
+
+        // Append through a third handle.
+        let a = k.fs_open("/f", OpenMode::Append).unwrap();
+        k.write_buf(a, Buf::from(b"cc")).unwrap();
+        assert_eq!(read_whole(&k, "/f"), b"bbcc");
+
+        // Replace through the filesystem API.
+        k.fs().write_file("/f", b"dd").unwrap();
+        assert_eq!(read_whole(&k, "/f"), b"dd");
+
+        // Truncate by opening for writing.
+        k.close(k.fs_open("/f", OpenMode::Write).unwrap()).unwrap();
+        assert_eq!(read_whole(&k, "/f"), b"");
+
+        assert_eq!(before, b"aaaa", "a returned Buf keeps its bytes");
+        assert_eq!(written, b"bb");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the virtual OS: the in-memory filesystem agrees
-//! with a reference model, and the stream layer never loses or reorders
-//! bytes.
+//! with a reference model (also through kernel descriptors), and the
+//! stream layer never loses or reorders bytes.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use vos::{Errno, MemFs, OpenMode, VirtualKernel};
+use vos::{Buf, Errno, MemFs, OpenMode, VirtualKernel};
 
 #[derive(Clone, Debug)]
 enum FsOp {
@@ -30,7 +30,93 @@ fn arb_fs_op() -> impl Strategy<Value = FsOp> {
     ]
 }
 
+/// One operation on a single file through kernel descriptors.
+#[derive(Clone, Debug)]
+enum FdOp {
+    /// Read up to `n` bytes through the long-lived read handle.
+    Read(usize),
+    /// Write at the long-lived write handle's offset.
+    Write(Vec<u8>),
+    /// Open a fresh append handle, write, close.
+    Append(Vec<u8>),
+    /// Open a fresh write handle (truncating), close.
+    Truncate,
+    /// Open a fresh read handle and read the whole file.
+    ReadAll,
+}
+
+fn arb_fd_op() -> impl Strategy<Value = FdOp> {
+    prop_oneof![
+        (0usize..24).prop_map(FdOp::Read),
+        proptest::collection::vec(any::<u8>(), 0..16).prop_map(FdOp::Write),
+        proptest::collection::vec(any::<u8>(), 0..16).prop_map(FdOp::Append),
+        Just(FdOp::Truncate),
+        Just(FdOp::ReadAll),
+    ]
+}
+
 proptest! {
+    /// Interleaved descriptor reads, writes, appends and truncates on one
+    /// file match a `Vec<u8>` model, and every buffer a read returned
+    /// keeps the bytes it had when it was returned.
+    #[test]
+    fn fd_ops_on_one_file_agree_with_vec_model(
+        ops in proptest::collection::vec(arb_fd_op(), 0..60),
+    ) {
+        let kernel = VirtualKernel::new();
+        kernel.fs().write_file("/f", b"seed").unwrap();
+        let mut model = b"seed".to_vec();
+        let reader = kernel.fs_open("/f", OpenMode::Read).unwrap();
+        let mut read_off = 0usize;
+        let writer = kernel.fs_open("/f", OpenMode::Append).unwrap();
+        let mut write_off = model.len();
+        let mut held: Vec<(Buf, Vec<u8>)> = Vec::new();
+        for op in &ops {
+            match op {
+                FdOp::Read(n) => {
+                    let got = kernel.read(reader, *n, None).unwrap();
+                    let start = read_off.min(model.len());
+                    let end = (start + n).min(model.len());
+                    prop_assert_eq!(&got[..], &model[start..end]);
+                    read_off = end;
+                    held.push((got, model[start..end].to_vec()));
+                }
+                FdOp::Write(data) => {
+                    kernel.write(writer, data).unwrap();
+                    if model.len() < write_off {
+                        model.resize(write_off, 0);
+                    }
+                    let overlap = (model.len() - write_off).min(data.len());
+                    model[write_off..write_off + overlap].copy_from_slice(&data[..overlap]);
+                    model.extend_from_slice(&data[overlap..]);
+                    write_off += data.len();
+                }
+                FdOp::Append(data) => {
+                    let fd = kernel.fs_open("/f", OpenMode::Append).unwrap();
+                    kernel.write(fd, data).unwrap();
+                    kernel.close(fd).unwrap();
+                    model.extend_from_slice(data);
+                }
+                FdOp::Truncate => {
+                    kernel.close(kernel.fs_open("/f", OpenMode::Write).unwrap()).unwrap();
+                    model.clear();
+                }
+                FdOp::ReadAll => {
+                    let fd = kernel.fs_open("/f", OpenMode::Read).unwrap();
+                    let got = kernel.read(fd, usize::MAX, None).unwrap();
+                    kernel.close(fd).unwrap();
+                    prop_assert_eq!(&got[..], &model[..]);
+                    held.push((got, model.clone()));
+                }
+            }
+            prop_assert_eq!(kernel.fs_stat("/f").unwrap().size, model.len() as u64);
+        }
+        prop_assert_eq!(kernel.fs().read_file("/f").unwrap(), model);
+        for (buf, bytes) in &held {
+            prop_assert_eq!(&buf[..], &bytes[..]);
+        }
+    }
+
     /// The filesystem behaves exactly like a `HashMap<path, bytes>`.
     #[test]
     fn memfs_agrees_with_map_model(ops in proptest::collection::vec(arb_fs_op(), 0..60)) {

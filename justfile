@@ -23,6 +23,16 @@ chaos-soak base="0" count="5000":
 chaos-replay seed:
     cargo run --release -p mvedsua-harness -- --seed {{seed}}
 
+# Write the harness stdout for seeds 0..200 and for --scenarios to one
+# file per run under DIR, so two trees compare with a single `diff -r`.
+# Stderr is dropped: injected panics print thread ids that differ on
+# every run. Exit codes are ignored; a violation shows up in the diff.
+chaos-traces dir:
+    cargo build --release -p mvedsua-harness
+    mkdir -p {{dir}}
+    for s in $(seq 0 199); do "${CARGO_TARGET_DIR:-target}/release/harness" --seed $s > {{dir}}/seed-$s.txt 2>/dev/null || true; done
+    "${CARGO_TARGET_DIR:-target}/release/harness" --scenarios > {{dir}}/scenarios.txt 2>/dev/null || true
+
 # The §6.2 error study through the chaos engine.
 chaos-scenarios:
     cargo run --release -p mvedsua-harness -- --scenarios
