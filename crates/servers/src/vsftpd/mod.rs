@@ -14,9 +14,10 @@
 //! (0,2,0,2,0,0,3,0,1,1,1,1,0 — average 0.85).
 //!
 //! Protocol simplification (documented in DESIGN.md): transfers ride the
-//! control connection (no PASV data channels). `RETR` streams the file
-//! in 8 KiB chunks — one `write` syscall per chunk — which is what makes
-//! the paper's "Vsftpd large" workload stress the MVE ring.
+//! control connection (no PASV data channels). `RETR` sends the file as
+//! one `write` of its snapshot, the way real vsftpd hands a download to
+//! sendfile(2), so the paper's "Vsftpd large" workload is a few huge
+//! records per download rather than one per 8 KiB.
 
 mod features;
 mod server;

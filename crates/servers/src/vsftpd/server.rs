@@ -7,9 +7,6 @@ use crate::net::{NetCore, NetEvent};
 
 use super::features::VsftpdFeatures;
 
-/// Transfer chunk size: one `write` syscall per chunk.
-const CHUNK: usize = 8192;
-
 /// Per-connection FTP session state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Session {
@@ -89,8 +86,7 @@ impl VsftpdApp {
         }
     }
 
-    /// Handles one command; writes replies (and file data) itself since
-    /// transfers are chunked.
+    /// Handles one command, writing its replies and any file data.
     fn handle(&mut self, os: &mut dyn Os, fd: Fd, line: &str) {
         let f = self.features;
         let mut parts = line.splitn(2, ' ');
@@ -185,12 +181,14 @@ impl VsftpdApp {
                             "150 Opening BINARY mode data connection for {arg} ({size} bytes).\r\n"
                         );
                         reply(self, os, &text);
+                        // Like vsftpd's sendfile path: each read asks for
+                        // the rest of the file and returns one window of
+                        // its snapshot, sent as is. The loop runs to EOF,
+                        // so bytes appended mid-transfer still go out.
                         loop {
-                            match os.read(file, CHUNK) {
-                                Ok(chunk) if chunk.is_empty() => break,
-                                // The chunk is a window of the file's
-                                // snapshot; it is sent as is, not copied.
-                                Ok(chunk) => self.state.net.send_buf(os, fd, chunk),
+                            match os.read(file, usize::MAX) {
+                                Ok(window) if window.is_empty() => break,
+                                Ok(window) => self.state.net.send_buf(os, fd, window),
                                 Err(_) => break,
                             }
                         }
@@ -302,11 +300,80 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
-    use vos::{DirectOs, VirtualKernel};
+    use vos::{Buf, CtlOp, DirectOs, FileStat, OsResult, VirtualKernel};
+
+    /// Native syscalls that also count reads and keep every payload
+    /// written, so a test can see what one command cost.
+    struct Counting {
+        inner: DirectOs,
+        reads: usize,
+        writes: Vec<Buf>,
+    }
+
+    impl Os for Counting {
+        fn listen(&mut self, port: u16) -> OsResult<Fd> {
+            self.inner.listen(port)
+        }
+        fn accept(&mut self, listener: Fd) -> OsResult<Fd> {
+            self.inner.accept(listener)
+        }
+        fn read(&mut self, fd: Fd, max: usize) -> OsResult<Buf> {
+            self.reads += 1;
+            self.inner.read(fd, max)
+        }
+        fn read_timeout(&mut self, fd: Fd, max: usize, timeout_ms: u64) -> OsResult<Buf> {
+            self.reads += 1;
+            self.inner.read_timeout(fd, max, timeout_ms)
+        }
+        fn write(&mut self, fd: Fd, data: &[u8]) -> OsResult<usize> {
+            self.writes.push(Buf::copy_from_slice(data));
+            self.inner.write(fd, data)
+        }
+        fn write_buf(&mut self, fd: Fd, data: Buf) -> OsResult<usize> {
+            self.writes.push(data.clone());
+            self.inner.write_buf(fd, data)
+        }
+        fn close(&mut self, fd: Fd) -> OsResult<()> {
+            self.inner.close(fd)
+        }
+        fn epoll_create(&mut self) -> OsResult<Fd> {
+            self.inner.epoll_create()
+        }
+        fn epoll_ctl(&mut self, ep: Fd, op: CtlOp, fd: Fd) -> OsResult<()> {
+            self.inner.epoll_ctl(ep, op, fd)
+        }
+        fn epoll_wait(&mut self, ep: Fd, max: usize, timeout_ms: u64) -> OsResult<Vec<Fd>> {
+            self.inner.epoll_wait(ep, max, timeout_ms)
+        }
+        fn fs_open(&mut self, path: &str, mode: OpenMode) -> OsResult<Fd> {
+            self.inner.fs_open(path, mode)
+        }
+        fn fs_unlink(&mut self, path: &str) -> OsResult<()> {
+            self.inner.fs_unlink(path)
+        }
+        fn fs_stat(&mut self, path: &str) -> OsResult<FileStat> {
+            self.inner.fs_stat(path)
+        }
+        fn fs_list(&mut self, path: &str) -> OsResult<Vec<String>> {
+            self.inner.fs_list(path)
+        }
+        fn fs_mkdir(&mut self, path: &str) -> OsResult<()> {
+            self.inner.fs_mkdir(path)
+        }
+        fn fs_rename(&mut self, from: &str, to: &str) -> OsResult<()> {
+            self.inner.fs_rename(from, to)
+        }
+        fn now(&mut self) -> u64 {
+            self.inner.now()
+        }
+        fn pid(&mut self) -> u32 {
+            self.inner.pid()
+        }
+    }
 
     struct Rig {
         kernel: Arc<VirtualKernel>,
-        os: DirectOs,
+        os: Counting,
         app: VsftpdApp,
         client: Fd,
     }
@@ -319,7 +386,11 @@ mod tests {
             .fs()
             .write_file("/pub/data.bin", &[7u8; 20_000])
             .unwrap();
-        let mut os = DirectOs::new(kernel.clone());
+        let mut os = Counting {
+            inner: DirectOs::new(kernel.clone()),
+            reads: 0,
+            writes: Vec::new(),
+        };
         let mut app = VsftpdApp::new(dsu::v(version), port);
         let _ = app.step(&mut os);
         let client = kernel.connect(port).unwrap();
@@ -337,7 +408,7 @@ mod tests {
             let _ = rig.app.step(&mut rig.os);
             if let Ok(data) =
                 rig.kernel
-                    .client_recv_timeout(rig.client, 65536, Duration::from_millis(2))
+                    .client_recv_timeout(rig.client, usize::MAX, Duration::from_millis(2))
             {
                 got.extend_from_slice(&data);
             }
@@ -428,6 +499,64 @@ mod tests {
         // 20_000 payload bytes plus the two marker lines.
         let sevens = got.iter().filter(|b| **b == 7).count();
         assert_eq!(sevens, 20_000);
+    }
+
+    /// Sends `RETR name` and steps until the transfer completes; returns
+    /// the reads issued and the payloads written while serving it.
+    fn retr(rig: &mut Rig, name: &str) -> (usize, Vec<Buf>) {
+        rig.os.reads = 0;
+        rig.os.writes.clear();
+        send(rig, &format!("RETR {name}"));
+        recv_until(rig, b"226 Transfer complete.\r\n");
+        (rig.os.reads, std::mem::take(&mut rig.os.writes))
+    }
+
+    #[test]
+    fn retr_costs_the_same_syscalls_for_any_file_size() {
+        let mut r = rig("2.0.5", 2115);
+        let big = vec![3u8; 10_000_000];
+        r.kernel.fs().write_file("/big.bin", &big).unwrap();
+        login(&mut r);
+        let (small_reads, small_writes) = retr(&mut r, "hello.txt");
+        let (big_reads, big_writes) = retr(&mut r, "big.bin");
+        assert_eq!(small_reads, big_reads);
+        assert_eq!(small_writes.len(), big_writes.len());
+        // 150, the whole file in one write, 226.
+        assert_eq!(big_writes.len(), 3);
+        assert_eq!(small_writes[1], b"hello ftp");
+        assert_eq!(big_writes[1], big);
+    }
+
+    #[test]
+    fn retr_of_an_empty_file_sends_only_the_markers() {
+        let mut r = rig("2.0.5", 2116);
+        r.kernel.fs().write_file("/empty", b"").unwrap();
+        login(&mut r);
+        let (_, writes) = retr(&mut r, "empty");
+        assert_eq!(
+            writes,
+            [
+                &b"150 Opening BINARY mode data connection for empty (0 bytes).\r\n"[..],
+                b"226 Transfer complete.\r\n",
+            ]
+        );
+    }
+
+    #[test]
+    fn retr_after_an_append_sends_the_new_bytes_and_keeps_the_old_buffer() {
+        let mut r = rig("2.0.5", 2117);
+        login(&mut r);
+        let (_, first) = retr(&mut r, "hello.txt");
+        let delivered = first[1].clone();
+        let file = r.kernel.fs_open("/hello.txt", OpenMode::Append).unwrap();
+        r.kernel.write(file, b", again").unwrap();
+        r.kernel.close(file).unwrap();
+        let (_, second) = retr(&mut r, "hello.txt");
+        assert_eq!(second[1], b"hello ftp, again");
+        assert_eq!(
+            delivered, b"hello ftp",
+            "the first transfer's buffer is unchanged"
+        );
     }
 
     #[test]

@@ -164,15 +164,22 @@ impl Syscall {
     }
 }
 
+/// The most payload bytes a rendered `write` shows. A longer payload
+/// shows this prefix and its total length, so rendering a call for the
+/// flight recorder or a divergence report costs the same for a one-line
+/// reply as for a whole file.
+const RENDERED_PAYLOAD: usize = 64;
+
 impl fmt::Display for Syscall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Syscall::Write { fd, data } => {
-                write!(
-                    f,
-                    "write(fd={fd}, {:?})",
-                    String::from_utf8_lossy(data.as_slice())
-                )
+                let shown = &data.as_slice()[..data.len().min(RENDERED_PAYLOAD)];
+                write!(f, "write(fd={fd}, {:?}", String::from_utf8_lossy(shown))?;
+                if data.len() > RENDERED_PAYLOAD {
+                    write!(f, "... ({} bytes)", data.len())?;
+                }
+                write!(f, ")")
             }
             other => write!(f, "{other:?}"),
         }
@@ -418,5 +425,40 @@ mod tests {
         };
         let s = format!("{w}");
         assert!(s.contains("PING"), "{s}");
+    }
+
+    #[test]
+    fn display_shows_a_short_write_in_full() {
+        let fd = Fd::from_raw(4);
+        // Up to the limit, including bytes that are not UTF-8.
+        let at_limit: Vec<u8> = (0..RENDERED_PAYLOAD).map(|i| (i * 4) as u8).collect();
+        for payload in [
+            Vec::new(),
+            b"PING\r\n".to_vec(),
+            vec![0xff; RENDERED_PAYLOAD - 1],
+            at_limit,
+        ] {
+            let w = Syscall::Write {
+                fd,
+                data: Buf::from_vec(payload.clone()),
+            };
+            let full = format!("write(fd={fd}, {:?})", String::from_utf8_lossy(&payload));
+            assert_eq!(w.to_string(), full, "{} bytes", payload.len());
+        }
+    }
+
+    #[test]
+    fn display_bounds_a_large_write() {
+        let w = Syscall::Write {
+            fd: Fd::from_raw(4),
+            data: Buf::from_vec(vec![b'x'; 2 << 20]),
+        };
+        let s = w.to_string();
+        assert!(s.len() < 200, "{} chars", s.len());
+        assert!(s.contains("2097152 bytes"), "{s}");
+        assert!(
+            s.starts_with(&format!("write(fd=4, \"{}", "x".repeat(64))),
+            "{s}"
+        );
     }
 }

@@ -10,6 +10,11 @@ verify:
 test-all:
     cargo test --workspace -q
 
+# lifebench's own tests: it is a package outside the workspace, so
+# `test-all` does not reach them.
+test-lifebench:
+    cargo test --offline --manifest-path lifebench/Cargo.toml -q
+
 # The chaos smoke sweep the test tier runs, via the harness binary
 # (fixed 200-seed base; exits 1 with seed + minimized trace on failure).
 chaos-smoke:
@@ -57,13 +62,14 @@ bench-obs:
 lint-rules:
     cargo run --release -p mvedsua-harness -- lint --corpus tests/fixtures/rules/good_wording.rules
 
-# Mirror of the CI pipeline: lint, tier-1 verify, workspace tests,
-# chaos smoke, bench smoke.
+# Mirror of the CI pipeline: lint, tier-1 verify, workspace and
+# lifebench tests, chaos smoke, bench smoke.
 ci:
     cargo fmt --all -- --check
     cargo clippy --workspace --all-targets -- -D warnings
     just verify
     just test-all
+    just test-lifebench
     just lint-rules
     just chaos-smoke
     just bench-ring-smoke

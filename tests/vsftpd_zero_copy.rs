@@ -1,7 +1,7 @@
-//! Zero-copy `RETR`: every chunk Vsftpd streams out of a file is a
-//! window of the file's one snapshot, from the kernel's file read through
-//! the leader's logged `Write`, the client's inbox and the follower's
-//! replayed `Write`.
+//! Zero-copy `RETR`: Vsftpd sends a file as one write of the file's
+//! snapshot, and that one buffer is what the leader logs, what the
+//! client's reads are windows of and what the follower's replayed
+//! `Write` passes on.
 
 use std::sync::Arc;
 
@@ -83,7 +83,7 @@ impl Os for Spy {
 
 /// The payloads strictly between the `150` and `226` replies: the file
 /// data of one `RETR`.
-fn data_chunks(writes: &[Buf]) -> &[Buf] {
+fn data_writes(writes: &[Buf]) -> &[Buf] {
     let start = writes
         .iter()
         .position(|w| w.starts_with(b"150 "))
@@ -144,31 +144,37 @@ fn retr_chunks_are_windows_of_the_file_snapshot_end_to_end() {
     let snapshot = kernel.read(file, usize::MAX, None).unwrap();
     assert_eq!(snapshot, content);
 
-    let leader_chunks = data_chunks(&logged);
-    assert_eq!(leader_chunks.len(), FILE_LEN.div_ceil(8192));
-    assert_eq!(leader_chunks.concat(), content);
-    for chunk in leader_chunks {
-        assert!(
-            chunk.same_storage(&snapshot),
-            "the leader's logged write is a window of the snapshot"
-        );
-    }
+    let [leader_data] = data_writes(&logged) else {
+        panic!("one data write per RETR");
+    };
+    assert_eq!(leader_data.len(), FILE_LEN);
+    assert!(
+        leader_data.same_storage(&snapshot),
+        "the leader's logged write is the snapshot"
+    );
 
-    // The client receives each logged payload as written: reading
-    // exactly one write's length pops that write's buffer.
-    let mut delivered = Vec::new();
+    // The client reads the replies whole and the file data 8 KiB at a
+    // time; each piece is a window split off the one buffer.
+    let mut received = Vec::new();
     for w in &logged {
-        delivered.push(kernel.client_recv(client, w.len()).unwrap());
+        if w.ptr_eq(leader_data) {
+            while received.len() < FILE_LEN {
+                let want = (FILE_LEN - received.len()).min(8192);
+                let piece = kernel.client_recv(client, want).unwrap();
+                assert!(
+                    piece.same_storage(&snapshot),
+                    "the client's piece is a window of the snapshot"
+                );
+                received.extend_from_slice(&piece);
+            }
+        } else {
+            assert_eq!(kernel.client_recv(client, w.len()).unwrap(), *w);
+        }
     }
-    for chunk in data_chunks(&delivered) {
-        assert!(
-            chunk.same_storage(&snapshot),
-            "the client's chunk is a window of the snapshot"
-        );
-    }
+    assert_eq!(received, content);
 
-    // The follower replays the same steps; its reads return the
-    // leader's windows and it writes them back unchanged.
+    // The follower replays the same steps; its file read returns the
+    // leader's window and it writes that back unchanged.
     let follower = VariantOs::follower(
         1,
         kernel.clone(),
@@ -195,13 +201,11 @@ fn retr_chunks_are_windows_of_the_file_snapshot_end_to_end() {
         .filter(|(fd, _)| *fd == conn)
         .map(|(_, data)| data)
         .collect();
-    let follower_chunks = data_chunks(&follower_writes);
-    assert_eq!(follower_chunks.len(), leader_chunks.len());
-    for (f, l) in follower_chunks.iter().zip(leader_chunks) {
-        assert!(
-            f.ptr_eq(l),
-            "the follower writes the leader's window back, not a copy"
-        );
-        assert!(f.same_storage(&snapshot));
-    }
+    let [follower_data] = data_writes(&follower_writes) else {
+        panic!("the follower replays one data write");
+    };
+    assert!(
+        follower_data.ptr_eq(leader_data),
+        "the follower writes the leader's window back, not a copy"
+    );
 }
