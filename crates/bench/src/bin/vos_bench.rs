@@ -88,17 +88,21 @@ fn bench_echo(port: u16, mve: bool, size: usize, ops: u64) -> EchoResult {
             lockstep: None,
         });
         let kernel = kernel.clone();
-        Some(thread::spawn(move || {
-            let mut f = VariantOs::follower(1, kernel, follower_config(ring), None);
-            let conn = f.accept(listener).expect("follower accept");
-            for _ in 0..ops {
-                let req = f.read_timeout(conn, size, 60_000).expect("follower read");
-                // Echo the buffer we were handed: under the shared data
-                // plane this is the leader's own allocation, so the
-                // divergence check short-circuits on pointer identity.
-                f.write_buf(conn, req).expect("follower write");
-            }
-        }))
+        let follower_ring = ring.clone();
+        Some((
+            ring,
+            thread::spawn(move || {
+                let mut f = VariantOs::follower(1, kernel, follower_config(follower_ring), None);
+                let conn = f.accept(listener).expect("follower accept");
+                for _ in 0..ops {
+                    let req = f.read_timeout(conn, size, 60_000).expect("follower read");
+                    // Echo the buffer we were handed: under the shared data
+                    // plane this is the leader's own allocation, so the
+                    // divergence check short-circuits on pointer identity.
+                    f.write_buf(conn, req).expect("follower write");
+                }
+            }),
+        ))
     } else {
         None
     };
@@ -124,7 +128,10 @@ fn bench_echo(port: u16, mve: bool, size: usize, ops: u64) -> EchoResult {
         samples.push(t0.elapsed().as_nanos() as u64);
     }
     let elapsed = begin.elapsed();
-    if let Some(h) = follower {
+    if let Some((ring, h)) = follower {
+        // The server now waits on its follower: kick the ring as an
+        // idle leader would, or the tail below the wake mark stays put.
+        ring.kick();
         h.join().expect("follower");
     }
     samples.sort_unstable();
@@ -151,17 +158,21 @@ fn bench_bulk(port: u16, mve: bool, chunk: usize, total: usize) -> f64 {
             lockstep: None,
         });
         let kernel = kernel.clone();
-        Some(thread::spawn(move || {
-            let mut f = VariantOs::follower(1, kernel, follower_config(ring), None);
-            let conn = f.accept(listener).expect("follower accept");
-            // The follower computes its own payload (a distinct
-            // allocation), so the divergence check takes the content
-            // path — the honest cost of a real variant.
-            let payload = Buf::from_vec(vec![0xC3u8; chunk]);
-            for _ in 0..writes {
-                f.write_buf(conn, payload.clone()).expect("follower write");
-            }
-        }))
+        let follower_ring = ring.clone();
+        Some((
+            ring,
+            thread::spawn(move || {
+                let mut f = VariantOs::follower(1, kernel, follower_config(follower_ring), None);
+                let conn = f.accept(listener).expect("follower accept");
+                // The follower computes its own payload (a distinct
+                // allocation), so the divergence check takes the content
+                // path — the honest cost of a real variant.
+                let payload = Buf::from_vec(vec![0xC3u8; chunk]);
+                for _ in 0..writes {
+                    f.write_buf(conn, payload.clone()).expect("follower write");
+                }
+            }),
+        ))
     } else {
         None
     };
@@ -188,7 +199,8 @@ fn bench_bulk(port: u16, mve: bool, chunk: usize, total: usize) -> f64 {
     }
     drain.join().expect("drain");
     let elapsed = begin.elapsed();
-    if let Some(h) = follower {
+    if let Some((ring, h)) = follower {
+        ring.kick();
         h.join().expect("follower");
     }
     (writes * chunk) as f64 / elapsed.as_secs_f64() / 1e6

@@ -1,4 +1,4 @@
-use crate::ast::{PatArg, Pattern, Program, RuleDef, Template};
+use crate::ast::{Expr, PatArg, Pattern, Program, RuleDef, Template};
 use crate::error::DslError;
 use crate::eval::{eval_block, eval_expr, Builtins, Env};
 use crate::event::Event;
@@ -32,6 +32,119 @@ impl RuleOutcome {
     }
 }
 
+/// A window of leader events as the engine reads it. Every match
+/// attempt needs names and arities; only a rule that tests or computes
+/// argument values needs a whole [`Event`], so an implementation may
+/// build events lazily and skip the ones no rule asks for.
+pub trait EventWindow {
+    /// Number of events in the window.
+    fn len(&self) -> usize;
+
+    /// True when the window holds no events.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Name of the event at `index`.
+    fn name(&self, index: usize) -> &str;
+
+    /// Argument count of the event at `index`.
+    fn arity(&self, index: usize) -> usize;
+
+    /// The whole event at `index`.
+    fn event(&self, index: usize) -> &Event;
+}
+
+impl EventWindow for [Event] {
+    fn len(&self) -> usize {
+        <[Event]>::len(self)
+    }
+
+    fn name(&self, index: usize) -> &str {
+        &self[index].name
+    }
+
+    fn arity(&self, index: usize) -> usize {
+        self[index].args.len()
+    }
+
+    fn event(&self, index: usize) -> &Event {
+        &self[index]
+    }
+}
+
+/// One event a fired rule emits.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Emit {
+    /// The template copies the window event at this index verbatim, so
+    /// the caller may hand on what that event came from, errno included.
+    Copy(usize),
+    /// A computed event. Templates cannot name an errno, so it has none.
+    Event(Event),
+}
+
+/// A rule that fired at the front of a window.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Rewrite<'r> {
+    /// Name of the rule.
+    pub rule: &'r str,
+    /// How many window events it consumed.
+    pub consumed: usize,
+    /// What it emits in their place.
+    pub emitted: Vec<Emit>,
+}
+
+/// A rule plus what the engine needs to know about it before matching.
+#[derive(Clone, Debug)]
+struct Compiled {
+    def: RuleDef,
+    /// A pattern has a literal or a repeated binder: matching compares
+    /// argument values, not just names and arities.
+    tests_values: bool,
+    /// Per template, the pattern it copies verbatim, if any.
+    copies: Vec<Option<usize>>,
+    /// Firing needs argument values: `tests_values`, a guard, or a
+    /// template that computes its event.
+    needs_values: bool,
+}
+
+impl Compiled {
+    fn new(def: RuleDef) -> Self {
+        let mut binders = std::collections::HashSet::new();
+        let tests_values = def.patterns.iter().flat_map(|p| &p.args).any(|a| match a {
+            PatArg::Lit(_) => true,
+            PatArg::Bind(name) => !binders.insert(name.as_str()),
+            PatArg::Wildcard => false,
+        });
+        let copies: Vec<Option<usize>> = def
+            .templates
+            .iter()
+            .map(|t| copied_pattern(t, &def.patterns))
+            .collect();
+        let needs_values = tests_values || def.guard.is_some() || copies.contains(&None);
+        Compiled {
+            def,
+            tests_values,
+            copies,
+            needs_values,
+        }
+    }
+}
+
+/// The pattern `t` reproduces argument for argument, if any: same event,
+/// and each argument the binder of the same position. A successful match
+/// makes such a template equal to the matched event.
+fn copied_pattern(t: &Template, patterns: &[Pattern]) -> Option<usize> {
+    patterns.iter().position(|p| {
+        p.event == t.event
+            && p.args.len() == t.args.len()
+            && p.args
+                .iter()
+                .zip(&t.args)
+                .all(|(pa, ta)| matches!((pa, ta), (PatArg::Bind(b), Expr::Var(v, _)) if b == v))
+    })
+}
+
 /// A compiled, ordered set of rewrite rules.
 ///
 /// The engine transforms the *leader's* event stream into the stream the
@@ -45,7 +158,7 @@ impl RuleOutcome {
 /// fires. When none fires, the front event passes through unchanged.
 #[derive(Clone, Debug)]
 pub struct RuleSet {
-    rules: Vec<RuleDef>,
+    rules: Vec<Compiled>,
 }
 
 impl RuleSet {
@@ -89,7 +202,7 @@ impl RuleSet {
         }
         drop(first);
         Ok(RuleSet {
-            rules: program.rules,
+            rules: program.rules.into_iter().map(Compiled::new).collect(),
         })
     }
 
@@ -105,7 +218,7 @@ impl RuleSet {
 
     /// Rule names, in application order.
     pub fn names(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.name.as_str()).collect()
+        self.rules.iter().map(|r| r.def.name.as_str()).collect()
     }
 
     /// The longest pattern sequence: how many leader events the engine
@@ -113,7 +226,7 @@ impl RuleSet {
     pub fn max_window(&self) -> usize {
         self.rules
             .iter()
-            .map(|r| r.patterns.len())
+            .map(|r| r.def.patterns.len())
             .max()
             .unwrap_or(1)
             .max(1)
@@ -123,67 +236,122 @@ impl RuleSet {
     /// a prefix (ignoring guards): the caller should wait for more leader
     /// events before deciding, instead of letting a shorter rule or the
     /// identity fire prematurely.
-    pub fn could_extend(&self, window: &[Event]) -> bool {
-        if window.is_empty() {
-            return false;
-        }
-        self.rules.iter().any(|rule| {
-            rule.patterns.len() > window.len()
-                && match_patterns(&rule.patterns[..window.len()], window).is_some()
-        })
+    /// A rule whose patterns test no values (no literal, no repeated
+    /// binder) decides this from names and arities alone, without
+    /// reading a whole event.
+    pub fn could_extend<W: EventWindow + ?Sized>(&self, window: &W) -> bool {
+        let len = window.len();
+        len > 0
+            && self.rules.iter().any(|rule| {
+                let patterns = &rule.def.patterns;
+                patterns.len() > len
+                    && shape_matches(&patterns[..len], window, 0)
+                    && (!rule.tests_values || bind(&patterns[..len], window, 0).is_some())
+            })
     }
 
     /// Applies the first matching rule to the front of `window`.
     ///
     /// `window` should hold at least [`RuleSet::max_window`] events when
     /// that many are available; a shorter window simply can't match the
-    /// longer rules (correct at end-of-stream).
+    /// longer rules (correct at end-of-stream). A template that copies a
+    /// pattern verbatim emits the matched event itself, errno included.
     ///
     /// # Errors
     /// Guard or template evaluation failures (update-spec bugs — the MVE
     /// layer treats them as divergences). An empty window is an error.
     pub fn apply(&self, window: &[Event], builtins: &Builtins) -> Result<RuleOutcome, DslError> {
-        let first = window
-            .first()
-            .ok_or_else(|| DslError::new("cannot apply rules to an empty window"))?;
-        for rule in &self.rules {
-            if rule.patterns.len() > window.len() {
-                continue;
-            }
-            let Some(env) = match_patterns(&rule.patterns, &window[..rule.patterns.len()]) else {
-                continue;
-            };
-            if let Some(guard) = &rule.guard {
-                let v = eval_block(guard, &env, builtins).map_err(|e| e.in_rule(&rule.name))?;
-                if !v.as_bool().map_err(|e| e.in_rule(&rule.name))? {
-                    continue;
-                }
-            }
-            let mut emitted = Vec::with_capacity(rule.templates.len());
-            for t in &rule.templates {
-                emitted.push(instantiate(t, &env, builtins).map_err(|e| e.in_rule(&rule.name))?);
-            }
-            return Ok(RuleOutcome {
-                consumed: rule.patterns.len(),
-                emitted,
-                rule: Some(rule.name.clone()),
-            });
-        }
-        Ok(RuleOutcome {
-            consumed: 1,
-            emitted: vec![first.clone()],
-            rule: None,
+        Ok(match self.rewrite(window, 0, builtins)? {
+            Some(rewrite) => RuleOutcome {
+                consumed: rewrite.consumed,
+                emitted: rewrite
+                    .emitted
+                    .into_iter()
+                    .map(|emit| match emit {
+                        Emit::Copy(index) => window[index].clone(),
+                        Emit::Event(event) => event,
+                    })
+                    .collect(),
+                rule: Some(rewrite.rule.to_string()),
+            },
+            None => RuleOutcome {
+                consumed: 1,
+                emitted: vec![window[0].clone()],
+                rule: None,
+            },
         })
+    }
+
+    /// [`RuleSet::apply`] at `window[start..]` without building events a
+    /// rule does not need: returns the rule that fired, or `None` when
+    /// the event at `start` passes through unchanged. [`Emit::Copy`]
+    /// indices count from the start of `window`.
+    ///
+    /// # Errors
+    /// As [`RuleSet::apply`]; `start` past the end is an empty window.
+    pub fn rewrite<W: EventWindow + ?Sized>(
+        &self,
+        window: &W,
+        start: usize,
+        builtins: &Builtins,
+    ) -> Result<Option<Rewrite<'_>>, DslError> {
+        if start >= window.len() {
+            return Err(DslError::new("cannot apply rules to an empty window"));
+        }
+        for rule in &self.rules {
+            let def = &rule.def;
+            if def.patterns.len() > window.len() - start
+                || !shape_matches(&def.patterns, window, start)
+            {
+                continue;
+            }
+            let env = if rule.needs_values {
+                let Some(env) = bind(&def.patterns, window, start) else {
+                    continue;
+                };
+                if let Some(guard) = &def.guard {
+                    let v = eval_block(guard, &env, builtins).map_err(|e| e.in_rule(&def.name))?;
+                    if !v.as_bool().map_err(|e| e.in_rule(&def.name))? {
+                        continue;
+                    }
+                }
+                env
+            } else {
+                Env::new()
+            };
+            let mut emitted = Vec::with_capacity(def.templates.len());
+            for (t, copy) in def.templates.iter().zip(&rule.copies) {
+                emitted.push(match copy {
+                    Some(pattern) => Emit::Copy(start + pattern),
+                    None => Emit::Event(
+                        instantiate(t, &env, builtins).map_err(|e| e.in_rule(&def.name))?,
+                    ),
+                });
+            }
+            return Ok(Some(Rewrite {
+                rule: &def.name,
+                consumed: def.patterns.len(),
+                emitted,
+            }));
+        }
+        Ok(None)
     }
 }
 
-fn match_patterns(patterns: &[Pattern], events: &[Event]) -> Option<Env> {
-    debug_assert_eq!(patterns.len(), events.len());
+/// Whether `window[start..]` has the patterns' event names and arities.
+fn shape_matches<W: EventWindow + ?Sized>(patterns: &[Pattern], window: &W, start: usize) -> bool {
+    patterns
+        .iter()
+        .enumerate()
+        .all(|(i, p)| window.name(start + i) == p.event && window.arity(start + i) == p.args.len())
+}
+
+/// Matches argument values of `window[start..]` (whose shape already
+/// matches) and returns the binders.
+fn bind<W: EventWindow + ?Sized>(patterns: &[Pattern], window: &W, start: usize) -> Option<Env> {
     let mut env = Env::new();
-    for (p, e) in patterns.iter().zip(events) {
-        if p.event != e.name || p.args.len() != e.args.len() {
-            return None;
-        }
+    for (i, p) in patterns.iter().enumerate() {
+        let e = window.event(start + i);
         for (pa, ev) in p.args.iter().zip(&e.args) {
             match pa {
                 PatArg::Wildcard => {}
@@ -435,16 +603,19 @@ mod tests {
             "pair could complete"
         );
         let other = ev("close", vec![Value::Int(1)]);
-        assert!(!rules.could_extend(&[other]), "no rule starts with close");
+        assert!(
+            !rules.could_extend(&[other][..]),
+            "no rule starts with close"
+        );
         let write = ev(
             "write",
             vec![Value::Int(1), Value::Str("500".into()), Value::Int(3)],
         );
         assert!(
-            !rules.could_extend(&[read, write]),
+            !rules.could_extend(&[read, write][..]),
             "window already at max length"
         );
-        assert!(!rules.could_extend(&[]));
+        assert!(!rules.could_extend(&[] as &[Event]));
     }
 
     #[test]
@@ -556,6 +727,92 @@ mod tests {
             .apply(&[ev("q", vec![])], &Builtins::standard())
             .unwrap();
         assert_eq!(passed.describe(), "passthrough: 1 -> 1");
+    }
+
+    const REORDER: &str = "rule reorder { on write(fd, s, n), now(t) => now(t), write(fd, s, n) }";
+
+    /// A window that knows names and arities only: reading a whole
+    /// event fails the test.
+    struct Shapes(Vec<(&'static str, usize)>);
+
+    impl EventWindow for Shapes {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn name(&self, index: usize) -> &str {
+            self.0[index].0
+        }
+
+        fn arity(&self, index: usize) -> usize {
+            self.0[index].1
+        }
+
+        fn event(&self, index: usize) -> &Event {
+            panic!("event {index} was read")
+        }
+    }
+
+    #[test]
+    fn verbatim_templates_emit_the_matched_events_errno_included() {
+        let rules = RuleSet::parse(REORDER).unwrap();
+        let write = Event::with_error(
+            "write",
+            vec![Value::Int(5), Value::Str("+OK\r\n".into()), Value::Int(-1)],
+            "connection reset by peer",
+        );
+        let now = ev("now", vec![Value::Int(42)]);
+        let window = [write.clone(), now.clone()];
+        let out = rules.apply(&window, &Builtins::standard()).unwrap();
+        assert_eq!(out.emitted, vec![now, write]);
+        let rewrite = rules
+            .rewrite(&window[..], 0, &Builtins::standard())
+            .unwrap()
+            .unwrap();
+        assert_eq!(rewrite.emitted, vec![Emit::Copy(1), Emit::Copy(0)]);
+    }
+
+    #[test]
+    fn shape_only_rules_never_read_whole_events() {
+        let rules = RuleSet::parse(REORDER).unwrap();
+        let b = Builtins::standard();
+        let write_now = Shapes(vec![("read", 3), ("write", 3), ("now", 1)]);
+        assert_eq!(rules.rewrite(&write_now, 0, &b).unwrap(), None);
+        let fired = rules.rewrite(&write_now, 1, &b).unwrap().unwrap();
+        assert_eq!(fired.rule, "reorder");
+        assert_eq!(fired.emitted, vec![Emit::Copy(2), Emit::Copy(1)]);
+        assert!(rules.could_extend(&Shapes(vec![("write", 3)])));
+        assert!(!rules.could_extend(&Shapes(vec![("write", 2)])));
+        assert!(!rules.could_extend(&Shapes(vec![("now", 1)])));
+    }
+
+    #[test]
+    fn rules_that_test_or_compute_values_read_events() {
+        let b = Builtins::standard();
+        let window = Shapes(vec![("f", 1)]);
+        for src in [
+            "rule lit { on f(1) => f(1) }",
+            "rule guard { on f(x) when x > 0 => f(x) }",
+            "rule computed { on f(x) => f(x + 1) }",
+            "rule twice { on f(x), f(x) => f(x) }",
+        ] {
+            let rules = RuleSet::parse(src).unwrap();
+            let reads = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = rules.rewrite(&window, 0, &b);
+                let _ = rules.could_extend(&window);
+            }));
+            assert!(reads.is_err(), "{src} must read the event");
+        }
+    }
+
+    #[test]
+    fn computed_templates_carry_no_errno() {
+        let rules = RuleSet::parse("rule r { on f(x) => f(x + 0) }").unwrap();
+        let failed = Event::with_error("f", vec![Value::Int(1)], "timed out");
+        let out = rules
+            .apply(std::slice::from_ref(&failed), &Builtins::standard())
+            .unwrap();
+        assert_eq!(out.emitted, vec![ev("f", vec![Value::Int(1)])]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use analyze::{
 };
 pub use ast::{BinOp, Block, Expr, LetLhs, PatArg, Pattern, Program, RuleDef, Template, UnOp};
 pub use diag::{Diagnostic, Diagnostics, Severity, Span};
-pub use engine::{RuleOutcome, RuleSet};
+pub use engine::{Emit, EventWindow, Rewrite, RuleOutcome, RuleSet};
 pub use error::DslError;
 pub use eval::{BuiltinSig, Builtins, Env};
 pub use event::Event;

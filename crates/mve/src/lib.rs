@@ -34,6 +34,33 @@
 //! * **closing** a ring (leader crashed) lets the follower drain what
 //!   remains and then take over as Single — promotion without losing a
 //!   single buffered request.
+//!
+//! # How a follower refills
+//!
+//! A follower replays each call against a queue of expected records and
+//! refills the queue one way only, with or without rewrite rules:
+//!
+//! * It takes up to 32 records from its ring with `pop_batch`. On an
+//!   empty ring it sleeps until 32 records are buffered or the leader
+//!   kicks the ring, which the leader does whenever it is about to wait
+//!   on something else (see `docs/ring.md`). It wakes about once per
+//!   batch, not once per record.
+//! * The rule engine cuts the records into windows. A window grows while
+//!   some longer rule could still match it. A window that reaches the
+//!   last record taken is *carried* into the next batch, undecided,
+//!   until the stream settles it: the next record, `Demote`, or the ring
+//!   closing. No clock decides it, so a verdict is a function of the
+//!   leader's records alone, however long the leader pauses mid-window.
+//! * A record whose window no rule rewrites is queued as the leader's
+//!   raw record: compared record-to-record, its logged result (errno
+//!   included) replayed as is. A rule template that copies one pattern
+//!   verbatim queues the matched raw record too. Only a rule that tests
+//!   or computes argument values makes the follower project records into
+//!   DSL events, each record at most once.
+//! * Everything a window emits is attributed to the window's last
+//!   record, and rule matches and rule errors surface when replay
+//!   reaches them, so divergence reports and flight-recorder output are
+//!   the same as refilling one window at a time would give.
 
 mod divergence;
 mod event;

@@ -223,6 +223,30 @@ pub fn syscall_event(call: &Syscall, ret: &SysRet) -> Event {
     }
 }
 
+/// Argument count of the event [`syscall_event`] projects `call` into,
+/// known without projecting it.
+pub(crate) fn event_arity(call: &Syscall) -> usize {
+    match call {
+        Syscall::Close { .. }
+        | Syscall::EpollCreate
+        | Syscall::FsUnlink { .. }
+        | Syscall::FsMkdir { .. }
+        | Syscall::Now
+        | Syscall::Pid => 1,
+        Syscall::Listen { .. }
+        | Syscall::Accept { .. }
+        | Syscall::EpollWait { .. }
+        | Syscall::FsList { .. }
+        | Syscall::FsRename { .. } => 2,
+        Syscall::Read { .. }
+        | Syscall::ReadTimeout { .. }
+        | Syscall::Write { .. }
+        | Syscall::EpollCtl { .. }
+        | Syscall::FsOpen { .. }
+        | Syscall::FsStat { .. } => 3,
+    }
+}
+
 fn int_of(v: &Value) -> Option<i64> {
     match v {
         Value::Int(i) => Some(*i),
@@ -245,7 +269,9 @@ fn fd_eq(v: &Value, fd: Fd) -> bool {
 /// *attempted* syscall agree with the leader's *logged* call on the
 /// request fields, compared record-to-record with no event projection?
 ///
-/// This is the identity fast path's comparison. It is equivalent to
+/// The follower uses it for every record it replays as logged: one no
+/// rule rewrote, or one a rule template copies verbatim. It is
+/// equivalent to
 /// `request_matches(&syscall_event(expected, ret), attempted)` for every
 /// directly-projected record: the Latin-1 byte↔char projection is
 /// injective, so payload equality on the projected strings is payload
@@ -515,6 +541,9 @@ mod tests {
         ];
         for (call, ret) in cases {
             let event = syscall_event(&call, &ret);
+            assert_eq!(event_arity(&call), event.arity(), "arity of {event}");
+            let failed = syscall_event(&call, &SysRet::Err(Errno::ConnReset));
+            assert_eq!(event_arity(&call), failed.arity(), "arity of {failed}");
             assert!(
                 request_matches(&event, &call),
                 "self-match failed for {event}"

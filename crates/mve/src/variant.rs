@@ -1,9 +1,10 @@
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Sender;
-use dsl::{Builtins, Event, RuleSet};
+use dsl::{Builtins, Emit, Event, EventWindow, RuleSet};
 use obs::{Obs, ObsKind};
 use parking_lot::Mutex;
 use ring::RingError;
@@ -14,7 +15,9 @@ use vos::{
 use crate::divergence::{Divergence, RetireReason, RetiredSignal};
 use crate::event::{ControlRecord, EventRecord, EventRing, SyscallRecord};
 use crate::lockstep::{LagPlan, LockstepMode};
-use crate::project::{reconstruct_result, record_matches, request_matches, syscall_event};
+use crate::project::{
+    event_arity, reconstruct_result, record_matches, request_matches, syscall_event,
+};
 use crate::stats::SyscallStats;
 use vos::Buf;
 
@@ -22,15 +25,10 @@ use vos::Buf;
 /// 1 = first forked follower, ...).
 pub type VariantId = u32;
 
-/// How long a follower waits for additional leader events when a
-/// multi-event rule's prefix matches (Figure 5-style rules).
-const WINDOW_EXTEND_TIMEOUT: Duration = Duration::from_millis(200);
-
-/// How many records a follower drains from the ring per refill on the
-/// identity fast path (no rewrite rules, no lag perturbation). Batching
-/// is only safe there: with rules active, window boundaries must match
-/// record-at-a-time consumption, and with a lag plan the per-record
-/// stall schedule must be preserved.
+/// How many records a follower takes from the ring per refill. It is
+/// also the ring's wake mark: a follower that keeps up sleeps until this
+/// many records are buffered, or until the leader kicks the ring
+/// because it is about to wait on something else.
 const FOLLOWER_BATCH: usize = 32;
 
 /// Leader-side configuration: the outgoing ring and the synchronization
@@ -95,17 +93,61 @@ struct LeaderState {
 }
 
 /// One queued expectation on the follower side.
-///
-/// The identity fast path (no rewrite rules) queues the leader's raw
-/// [`SyscallRecord`]: the comparison runs record-to-record
-/// ([`record_matches`]) and the replayed result is the logged `SysRet`
-/// itself — a refcount bump on any shared payload, with the DSL event
-/// projected only lazily if a divergence must be reported. The rules
-/// path queues projected (possibly rule-synthesized) [`Event`]s as
-/// before.
 enum Expected {
+    /// A leader record replayed as logged: a record no rule rewrote, or
+    /// one a rule template copies verbatim. The comparison runs
+    /// record-to-record ([`record_matches`]) and the replayed result is
+    /// the logged `SysRet` itself, errno included — a refcount bump on
+    /// any shared payload, with the DSL event projected only if a
+    /// divergence must be reported.
     Record(SyscallRecord),
+    /// An event a rule template computed.
     Event(Event),
+    /// A rule fired on the window whose expectations follow. Queued only
+    /// while a recorder is attached, and emitted as a `RuleMatch` when
+    /// replay reaches it: the point at which refilling one window at a
+    /// time would have emitted it.
+    Matched {
+        rule: String,
+        consumed: usize,
+        emitted: usize,
+    },
+    /// Rule evaluation failed on the window: replay diverges on reaching
+    /// it, during the call that would have refilled that window.
+    Failed { event: Event, detail: String },
+}
+
+/// A record taken from the ring whose rule window is not decided yet,
+/// with its DSL event built on first use, if a rule needs it.
+struct Carried {
+    seq: u64,
+    record: SyscallRecord,
+    event: OnceCell<Event>,
+}
+
+/// Carried records as the rule engine reads them: names and arities
+/// come from the call; events are projected at most once, on demand.
+struct Window<'a>(&'a [Carried]);
+
+impl EventWindow for Window<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn name(&self, index: usize) -> &str {
+        self.0[index].record.call.kind().name()
+    }
+
+    fn arity(&self, index: usize) -> usize {
+        event_arity(&self.0[index].record.call)
+    }
+
+    fn event(&self, index: usize) -> &Event {
+        let carried = &self.0[index];
+        carried
+            .event
+            .get_or_init(|| syscall_event(&carried.record.call, &carried.record.ret))
+    }
 }
 
 struct FollowerState {
@@ -117,12 +159,32 @@ struct FollowerState {
     /// it), so divergence reports stay identical whatever the refill
     /// batch size.
     expected: VecDeque<(u64, Expected)>,
+    /// Records taken from the ring whose window a rule could still
+    /// extend. Only the stream settles them: the next record, `Demote`,
+    /// or the ring closing.
+    carried: Vec<Carried>,
     /// A `Demote` marker was consumed; promote once `expected` drains.
     promote_pending: bool,
     promote_to: Option<LeaderConfig>,
     lag: Option<LagPlan>,
     /// Records consumed so far (1-based), for the lag schedule.
     consumed: u64,
+}
+
+impl FollowerState {
+    fn new(config: FollowerConfig) -> Self {
+        FollowerState {
+            ring: config.ring,
+            rules: config.rules,
+            builtins: config.builtins,
+            expected: VecDeque::new(),
+            carried: Vec::new(),
+            promote_pending: false,
+            promote_to: config.promote_to,
+            lag: config.lag,
+            consumed: 0,
+        }
+    }
 }
 
 enum RoleState {
@@ -158,6 +220,24 @@ fn is_semantic(call: &Syscall, ret: &SysRet) -> bool {
         SysRet::Err(Errno::WouldBlock) | SysRet::Err(Errno::TimedOut) => false,
         SysRet::Data(d) => !d.is_empty(),
         _ => true,
+    }
+}
+
+/// Whether `call` can block with no timeout: an untimed read. The leader
+/// kicks its ring before one, so the follower does not sleep on records
+/// it could replay while the leader waits.
+fn may_block_untimed(call: &Syscall) -> bool {
+    matches!(call, Syscall::Read { .. })
+}
+
+/// Whether a call came back idle: an empty poll, a would-block probe or
+/// a timed-out read. The leader kicks its ring after one, so an idle
+/// leader leaves its follower at most one poll timeout behind.
+fn came_back_idle(ret: &SysRet) -> bool {
+    match ret {
+        SysRet::Fds(fds) => fds.is_empty(),
+        SysRet::Err(e) => matches!(e, Errno::WouldBlock | Errno::TimedOut),
+        _ => false,
     }
 }
 
@@ -238,16 +318,7 @@ impl VariantOs {
             id,
             kernel,
             pid,
-            role: RoleState::Follower(FollowerState {
-                ring: config.ring,
-                rules: config.rules,
-                builtins: config.builtins,
-                expected: VecDeque::new(),
-                promote_pending: false,
-                promote_to: config.promote_to,
-                lag: config.lag,
-                consumed: 0,
-            }),
+            role: RoleState::Follower(FollowerState::new(config)),
             stats: Arc::new(SyscallStats::new()),
             notices,
             demote_slot: Arc::new(Mutex::new(None)),
@@ -322,6 +393,8 @@ impl VariantOs {
                     seq,
                     record: ControlRecord::Demote,
                 });
+                // The old leader now waits on its own follower ring.
+                state.ring.kick();
             }
             _ => panic!("demote_now requires leader mode"),
         }
@@ -337,16 +410,7 @@ impl VariantOs {
         self.sem_era = Some(0);
         self.obs
             .emit(self.id, || ObsKind::Role { role: "follower" });
-        self.role = RoleState::Follower(FollowerState {
-            ring: config.ring,
-            rules: config.rules,
-            builtins: config.builtins,
-            expected: VecDeque::new(),
-            promote_pending: false,
-            promote_to: config.promote_to,
-            lag: config.lag,
-            consumed: 0,
-        });
+        self.role = RoleState::Follower(FollowerState::new(config));
     }
 
     /// Shared interception statistics.
@@ -486,6 +550,11 @@ impl VariantOs {
                     return ret;
                 }
                 Role::Leader => {
+                    if let RoleState::Leader(state) = &self.role {
+                        if may_block_untimed(&call) {
+                            state.ring.kick();
+                        }
+                    }
                     let ret = execute_call(&self.kernel, self.pid, &call);
                     self.stats.track(&call, &ret);
                     let (semantic, pos) = self.tag_semantic(&call, &ret);
@@ -503,6 +572,9 @@ impl VariantOs {
                         };
                         match state.ring.push(record) {
                             Ok(()) => {
+                                if came_back_idle(&ret) {
+                                    state.ring.kick();
+                                }
                                 if let Some(mode) = state.lockstep {
                                     for _ in 0..mode.rounds() {
                                         if state.ring.wait_empty(None).is_err() {
@@ -612,7 +684,7 @@ impl VariantOs {
         obs: &Obs,
         sem_pos: u64,
     ) -> FollowerVerdict {
-        let diverge = |expected: Option<&Event>, detail: String, seq: u64| {
+        let diverge = |expected: Option<&Event>, detail: String, seq: u64| -> ! {
             obs.emit(id, || ObsKind::Divergence {
                 pos: sem_pos + 1,
                 expected: expected.map(|e| e.to_string()).unwrap_or_default(),
@@ -632,6 +704,8 @@ impl VariantOs {
                 let matches = match front {
                     Expected::Record(rec) => record_matches(&rec.call, call),
                     Expected::Event(event) => request_matches(event, call),
+                    Expected::Matched { .. } => true,
+                    Expected::Failed { event, detail } => diverge(Some(event), detail.clone(), seq),
                 };
                 if !matches {
                     // Cold path: project the record into its event only
@@ -639,134 +713,196 @@ impl VariantOs {
                     let front = match front {
                         Expected::Record(rec) => syscall_event(&rec.call, &rec.ret),
                         Expected::Event(event) => event.clone(),
+                        _ => unreachable!("matched above"),
                     };
                     diverge(Some(&front), String::new(), seq);
                 }
                 let (seq, front) = state.expected.pop_front().expect("checked front");
                 match front {
-                    // Identity fast path: the leader's logged result IS
-                    // the replayed result — no reconstruction, and any
-                    // payload is shared, not copied.
+                    // The leader's logged result IS the replayed result —
+                    // no reconstruction, and any payload is shared, not
+                    // copied.
                     Expected::Record(rec) => return FollowerVerdict::Ret { ret: rec.ret, seq },
                     Expected::Event(event) => match reconstruct_result(&event, call) {
                         Ok(ret) => return FollowerVerdict::Ret { ret, seq },
                         Err(detail) => diverge(Some(&event), detail, seq),
                     },
+                    Expected::Matched {
+                        rule,
+                        consumed,
+                        emitted,
+                    } => {
+                        obs.emit(id, || ObsKind::RuleMatch {
+                            rule,
+                            consumed,
+                            emitted,
+                            pos: seq,
+                        });
+                        continue;
+                    }
+                    Expected::Failed { .. } => unreachable!("diverged above"),
                 }
             }
             if state.promote_pending {
                 return FollowerVerdict::Promote;
             }
             // Refill the expected queue from the leader's stream.
-            state.consumed += 1;
-            if let Some(lag) = state.lag {
-                lag.maybe_sleep(state.consumed);
-            }
-            // Identity fast path: with no rewrite rules every record
-            // maps 1:1 to an expected event, so drain a whole published
-            // run per synchronization round. Gated off under a lag plan
-            // so the chaos stall schedule keeps its per-record cadence.
-            if state.rules.is_empty() && state.lag.is_none() {
-                let batch = match state.ring.pop_batch(FOLLOWER_BATCH, None) {
-                    Ok(batch) => batch,
-                    Err(RingError::Closed) => return FollowerVerdict::Single,
-                    Err(RingError::Poisoned) => RetiredSignal::raise(RetireReason::Terminated),
-                    Err(RingError::TimedOut) => unreachable!("untimed pop"),
-                };
-                for record in batch {
-                    match record {
-                        EventRecord::Control {
-                            record: ControlRecord::Demote,
-                            ..
-                        } => {
-                            // The demoting leader's final record on
-                            // this ring; promote once the queued
-                            // prefix is replayed.
-                            state.promote_pending = true;
-                        }
-                        EventRecord::Syscall { seq, record } => {
-                            debug_assert!(
-                                !state.promote_pending,
-                                "leader pushed records after Demote"
-                            );
-                            state.expected.push_back((seq, Expected::Record(record)));
-                        }
-                    }
+            match state.ring.pop_batch(FOLLOWER_BATCH, None) {
+                Ok(batch) => Self::take_batch(state, batch, obs.is_enabled()),
+                // The stream ended: it settles any open window, and the
+                // follower takes over once the queue drains.
+                Err(RingError::Closed) if !state.carried.is_empty() => {
+                    Self::settle(state, true, obs.is_enabled())
                 }
-                continue;
-            }
-            let first = match state.ring.pop(None) {
-                Ok(record) => record,
                 Err(RingError::Closed) => return FollowerVerdict::Single,
                 Err(RingError::Poisoned) => RetiredSignal::raise(RetireReason::Terminated),
                 Err(RingError::TimedOut) => unreachable!("untimed pop"),
-            };
-            let (seq, record) = match first {
-                EventRecord::Control {
-                    record: ControlRecord::Demote,
-                    ..
-                } => return FollowerVerdict::Promote,
-                EventRecord::Syscall { seq, record } => (seq, record),
-            };
-            let mut window_records = vec![record];
-            // Multi-event rules: wait (bounded) for the rest of a
-            // matching prefix before deciding.
-            loop {
-                let events: Vec<Event> = window_records
-                    .iter()
-                    .map(|r| syscall_event(&r.call, &r.ret))
-                    .collect();
-                if !state.rules.could_extend(&events) {
-                    break;
-                }
-                match state.ring.peek(0, Some(WINDOW_EXTEND_TIMEOUT)) {
-                    Ok(EventRecord::Syscall { .. }) => match state.ring.pop(None) {
-                        Ok(EventRecord::Syscall { record, .. }) => window_records.push(record),
-                        _ => break,
-                    },
-                    Ok(EventRecord::Control { .. }) => break,
-                    Err(RingError::Poisoned) => RetiredSignal::raise(RetireReason::Terminated),
-                    Err(_) => break,
-                }
-            }
-            let events: Vec<Event> = window_records
-                .iter()
-                .map(|r| syscall_event(&r.call, &r.ret))
-                .collect();
-            // Attribute every event the window emits to the window's
-            // last record, matching the reporting of record-at-a-time
-            // consumption.
-            let window_last_seq = seq + window_records.len() as u64 - 1;
-            let mut offset = 0;
-            while offset < events.len() {
-                match state.rules.apply(&events[offset..], &state.builtins) {
-                    Ok(outcome) => {
-                        if let Some(rule) = &outcome.rule {
-                            let (consumed, emitted) = (outcome.consumed, outcome.emitted.len());
-                            obs.emit(id, || ObsKind::RuleMatch {
-                                rule: rule.clone(),
-                                consumed,
-                                emitted,
-                                pos: window_last_seq,
-                            });
-                        }
-                        state.expected.extend(
-                            outcome
-                                .emitted
-                                .into_iter()
-                                .map(|ev| (window_last_seq, Expected::Event(ev))),
-                        );
-                        offset += outcome.consumed;
-                    }
-                    Err(e) => diverge(
-                        events.get(offset),
-                        format!("rule evaluation failed: {e}"),
-                        seq,
-                    ),
-                }
             }
         }
     }
+
+    /// Queues a batch taken from the ring: each record joins the carried
+    /// run, and every window the stream has settled is decided.
+    fn take_batch(state: &mut FollowerState, batch: Vec<EventRecord>, recording: bool) {
+        for record in batch {
+            match record {
+                EventRecord::Control {
+                    record: ControlRecord::Demote,
+                    ..
+                } => {
+                    // The demoting leader's final record on this ring:
+                    // it settles any open window, and the follower
+                    // promotes once the queued prefix is replayed.
+                    Self::settle(state, true, recording);
+                    state.promote_pending = true;
+                }
+                EventRecord::Syscall { seq, record } => {
+                    debug_assert!(!state.promote_pending, "leader pushed records after Demote");
+                    state.consumed += 1;
+                    if let Some(lag) = state.lag {
+                        lag.maybe_sleep(state.consumed);
+                    }
+                    state.carried.push(Carried {
+                        seq,
+                        record,
+                        event: OnceCell::new(),
+                    });
+                }
+            }
+        }
+        Self::settle(state, false, recording);
+    }
+
+    /// Cuts the carried records into rule windows and decides each one.
+    /// A window grows while some longer rule could still match it; one
+    /// that reaches the last carried record stays carried unless the
+    /// stream has ended (`at_end`). Window boundaries are therefore a
+    /// function of the record stream alone, whatever the batch sizes and
+    /// however long the leader takes to send the next record.
+    fn settle(state: &mut FollowerState, at_end: bool, recording: bool) {
+        let mut start = 0;
+        while start < state.carried.len() {
+            let mut end = start + 1;
+            while state
+                .rules
+                .could_extend(&Window(&state.carried[start..end]))
+            {
+                if end == state.carried.len() {
+                    if !at_end {
+                        state.carried.drain(..start);
+                        return;
+                    }
+                    break;
+                }
+                end += 1;
+            }
+            Self::decide(state, start, end, recording);
+            start = end;
+        }
+        state.carried.clear();
+    }
+
+    /// Runs the rules over the window `carried[start..end]` and queues
+    /// what it emits, every entry attributed to the window's last record.
+    fn decide(state: &mut FollowerState, start: usize, end: usize, recording: bool) {
+        let FollowerState {
+            carried,
+            rules,
+            builtins,
+            expected,
+            ..
+        } = state;
+        let window = &mut carried[start..end];
+        let last_seq = window[end - start - 1].seq;
+        // Notes go before the window's expectations; see `Matched`.
+        let notes_at = expected.len();
+        let mut notes = 0;
+        let mut offset = 0;
+        while offset < window.len() {
+            let rewrite = match rules.rewrite(&Window(window), offset, builtins) {
+                Ok(rewrite) => rewrite,
+                Err(e) => {
+                    // Only the failure stays: replay diverges on it
+                    // before any of this window's expectations.
+                    let event = Window(window).event(offset).clone();
+                    expected.truncate(notes_at + notes);
+                    expected.push_back((
+                        window[0].seq,
+                        Expected::Failed {
+                            event,
+                            detail: format!("rule evaluation failed: {e}"),
+                        },
+                    ));
+                    return;
+                }
+            };
+            let Some(rewrite) = rewrite else {
+                // No rule fired: the record passes through as logged.
+                let record = take_record(&mut window[offset]);
+                expected.push_back((last_seq, Expected::Record(record)));
+                offset += 1;
+                continue;
+            };
+            if recording {
+                let note = Expected::Matched {
+                    rule: rewrite.rule.to_string(),
+                    consumed: rewrite.consumed,
+                    emitted: rewrite.emitted.len(),
+                };
+                expected.insert(notes_at + notes, (last_seq, note));
+                notes += 1;
+            }
+            let (consumed, emitted) = (rewrite.consumed, rewrite.emitted);
+            // A record copied twice is cloned; otherwise it moves.
+            let duplicated = emitted
+                .iter()
+                .enumerate()
+                .any(|(i, emit)| matches!(emit, Emit::Copy(_)) && emitted[..i].contains(emit));
+            for emit in emitted {
+                let entry = match emit {
+                    Emit::Copy(index) if duplicated => {
+                        Expected::Record(window[index].record.clone())
+                    }
+                    Emit::Copy(index) => Expected::Record(take_record(&mut window[index])),
+                    Emit::Event(event) => Expected::Event(event),
+                };
+                expected.push_back((last_seq, entry));
+            }
+            offset += consumed;
+        }
+    }
+}
+
+/// Moves a decided record out of its carried slot, leaving a
+/// placeholder the window no longer reads.
+fn take_record(carried: &mut Carried) -> SyscallRecord {
+    std::mem::replace(
+        &mut carried.record,
+        SyscallRecord {
+            call: Syscall::Pid,
+            ret: SysRet::Unit,
+        },
+    )
 }
 
 impl std::fmt::Debug for VariantOs {

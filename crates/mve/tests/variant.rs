@@ -198,7 +198,7 @@ fn demotion_promotes_follower_via_in_band_marker() {
             rules: Arc::new(RuleSet::empty()),
             builtins: Arc::new(Builtins::standard()),
             promote_to: Some(LeaderConfig {
-                ring: ring_b,
+                ring: ring_b.clone(),
                 lockstep: None,
             }),
             lag: None,
@@ -212,6 +212,9 @@ fn demotion_promotes_follower_via_in_band_marker() {
     // executes for real and is logged to ring B.
     assert_eq!(follower.write(conn, b"r2").unwrap(), 2);
     assert_eq!(follower.role(), Role::Leader);
+    // This thread now waits on the old leader, so it kicks ring B the
+    // way an idle leader would; the old leader may be parked on it.
+    ring_b.kick();
 
     // The old leader (now follower) replays r2 from ring B and returns.
     let old = old_leader_thread.join().unwrap();
@@ -403,4 +406,160 @@ fn single_mode_tracks_interception_stats() {
     variant.close(conn).unwrap();
     assert_eq!(stats.live_fd_count(), 1);
     assert!(stats.intercepted_count() >= 3);
+}
+
+/// Redis 2.0.0 → 2.0.1's rule: the old leader updates its stats clock
+/// after each reply, the new version before it.
+const STATS_REORDER: &str = r#"
+    rule stats_reorder {
+        on write(fd, s, n), now(t)
+        => now(t), write(fd, s, n)
+    }
+"#;
+
+/// A leader with one accepted connection and a follower under
+/// `STATS_REORDER`, both on a fresh ring.
+struct ReorderPair {
+    kernel: Arc<VirtualKernel>,
+    ring: EventRing,
+    leader: VariantOs,
+    follower: VariantOs,
+    listener: vos::Fd,
+    client: vos::Fd,
+    conn: vos::Fd,
+}
+
+fn reorder_pair(port: u16) -> ReorderPair {
+    let kernel = VirtualKernel::new();
+    let ring = new_ring(64);
+    let mut leader = VariantOs::single(0, kernel.clone(), None);
+    let listener = leader.listen(port).unwrap();
+    leader.attach_follower(LeaderConfig {
+        ring: ring.clone(),
+        lockstep: None,
+    });
+    let client = kernel.connect(port).unwrap();
+    let conn = leader.accept(listener).unwrap();
+    let follower = VariantOs::follower(
+        1,
+        kernel.clone(),
+        FollowerConfig {
+            rules: Arc::new(RuleSet::parse(STATS_REORDER).unwrap()),
+            ..follower_config(ring.clone())
+        },
+        None,
+    );
+    ReorderPair {
+        kernel,
+        ring,
+        leader,
+        follower,
+        listener,
+        client,
+        conn,
+    }
+}
+
+/// What the new version's follower saw: its connection, the request,
+/// the clock reading, and the reply's result — or how it retired.
+type Replay = Result<(vos::Fd, Vec<u8>, u64, vos::OsResult<usize>), Box<RetireReason>>;
+
+/// Replays the new version's order on its own thread: accept, read,
+/// then `now` before `write`.
+fn replay_new_order(mut follower: VariantOs, listener: vos::Fd) -> thread::JoinHandle<Replay> {
+    thread::spawn(move || {
+        catch_unwind(AssertUnwindSafe(|| {
+            let conn = follower.accept(listener).unwrap();
+            let request = follower.read_timeout(conn, 64, 100).unwrap().to_vec();
+            let t = follower.now();
+            (conn, request, t, follower.write(conn, b"+OK\r\n"))
+        }))
+        .map_err(|payload| {
+            let signal = RetiredSignal::from_payload(&*payload).expect("typed retire signal");
+            Box::new(signal.0.clone())
+        })
+    })
+}
+
+#[test]
+fn reorder_verdict_does_not_depend_on_the_gap_between_records() {
+    let mut outcomes = Vec::new();
+    for (port, gap) in [(5010, 0), (5011, 300)] {
+        let mut p = reorder_pair(port);
+        let replay = replay_new_order(p.follower, p.listener);
+        p.kernel.client_send(p.client, b"GET k\r\n").unwrap();
+        p.leader.read_timeout(p.conn, 64, 100).unwrap();
+        p.leader.write(p.conn, b"+OK\r\n").unwrap();
+        // Wake the follower as an idle leader would: it replays up to
+        // the write, whose window stays open across the gap.
+        p.ring.kick();
+        thread::sleep(Duration::from_millis(gap));
+        let t = p.leader.now();
+        p.ring.kick();
+        let (conn, request, follower_t, written) = replay
+            .join()
+            .unwrap()
+            .unwrap_or_else(|r| panic!("gap {gap} ms: {r:?}"));
+        assert_eq!(follower_t, t, "gap {gap} ms: the leader's clock replays");
+        outcomes.push((conn, request, written));
+    }
+    assert_eq!(outcomes[0], outcomes[1]);
+    assert_eq!(outcomes[0].2, Ok(5));
+}
+
+#[test]
+fn an_open_window_is_decided_by_the_stream_not_the_clock() {
+    type Settle = fn(&mut VariantOs, vos::Fd);
+    let settles: [(&str, Settle); 3] = [
+        // An idle poll 300 ms later: the next record.
+        ("next record", |leader, ep| {
+            assert!(leader.epoll_wait(ep, 8, 0).unwrap().is_empty());
+        }),
+        ("demote", |leader, _| {
+            leader.demote_now(follower_config(new_ring(8)));
+        }),
+        ("close", |leader, _| leader.teardown_on_crash()),
+    ];
+    for (port, (how, settle)) in (5012..).zip(settles) {
+        let mut p = reorder_pair(port);
+        let ep = p.kernel.epoll_create().unwrap();
+        let replay = replay_new_order(p.follower, p.listener);
+        p.kernel.client_send(p.client, b"GET k\r\n").unwrap();
+        p.leader.read_timeout(p.conn, 64, 100).unwrap();
+        p.leader.write(p.conn, b"+OK\r\n").unwrap();
+        p.ring.kick();
+        // The window [write] could still become [write, now]; no amount
+        // of waiting decides it.
+        thread::sleep(Duration::from_millis(300));
+        assert!(!replay.is_finished(), "{how}: decided before the stream");
+        settle(&mut p.leader, ep);
+        // [write] alone passes through, so the new order diverges.
+        match replay.join().unwrap().map_err(|r| *r) {
+            Err(RetireReason::Diverged(d)) => {
+                assert_eq!(
+                    d.expected.map(|e| e.name).as_deref(),
+                    Some("write"),
+                    "{how}"
+                );
+                assert!(d.attempted.contains("Now"), "{how}: {}", d.attempted);
+            }
+            other => panic!("{how}: expected a divergence, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn reorder_rule_replays_the_leaders_errno() {
+    let mut p = reorder_pair(5015);
+    p.kernel.close(p.client).unwrap();
+    let failed = p.leader.write(p.conn, b"+OK\r\n");
+    assert_eq!(failed, Err(vos::Errno::ConnReset));
+    let t = p.leader.now();
+    let conn = p.follower.accept(p.listener).unwrap();
+    assert_eq!(p.follower.now(), t);
+    assert_eq!(
+        p.follower.write(conn, b"+OK\r\n"),
+        failed,
+        "the copied write keeps the leader's errno"
+    );
 }

@@ -82,6 +82,12 @@ pub struct RingStats {
     pub producer_stalls: u64,
     /// Cumulative nanoseconds producers spent blocked.
     pub producer_stall_nanos: u64,
+    /// Times the consumer parked on an empty ring. Depends on timing,
+    /// so it stays out of replay-stable output.
+    pub parks: u64,
+    /// Times the producer (or `close`, `poison`, `wait_empty`) woke a
+    /// parked consumer. Timing-dependent like `parks`.
+    pub wakes: u64,
 }
 
 impl RingStats {
@@ -98,5 +104,26 @@ impl RingStats {
             &format!("{prefix}.producer_stall_nanos"),
             self.producer_stall_nanos,
         );
+        registry.counter_add(&format!("{prefix}.parks"), self.parks);
+        registry.counter_add(&format!("{prefix}.wakes"), self.wakes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merge_into_exports_parks_and_wakes() {
+        let registry = obs::MetricsRegistry::new();
+        let stats = RingStats {
+            parks: 3,
+            wakes: 2,
+            ..RingStats::default()
+        };
+        stats.merge_into(&registry, "ring");
+        stats.merge_into(&registry, "ring");
+        assert_eq!(registry.counter("ring.parks"), 6);
+        assert_eq!(registry.counter("ring.wakes"), 4);
     }
 }

@@ -15,8 +15,12 @@
 //! * Each end holds a busy flag for the length of a call, so there is
 //!   at most one producer call and one consumer call at a time.
 //!
-//! Blocking (`push` on full, `pop` on empty, `wait_empty`) escalates
-//! spin → yield → park via [`crate::wait`].
+//! Blocking (`push` on full, `pop` and `peek` on empty, `wait_empty`)
+//! escalates spin → yield → park via [`crate::wait`]. `pop_batch` on an
+//! empty ring parks at once behind a doorbell: it publishes a wake mark
+//! and the producer wakes it only when occupancy reaches the mark, on
+//! [`Ring::kick`], or when the ring is closed, poisoned, full or waited
+//! empty. See `docs/ring.md`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -69,6 +73,9 @@ struct ProducerSide {
     high_water: AtomicU64,
     stalls: AtomicU64,
     stall_nanos: AtomicU64,
+    /// Highest `tail` a kick has rung the doorbell for: a parked
+    /// consumer takes whatever lies below it.
+    kicked: AtomicU64,
 }
 
 /// State only the consumer writes, plus the chaos stall config.
@@ -77,6 +84,10 @@ struct ConsumerSide {
     busy: AtomicBool,
     /// Last `tail` the consumer loaded; never ahead of the real one.
     cached_tail: AtomicU64,
+    /// The `tail` at which a publish must wake the consumer. Written
+    /// before the consumer registers to park; the producer reads it
+    /// only when someone is parked.
+    wake_at: AtomicU64,
     /// Monotone `pop` call counter (drives the stall schedule).
     pops: AtomicU64,
     /// Stall every Nth `pop` call; 0 disables the perturbation.
@@ -198,12 +209,15 @@ impl<T> Ring<T> {
     /// Snapshot of the usage counters.
     pub fn stats(&self) -> RingStats {
         let producer = &self.producer.0;
+        let (parks, wakes) = self.data_waiters.counts();
         RingStats {
             pushed: self.tail.0.load(Ordering::Acquire),
             popped: self.head.0.load(Ordering::Acquire),
             high_water: producer.high_water.load(Ordering::Relaxed) as usize,
             producer_stalls: producer.stalls.load(Ordering::Relaxed),
             producer_stall_nanos: producer.stall_nanos.load(Ordering::Relaxed),
+            parks,
+            wakes,
         }
     }
 
@@ -229,6 +243,7 @@ impl<T> Ring<T> {
     fn reserve(&self, n: u64, block: bool) -> Result<u64, RingError> {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let mut backoff = Backoff::new();
+        let mut rang = false;
         loop {
             if self.poisoned.load(Ordering::Acquire) {
                 return Err(RingError::Poisoned);
@@ -246,6 +261,12 @@ impl<T> Ring<T> {
             }
             let producer = &self.producer.0;
             producer.stalls.fetch_add(1, Ordering::Relaxed);
+            // A consumer parked on a mark it cannot reach would never
+            // free the room we wait for.
+            if !rang {
+                self.ring_doorbell(tail);
+                rang = true;
+            }
             // Stall time on the injected clock if any, else wall time.
             let (clock, epoch) = (self.stall_clock.lock().clone(), Instant::now());
             let now = || {
@@ -269,7 +290,7 @@ impl<T> Ring<T> {
     }
 
     /// Publishes everything written below `end`, updates the high-water
-    /// mark, and wakes the consumer.
+    /// mark, and wakes the consumer if `end` reaches its wake mark.
     fn publish(&self, end: u64) {
         self.tail.0.store(end, Ordering::Release);
         let producer = &self.producer.0;
@@ -282,7 +303,28 @@ impl<T> Ring<T> {
             let occupancy = (end - head).min(self.capacity as u64);
             producer.high_water.fetch_max(occupancy, Ordering::Relaxed);
         }
-        self.data_waiters.notify();
+        let wake_at = &self.consumer.0.wake_at;
+        self.data_waiters
+            .notify_if(|| end >= wake_at.load(Ordering::Relaxed));
+    }
+
+    /// Wakes the consumer for every record published below `tail`,
+    /// whatever its wake mark.
+    fn ring_doorbell(&self, tail: u64) {
+        self.producer.0.kicked.fetch_max(tail, Ordering::SeqCst);
+        // Nothing past `head` means nothing to wake for.
+        self.data_waiters
+            .notify_if(|| tail > self.head.0.load(Ordering::Acquire));
+    }
+
+    /// Producer side: wakes a consumer parked in [`Ring::pop_batch`] for
+    /// whatever is published, before its wake mark is reached. A leader
+    /// calls this when it is about to wait on something other than the
+    /// follower, so the follower never sleeps on records it could
+    /// replay. Costs one atomic max, one fence and one load when nobody
+    /// is parked.
+    pub fn kick(&self) {
+        self.ring_doorbell(self.tail.0.load(Ordering::Acquire));
     }
 
     /// Appends a record, blocking while the ring is full.
@@ -373,13 +415,15 @@ impl<T> Ring<T> {
 
     /// Blocks until the ring drains empty, the ring dies, or `timeout`
     /// elapses. Lockstep execution (the MUC/Mx baselines) rendezvouses
-    /// on this after every push.
+    /// on this after every push. It kicks first, so a consumer parked in
+    /// `pop_batch` below its wake mark drains what is buffered.
     ///
     /// # Errors
     /// [`RingError::Poisoned`] if poisoned, [`RingError::TimedOut`] on
     /// timeout. A closed ring that drains still returns `Ok`.
     pub fn wait_empty(&self, timeout: Option<Duration>) -> Result<(), RingError> {
         let deadline = timeout.map(|t| Instant::now() + t);
+        self.kick();
         let drained = || self.head.0.load(Ordering::Acquire) >= self.tail.0.load(Ordering::Acquire);
         let mut backoff = Backoff::new();
         loop {
@@ -433,11 +477,23 @@ impl<T> Ring<T> {
     /// Blocks until at least `n` records are published past `head` and
     /// returns `(head, tail)`. Called with the consumer end held, so
     /// `head` cannot move underneath.
-    fn published(&self, n: u64, timeout: Option<Duration>) -> Result<(u64, u64), RingError> {
+    ///
+    /// With `doorbell = None` the wait spins, yields, then parks, and any
+    /// publish that makes `n` records available wakes it. With
+    /// `Some(mark)` it parks at once and sleeps until `mark` records are
+    /// published, a kick covers a record, or the ring dies.
+    fn published(
+        &self,
+        n: u64,
+        timeout: Option<Duration>,
+        doorbell: Option<u64>,
+    ) -> Result<(u64, u64), RingError> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let head = self.head.0.load(Ordering::Relaxed);
-        let cached = &self.consumer.0.cached_tail;
+        let consumer = &self.consumer.0;
+        let cached = &consumer.cached_tail;
         let mut backoff = Backoff::new();
+        let mut marked = false;
         loop {
             if self.poisoned.load(Ordering::Acquire) {
                 return Err(RingError::Poisoned);
@@ -461,12 +517,25 @@ impl<T> Ring<T> {
             {
                 return Err(RingError::Closed);
             }
+            let wake_at = head.saturating_add(doorbell.unwrap_or(n));
+            if !marked {
+                // Published before registering as a waiter (see
+                // `WaitSet::notify_if`); `head` is fixed for this call.
+                consumer.wake_at.store(wake_at, Ordering::SeqCst);
+                marked = true;
+            }
+            // SeqCst loads: the re-check half of the lost-wakeup argument.
             let ready = || {
-                self.poisoned.load(Ordering::Acquire)
-                    || self.closed.load(Ordering::Acquire)
-                    || self.tail.0.load(Ordering::Acquire) - head >= n
+                self.poisoned.load(Ordering::SeqCst)
+                    || self.closed.load(Ordering::SeqCst)
+                    || self.tail.0.load(Ordering::SeqCst) >= wake_at
+                    || (doorbell.is_some() && self.producer.0.kicked.load(Ordering::SeqCst) > head)
             };
-            if !backoff.idle(&self.data_waiters, ready, deadline) {
+            let awake = match doorbell {
+                Some(_) => self.data_waiters.park(ready, deadline),
+                None => backoff.idle(&self.data_waiters, ready, deadline),
+            };
+            if !awake {
                 return Err(RingError::TimedOut);
             }
         }
@@ -491,7 +560,7 @@ impl<T> Ring<T> {
     pub fn pop(&self, timeout: Option<Duration>) -> Result<T, RingError> {
         let _end = EndGuard::enter(&self.consumer.0.busy, "consumer", "pop");
         self.apply_pop_stall(1);
-        let (head, _) = self.published(1, timeout)?;
+        let (head, _) = self.published(1, timeout, None)?;
         // SAFETY: we hold the consumer end and `head < tail`, so the slot
         // holds a published record that is ours until `release`.
         let item = unsafe { (*self.slot(head)).assume_init_read() };
@@ -500,8 +569,14 @@ impl<T> Ring<T> {
     }
 
     /// Removes and returns up to `max` records in one synchronization
-    /// round: blocks for the first record with `pop` semantics, then
-    /// moves out whatever run is already published, without waiting.
+    /// round, moving out whatever run is already published.
+    ///
+    /// On an empty ring it parks at once, with no spin and no yield,
+    /// behind a doorbell: the wake mark is `min(max, capacity)` records,
+    /// and a publish wakes it only once that many are buffered.
+    /// [`Ring::kick`], `close`, `poison`, `wait_empty` and a producer
+    /// blocked on a full ring wake it early. So a consumer that keeps up
+    /// costs one wakeup per `max` records rather than one per record.
     /// The chaos stall schedule still advances once per record, keeping
     /// perturbation density identical to record-at-a-time consumption.
     ///
@@ -513,7 +588,8 @@ impl<T> Ring<T> {
             return Ok(Vec::new());
         }
         self.apply_pop_stall(1);
-        let (head, tail) = self.published(1, timeout)?;
+        let mark = max.min(self.capacity) as u64;
+        let (head, tail) = self.published(1, timeout, Some(mark))?;
         let run = (tail - head).min(max as u64);
         // SAFETY: as in `pop`, for every position below `tail`.
         let out = (head..head + run)
@@ -540,7 +616,7 @@ impl<T> Ring<T> {
         T: Clone,
     {
         let _end = EndGuard::enter(&self.consumer.0.busy, "consumer", "peek");
-        let (head, _) = self.published((index as u64).saturating_add(1), timeout)?;
+        let (head, _) = self.published((index as u64).saturating_add(1), timeout, None)?;
         // SAFETY: as in `pop`; the record stays in place.
         Ok(unsafe { (*self.slot(head + index as u64)).assume_init_ref() }.clone())
     }
@@ -801,6 +877,140 @@ mod tests {
         assert_eq!(r.pop_batch(4, None).unwrap(), vec![4, 5]);
         r.close();
         assert_eq!(r.pop_batch(4, None).unwrap_err(), RingError::Closed);
+    }
+
+    /// Spawns a consumer blocked in `pop_batch(max)` and returns once it
+    /// has parked on the doorbell.
+    fn parked_batch_consumer(
+        r: &Arc<Ring<u32>>,
+        max: usize,
+    ) -> thread::JoinHandle<Result<Vec<u32>, RingError>> {
+        let parks = r.stats().parks;
+        let consumer = {
+            let r = r.clone();
+            thread::spawn(move || r.pop_batch(max, None))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while r.stats().parks == parks {
+            assert!(Instant::now() < deadline, "consumer never parked");
+            thread::sleep(Duration::from_millis(1));
+        }
+        consumer
+    }
+
+    /// Asserts the parked consumer is still asleep after a grace period.
+    fn assert_still_parked<R>(r: &Ring<u32>, consumer: &thread::JoinHandle<R>) {
+        thread::sleep(Duration::from_millis(30));
+        assert!(!consumer.is_finished(), "consumer woke before its mark");
+        assert_eq!(r.stats().popped, 0);
+        assert_eq!(r.stats().wakes, 0);
+    }
+
+    #[test]
+    fn batch_consumer_sleeps_until_its_mark() {
+        let r = Arc::new(Ring::with_capacity(64));
+        let consumer = parked_batch_consumer(&r, 32);
+        for i in 0..31 {
+            r.push(i).unwrap();
+        }
+        assert_still_parked(&r, &consumer);
+        r.push(31).unwrap();
+        assert_eq!(
+            consumer.join().unwrap().unwrap(),
+            (0..32).collect::<Vec<_>>()
+        );
+        assert_eq!(r.stats().wakes, 1);
+    }
+
+    #[test]
+    fn batch_mark_is_capped_by_capacity() {
+        let r = Arc::new(Ring::with_capacity(4));
+        let consumer = parked_batch_consumer(&r, 32);
+        r.push_batch(0..3).unwrap();
+        assert_still_parked(&r, &consumer);
+        r.push(3).unwrap();
+        assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn kick_wakes_a_batch_consumer_for_what_is_published() {
+        let r = Arc::new(Ring::with_capacity(64));
+        // A kick with nothing published leaves the consumer asleep.
+        let consumer = parked_batch_consumer(&r, 32);
+        r.kick();
+        thread::sleep(Duration::from_millis(30));
+        assert!(!consumer.is_finished());
+        r.push_batch(0..3).unwrap();
+        assert_still_parked(&r, &consumer);
+        r.kick();
+        assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn close_and_poison_wake_a_batch_consumer() {
+        let r = Arc::new(Ring::with_capacity(64));
+        let consumer = parked_batch_consumer(&r, 32);
+        r.push_batch(0..2).unwrap();
+        assert_still_parked(&r, &consumer);
+        r.close();
+        assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1]);
+        assert_eq!(r.pop_batch(32, None).unwrap_err(), RingError::Closed);
+
+        let r = Arc::new(Ring::with_capacity(64));
+        let consumer = parked_batch_consumer(&r, 32);
+        r.push_batch(0..2).unwrap();
+        assert_still_parked(&r, &consumer);
+        r.poison();
+        assert_eq!(consumer.join().unwrap().unwrap_err(), RingError::Poisoned);
+    }
+
+    #[test]
+    fn wait_empty_and_a_full_ring_wake_a_batch_consumer() {
+        let r = Arc::new(Ring::with_capacity(64));
+        let consumer = parked_batch_consumer(&r, 32);
+        r.push(7).unwrap();
+        r.wait_empty(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(consumer.join().unwrap().unwrap(), vec![7]);
+
+        // Mark 8: five records leave it asleep, and a batch of five
+        // more does not fit, so the blocked producer rings the bell.
+        let r = Arc::new(Ring::with_capacity(8));
+        let consumer = parked_batch_consumer(&r, 32);
+        r.push_batch(0..5).unwrap();
+        assert_still_parked(&r, &consumer);
+        let producer = {
+            let r = r.clone();
+            thread::spawn(move || r.push_batch(5..10))
+        };
+        assert_eq!(
+            consumer.join().unwrap().unwrap(),
+            (0..5).collect::<Vec<_>>()
+        );
+        producer.join().unwrap().unwrap();
+        assert_eq!(r.pop_batch(32, None).unwrap(), (5..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pop_wakes_on_every_push() {
+        let r = Arc::new(Ring::with_capacity(64));
+        let consumer = {
+            let r = r.clone();
+            thread::spawn(move || (0..5).map(|_| r.pop(None).unwrap()).collect::<Vec<u32>>())
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for i in 0..5 {
+            // Push only once the consumer has parked for this record.
+            while r.stats().parks <= u64::from(i) {
+                assert!(Instant::now() < deadline, "pop never parked for {i}");
+                thread::yield_now();
+            }
+            r.push(i).unwrap();
+            while r.stats().popped <= u64::from(i) {
+                assert!(Instant::now() < deadline, "pop missed push {i}");
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(consumer.join().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

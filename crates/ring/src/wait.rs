@@ -6,7 +6,7 @@
 //! none. Instead each side escalates through an adaptive backoff
 //! ([`Backoff`]: spin → yield → park) and parks on an eventcount-style
 //! [`WaitSet`]. Waking is cheap for the producer: when nobody is parked,
-//! a notify is one fence and one relaxed load — no lock, no syscall.
+//! a notify is one fence and one load — no lock, no syscall.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -23,11 +23,16 @@ use std::time::Instant;
 ///
 /// Either the notifier observes the waiter's registration (and wakes
 /// it), or the waiter's re-check — sequenced after its registration —
-/// observes the notifier's state change (and never sleeps).
+/// observes the notifier's state change (and never sleeps). The re-check
+/// must load with `SeqCst` for that argument to hold.
 pub(crate) struct WaitSet {
     waiters: AtomicU64,
     epoch: Mutex<u64>,
     cv: Condvar,
+    /// Calls to [`WaitSet::park`]; touched only on the way to sleep.
+    parks: AtomicU64,
+    /// Notifies that found a registered waiter.
+    wakes: AtomicU64,
 }
 
 impl WaitSet {
@@ -36,19 +41,38 @@ impl WaitSet {
             waiters: AtomicU64::new(0),
             epoch: Mutex::new(0),
             cv: Condvar::new(),
+            parks: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
         }
     }
 
     /// Wakes every parked thread if any are registered. Callers must
     /// have already made the woken parties' ready conditions true.
     pub(crate) fn notify(&self) {
+        self.notify_if(|| true);
+    }
+
+    /// As [`WaitSet::notify`], but only when `wanted()` holds once a
+    /// registered waiter is seen. A waiter publishes what it waits for
+    /// before it registers, so the acquire load of `waiters` makes that
+    /// visible to `wanted`.
+    pub(crate) fn notify_if(&self, wanted: impl Fn() -> bool) {
         fence(Ordering::SeqCst);
-        if self.waiters.load(Ordering::Relaxed) == 0 {
+        if self.waiters.load(Ordering::Acquire) == 0 || !wanted() {
             return;
         }
+        self.wakes.fetch_add(1, Ordering::Relaxed);
         let mut epoch = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
         *epoch = epoch.wrapping_add(1);
         self.cv.notify_all();
+    }
+
+    /// `(parks, wakes)` so far.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (
+            self.parks.load(Ordering::Relaxed),
+            self.wakes.load(Ordering::Relaxed),
+        )
     }
 
     /// Parks until `ready()` holds, a notify arrives, or `deadline`
@@ -56,6 +80,7 @@ impl WaitSet {
     /// return means the caller should re-evaluate its condition (the
     /// wake may be spurious).
     pub(crate) fn park(&self, ready: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
+        self.parks.fetch_add(1, Ordering::Relaxed);
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let awake = self.park_registered(&ready, deadline);
         self.waiters.fetch_sub(1, Ordering::SeqCst);

@@ -6,6 +6,7 @@
 use ring::{Ring, RingError};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
@@ -390,6 +391,84 @@ fn close_and_poison_from_a_third_thread_wake_both_ends() {
             .unwrap();
             assert_eq!(producer.join().unwrap().unwrap_err(), expected);
             assert_eq!(consumer.join().unwrap().unwrap_err(), expected);
+        }
+    }
+}
+
+/// xorshift64*: a tiny seeded generator, so a failing seed replays.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+    }
+}
+
+/// The doorbell under random schedules: the producer mixes `push`,
+/// `push_batch` and `kick` (with short pauses that let the consumer
+/// park), and the consumer drains with `pop_batch` of random sizes.
+/// Every record must arrive once and in order, and no seed may hang:
+/// a lost wakeup shows up as the watchdog firing.
+#[test]
+fn doorbell_random_schedules_deliver_in_order_without_hanging() {
+    const RECORDS: u64 = 20_000;
+    for seed in 0..24u64 {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let mut rng = Rng::new(seed);
+            let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1 + rng.below(96) as usize));
+            let consumer = {
+                let r = r.clone();
+                let mut rng = Rng::new(seed ^ 0xC0FFEE);
+                thread::spawn(move || {
+                    let mut next = 0u64;
+                    loop {
+                        let max = 1 + rng.below(64) as usize;
+                        match r.pop_batch(max, None) {
+                            Ok(batch) => {
+                                assert!(!batch.is_empty() && batch.len() <= max);
+                                for v in batch {
+                                    assert_eq!(v, next, "seed {seed}: out of order");
+                                    next += 1;
+                                }
+                            }
+                            Err(RingError::Closed) => return next,
+                            Err(e) => panic!("seed {seed}: {e}"),
+                        }
+                    }
+                })
+            };
+            let mut sent = 0u64;
+            while sent < RECORDS {
+                match rng.below(10) {
+                    0..=4 => {
+                        r.push(sent).unwrap();
+                        sent += 1;
+                    }
+                    5..=7 => {
+                        let n = (1 + rng.below(40)).min(RECORDS - sent);
+                        r.push_batch(sent..sent + n).unwrap();
+                        sent += n;
+                    }
+                    8 => r.kick(),
+                    _ => thread::sleep(Duration::from_micros(rng.below(50))),
+                }
+            }
+            r.close();
+            let got = consumer.join().unwrap();
+            let _ = done_tx.send(got);
+        });
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(got) => assert_eq!(got, RECORDS, "seed {seed}"),
+            Err(RecvTimeoutError::Disconnected) => panic!("seed {seed}: a ring thread panicked"),
+            Err(RecvTimeoutError::Timeout) => panic!("seed {seed}: a ring thread hung"),
         }
     }
 }

@@ -75,6 +75,40 @@ ci:
     just bench-ring-smoke
     just bench-vos-smoke
 
+# Interleaved lifebench pairs: REV (the parent) against the working
+# tree. Builds REV in a git worktree under target/, then runs N pairs of
+# 30 s runs on WORKLOAD, REV first, seed = pair number, and prints each
+# pair's CPU per op and set-up time with the change/parent ratios.
+lifebench-pairs rev workload n:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    base=target/lifebench-pairs/base
+    out=target/lifebench-pairs/out
+    if [ -d "$base" ]; then
+        git -C "$base" checkout --quiet --detach {{rev}}
+    else
+        git worktree add --quiet --detach "$base" {{rev}}
+    fi
+    cargo build --release --offline --manifest-path "$base/lifebench/Cargo.toml"
+    cargo build --release --offline --manifest-path lifebench/Cargo.toml
+    mkdir -p "$out"
+    value() { tail -n 1 "$1" | sed -E "s/.*\"$2\": \{\"value\": ([-0-9.eE+]+).*/\1/"; }
+    for i in $(seq 1 {{n}}); do
+        for side in parent change; do
+            bin=lifebench/target/release/lifebench
+            if [ $side = parent ]; then bin="$base/$bin"; fi
+            "$bin" --workload {{workload}} --seed "$i" --seconds 30 --trace 0 \
+                > "$out/{{workload}}-$side-$i.txt" 2> /dev/null
+        done
+        line="pair $i"
+        for m in cpu_us_per_op_single cpu_us_per_op_monitored setup_s; do
+            a=$(value "$out/{{workload}}-parent-$i.txt" $m)
+            b=$(value "$out/{{workload}}-change-$i.txt" $m)
+            line="$line  $m $(awk "BEGIN { printf \"%.4g -> %.4g (%.3f)\", $a, $b, $b / $a }")"
+        done
+        echo "$line"
+    done
+
 # Ring microbenchmark, full mode: rewrites BENCH_ring.json in place.
 bench-ring:
     cargo run --release -p mvedsua-bench --bin ring_bench
