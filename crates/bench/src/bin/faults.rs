@@ -24,11 +24,12 @@ fn ask(client: &mut LineClient, req: &str) -> String {
 fn new_code() {
     println!("== error in the new code (Redis HMGET crash, revision 7fb16bac) ==");
     let options = redis::RedisOptions::new(6379).with_hmget_bug_from(dsu::v("2.0.1"));
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         VirtualKernel::new(),
         redis::registry(&options),
         dsu::v("2.0.0"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
     let mut c =
@@ -63,11 +64,12 @@ fn new_code() {
 /// §6.2 "Error in the State Transformation": Memcached's delayed crash.
 fn xform() {
     println!("== error in the state transformation (Memcached, delayed crash) ==");
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         VirtualKernel::new(),
         memcached::registry(11211, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
     let mut c =
@@ -110,11 +112,12 @@ fn xform() {
 /// retried until the update lands (paper: max 8 tries, median 2).
 fn timing() {
     println!("== timing error (LibEvent dispatch memory, retry until installed) ==");
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         VirtualKernel::new(),
         memcached::registry(11212, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
     let mut clients: Vec<LineClient> = (0..2)

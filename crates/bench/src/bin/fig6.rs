@@ -28,11 +28,12 @@ fn series_for(server: Server, opts: &BenchOpts) {
     let t_retire = total.mul_f64(2.0 / 3.0);
 
     let s = setup(server, opts);
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         s.kernel.clone(),
         s.registry,
         s.initial,
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
 

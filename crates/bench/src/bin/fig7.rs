@@ -97,7 +97,7 @@ fn measure_mvedsua(
 ) -> (WorkloadReport, Option<(u64, u64)>) {
     let options = RedisOptions::new(PORT);
     let kernel = VirtualKernel::new();
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         kernel.clone(),
         registry(&options),
         dsu::v("2.0.0"),
@@ -106,6 +106,7 @@ fn measure_mvedsua(
             monitor_after_promote: false,
             ..MvedsuaConfig::default()
         },
+        obs::Obs::disabled(),
     )
     .expect("launch");
     preload(&kernel, entries);
@@ -273,7 +274,7 @@ fn main() {
         println!(
             "{:<22} {:>14.1} {:>16} {:>14.0}",
             "Native (no update)",
-            report.hist.max().as_secs_f64() * 1e3,
+            report.max_latency.as_secs_f64() * 1e3,
             "-",
             report.throughput()
         );
@@ -284,7 +285,7 @@ fn main() {
     println!(
         "{:<22} {:>14.1} {:>16.1} {:>14.0}",
         "Kitsune (in place)",
-        report.hist.max().as_secs_f64() * 1e3,
+        report.max_latency.as_secs_f64() * 1e3,
         pause.map(|n| n as f64 / 1e6).unwrap_or(f64::NAN),
         report.throughput()
     );
@@ -302,7 +303,7 @@ fn main() {
         println!(
             "{:<22} {:>14.1} {:>16.1} {:>14.0}",
             label,
-            report.hist.max().as_secs_f64() * 1e3,
+            report.max_latency.as_secs_f64() * 1e3,
             work_ms,
             report.throughput()
         );
@@ -313,7 +314,7 @@ fn main() {
     println!(
         "{:<22} {:>14.1} {:>16} {:>14.0}",
         "Mvedsua imm-promote",
-        report.hist.max().as_secs_f64() * 1e3,
+        report.max_latency.as_secs_f64() * 1e3,
         "-",
         report.throughput()
     );
@@ -325,7 +326,7 @@ fn main() {
     println!(
         "{:<22} {:>14.1} {:>16.1} {:>14.0}  ({} reconnects)",
         "Stop-restart (ckpt)",
-        report.hist.max().as_secs_f64() * 1e3,
+        report.max_latency.as_secs_f64() * 1e3,
         gap.as_secs_f64() * 1e3,
         report.throughput(),
         report.errors

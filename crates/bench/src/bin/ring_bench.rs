@@ -15,6 +15,8 @@
 //!
 //! Usage: `ring_bench [--quick] [--out PATH] [--check BASELINE [--min-ratio R]]`
 
+use bench_support::gate::{BenchArgs, Floor};
+use obs::json::JsonObject;
 use ring::Ring;
 use std::sync::Arc;
 use std::thread;
@@ -126,55 +128,26 @@ fn bench_batched(n: u64) -> f64 {
 }
 
 fn emit_json(mode: &str, r: RingResult) -> String {
-    format!(
-        "{{\n  \"bench\": \"ring_bench\",\n  \"mode\": \"{mode}\",\n  \"capacity\": {CAPACITY},\n  \"batch\": {BATCH},\n  \"results\": {{\n    \"lockfree_ring\": {{\"single_mops\": {:.3}, \"batched_mops\": {:.3}, \"push_p50_ns\": {}, \"push_p99_ns\": {}}}\n  }}\n}}\n",
-        r.single_mops, r.batched_mops, r.push_p50_ns, r.push_p99_ns
-    )
-}
-
-/// Minimal extraction of `"key": <number>` pairs scoped to the
-/// `"lockfree_ring"` object of a previously emitted report — enough to
-/// gate CI without a JSON dependency.
-fn baseline_metric(json: &str, key: &str) -> Option<f64> {
-    let scope = json.split("\"lockfree_ring\"").nth(1)?;
-    let scope = &scope[..scope.find('}')?];
-    let tail = scope.split(&format!("\"{key}\"")).nth(1)?;
-    let tail = tail.trim_start().strip_prefix(':')?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
+    let mut ring = JsonObject::new();
+    ring.field_f64("single_mops", r.single_mops)
+        .field_f64("batched_mops", r.batched_mops)
+        .field_u64("push_p50_ns", r.push_p50_ns)
+        .field_u64("push_p99_ns", r.push_p99_ns);
+    let mut results = JsonObject::new();
+    results.field_raw("lockfree_ring", &ring.finish());
+    let mut report = JsonObject::new();
+    report
+        .field_str("bench", "ring_bench")
+        .field_str("mode", mode)
+        .field_u64("capacity", CAPACITY as u64)
+        .field_u64("batch", BATCH as u64)
+        .field_raw("results", &results.finish());
+    report.finish()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut params = &FULL;
-    let mut out_path = String::from("BENCH_ring.json");
-    let mut check_path: Option<String> = None;
-    let mut min_ratio = 0.8f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => params = &QUICK,
-            "--out" => out_path = it.next().expect("--out PATH").clone(),
-            "--check" => check_path = Some(it.next().expect("--check BASELINE").clone()),
-            "--min-ratio" => {
-                min_ratio = it
-                    .next()
-                    .expect("--min-ratio R")
-                    .parse()
-                    .expect("ratio must be a number")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: ring_bench [--quick] [--out PATH] [--check BASELINE [--min-ratio R]]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = BenchArgs::from_env("ring_bench", "BENCH_ring.json");
+    let params = if args.quick { &QUICK } else { &FULL };
     eprintln!(
         "ring_bench: mode={}, capacity={CAPACITY}, batch={BATCH}",
         params.name
@@ -184,48 +157,28 @@ fn main() {
         "  lockfree_ring: single {:8.2} Mops/s  batched {:8.2} Mops/s  push p50 {:5} ns  p99 {:5} ns",
         lockfree.single_mops, lockfree.batched_mops, lockfree.push_p50_ns, lockfree.push_p99_ns
     );
-
-    let report = emit_json(params.name, lockfree);
-    std::fs::write(&out_path, &report).expect("write report");
-    eprintln!("  wrote {out_path}");
-
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let mut failed = false;
-        for (key, measured) in [
-            ("single_mops", lockfree.single_mops),
-            ("batched_mops", lockfree.batched_mops),
-        ] {
-            let base = baseline_metric(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {path} lacks lockfree_ring.{key}"));
-            let floor = base * min_ratio;
-            let verdict = if measured < floor {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            eprintln!(
-                "  gate {key}: measured {measured:.2} vs baseline {base:.2} (floor {floor:.2}) .. {verdict}"
-            );
-        }
-        if failed {
-            eprintln!(
-                "ring_bench: throughput regressed >{:.0}% below baseline",
-                (1.0 - min_ratio) * 100.0
-            );
-            std::process::exit(1);
-        }
-    }
+    args.write_report(&emit_json(params.name, lockfree));
+    args.gate(
+        "ring_bench",
+        "lockfree_ring",
+        &[
+            ("single_mops".into(), lockfree.single_mops, Floor::Baseline),
+            (
+                "batched_mops".into(),
+                lockfree.batched_mops,
+                Floor::Baseline,
+            ),
+        ],
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bench_support::gate::baseline_metric;
 
     #[test]
-    fn baseline_metric_reads_lockfree_scope() {
+    fn report_reads_back_through_the_baseline_reader() {
         let json = emit_json(
             "quick",
             RingResult {
@@ -235,12 +188,10 @@ mod tests {
                 push_p99_ns: 90,
             },
         );
-        assert_eq!(baseline_metric(&json, "single_mops"), Some(80.0));
-        assert_eq!(baseline_metric(&json, "batched_mops"), Some(400.0));
-        assert_eq!(baseline_metric(&json, "missing"), None);
-        // The committed baseline the CI gate reads has the same shape.
-        let committed = include_str!("../../../../BENCH_ring.json");
-        assert!(baseline_metric(committed, "single_mops").is_some());
-        assert!(baseline_metric(committed, "batched_mops").is_some());
+        let read = |key| baseline_metric(&json, "lockfree_ring", key);
+        assert_eq!(read("single_mops"), Some(80.0));
+        assert_eq!(read("batched_mops"), Some(400.0));
+        assert_eq!(read("push_p99_ns"), Some(90.0));
+        assert_eq!(read("missing"), None);
     }
 }

@@ -28,8 +28,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use bench_support::gate::{BenchArgs, Floor};
 use dsl::{Builtins, RuleSet};
 use mve::{EventRing, FollowerConfig, LeaderConfig, VariantOs};
+use obs::json::JsonObject;
 use ring::Ring;
 use vos::{Buf, Os, VirtualKernel};
 
@@ -211,9 +213,8 @@ fn bench_bulk(port: u16, mve: bool, chunk: usize, total: usize) -> f64 {
 /// byte-by-byte, reads drain-and-collect into a fresh `Vec`.
 mod legacy {
     use std::collections::VecDeque;
+    use std::sync::{Condvar, Mutex};
     use std::time::Duration;
-
-    use parking_lot::{Condvar, Mutex};
 
     struct Inbox {
         data: VecDeque<u8>,
@@ -237,7 +238,7 @@ mod legacy {
         }
 
         pub fn write(&self, data: &[u8]) -> usize {
-            let mut inbox = self.inbox.lock();
+            let mut inbox = self.inbox.lock().unwrap();
             inbox.data.extend(data.iter().copied());
             self.cv.notify_all();
             data.len()
@@ -245,7 +246,7 @@ mod legacy {
 
         pub fn read(&self, max: usize, timeout: Duration) -> Vec<u8> {
             let deadline = std::time::Instant::now() + timeout;
-            let mut inbox = self.inbox.lock();
+            let mut inbox = self.inbox.lock().unwrap();
             loop {
                 if !inbox.data.is_empty() {
                     let n = max.min(inbox.data.len());
@@ -256,12 +257,12 @@ mod legacy {
                 }
                 let now = std::time::Instant::now();
                 assert!(now < deadline, "legacy read starved");
-                let _ = self.cv.wait_for(&mut inbox, deadline - now);
+                inbox = self.cv.wait_timeout(inbox, deadline - now).unwrap().0;
             }
         }
 
         pub fn close(&self) {
-            let mut inbox = self.inbox.lock();
+            let mut inbox = self.inbox.lock().unwrap();
             inbox.closed = true;
             self.cv.notify_all();
         }
@@ -341,11 +342,16 @@ fn bench_stream_shared(port: u16, chunk: usize, total: usize) -> f64 {
 }
 
 fn size_map(entries: &[(usize, f64)]) -> String {
-    let body: Vec<String> = entries
-        .iter()
-        .map(|(size, v)| format!("\"{size}\": {v:.2}"))
-        .collect();
-    format!("{{{}}}", body.join(", "))
+    let mut map = JsonObject::new();
+    for (size, v) in entries {
+        map.field_f64(&size.to_string(), *v);
+    }
+    map.finish()
+}
+
+/// The value measured at `size`, if any.
+fn at(entries: &[(usize, f64)], size: usize) -> Option<f64> {
+    entries.iter().find(|(s, _)| *s == size).map(|(_, v)| *v)
 }
 
 struct Report {
@@ -359,90 +365,92 @@ struct Report {
 
 impl Report {
     fn speedup(&self, size: usize) -> f64 {
-        let shared = self
-            .stream_shared
-            .iter()
-            .find(|(s, _)| *s == size)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
-        let legacy = self
-            .stream_legacy
-            .iter()
-            .find(|(s, _)| *s == size)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::INFINITY);
-        shared / legacy
+        let legacy = at(&self.stream_legacy, size).unwrap_or(f64::INFINITY);
+        at(&self.stream_shared, size).unwrap_or(0.0) / legacy
     }
 
-    fn gate_metrics(&self) -> Vec<(String, f64)> {
+    /// The gated metrics: 4 KiB throughput against the baseline, and the
+    /// speedup over the legacy stream against the absolute floor.
+    fn gate_metrics(&self) -> Vec<(String, f64, Floor)> {
         // Throughput gates use 4 KiB only: the 64 KiB measurement
         // finishes in well under a millisecond in quick mode, which is
         // too noisy to gate at a 20% floor.
         let mut gates = Vec::new();
-        for &(size, v) in &self.bulk_single {
-            if size == 4096 {
-                gates.push((format!("bulk_single_mbps_{size}"), v));
-            }
-        }
-        for &(size, v) in &self.stream_shared {
-            if size == 4096 {
-                gates.push((format!("stream_shared_mbps_{size}"), v));
+        for (name, entries) in [
+            ("bulk_single_mbps", &self.bulk_single),
+            ("stream_shared_mbps", &self.stream_shared),
+        ] {
+            if let Some(v) = at(entries, 4096) {
+                gates.push((format!("{name}_4096"), v, Floor::Baseline));
             }
         }
         for size in [4096usize, 65536] {
-            gates.push((format!("speedup_vs_legacy_{size}"), self.speedup(size)));
+            let speedup = self.speedup(size);
+            let floor = Floor::Absolute(SPEEDUP_FLOOR);
+            gates.push((format!("speedup_vs_legacy_{size}"), speedup, floor));
         }
         gates
     }
 
     fn emit_json(&self, mode: &str) -> String {
-        fn echo_map(entries: &[(usize, EchoResult)]) -> String {
-            let body: Vec<String> = entries
-                .iter()
-                .map(|(size, r)| {
-                    format!(
-                        "\"{size}\": {{\"kops\": {:.2}, \"p50_ns\": {}, \"p99_ns\": {}}}",
-                        r.kops, r.p50_ns, r.p99_ns
-                    )
-                })
-                .collect();
-            format!("{{{}}}", body.join(", "))
+        let echo_map = |entries: &[(usize, EchoResult)]| {
+            let mut map = JsonObject::new();
+            for (size, r) in entries {
+                let mut cell = JsonObject::new();
+                cell.field_f64("kops", r.kops)
+                    .field_u64("p50_ns", r.p50_ns)
+                    .field_u64("p99_ns", r.p99_ns);
+                map.field_raw(&size.to_string(), &cell.finish());
+            }
+            map.finish()
+        };
+        let mut results = JsonObject::new();
+        for (section, halves) in [
+            (
+                "echo",
+                [
+                    ("single", echo_map(&self.echo_single)),
+                    ("mve", echo_map(&self.echo_mve)),
+                ],
+            ),
+            (
+                "bulk_mbps",
+                [
+                    ("single", size_map(&self.bulk_single)),
+                    ("mve", size_map(&self.bulk_mve)),
+                ],
+            ),
+            (
+                "stream_mbps",
+                [
+                    ("legacy", size_map(&self.stream_legacy)),
+                    ("shared", size_map(&self.stream_shared)),
+                ],
+            ),
+        ] {
+            let mut object = JsonObject::new();
+            for (half, map) in halves {
+                object.field_raw(half, &map);
+            }
+            results.field_raw(section, &object.finish());
         }
-        let gate_body: Vec<String> = self
-            .gate_metrics()
-            .iter()
-            .map(|(k, v)| format!("    \"{k}\": {v:.2}"))
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"vos_bench\",\n  \"mode\": \"{mode}\",\n  \
-             \"note\": \"legacy = reconstructed pre-rewrite per-byte stream + Vec record clones; \
-             shared = Buf chunk-queue data plane; speedups are stream-level at equal workloads\",\n  \
-             \"results\": {{\n    \"echo\": {{\"single\": {}, \"mve\": {}}},\n    \
-             \"bulk_mbps\": {{\"single\": {}, \"mve\": {}}},\n    \
-             \"stream_mbps\": {{\"legacy\": {}, \"shared\": {}}}\n  }},\n  \
-             \"gate\": {{\n{}\n  }}\n}}\n",
-            echo_map(&self.echo_single),
-            echo_map(&self.echo_mve),
-            size_map(&self.bulk_single),
-            size_map(&self.bulk_mve),
-            size_map(&self.stream_legacy),
-            size_map(&self.stream_shared),
-            gate_body.join(",\n"),
-        )
+        let mut gate = JsonObject::new();
+        for (key, measured, _) in self.gate_metrics() {
+            gate.field_f64(&key, measured);
+        }
+        let mut report = JsonObject::new();
+        report
+            .field_str("bench", "vos_bench")
+            .field_str("mode", mode)
+            .field_str(
+                "note",
+                "legacy = reconstructed pre-rewrite per-byte stream + Vec record clones; \
+                 shared = Buf chunk-queue data plane; speedups are stream-level at equal workloads",
+            )
+            .field_raw("results", &results.finish())
+            .field_raw("gate", &gate.finish());
+        report.finish()
     }
-}
-
-/// Extracts `"key": <number>` from the `"gate"` object of a previously
-/// emitted report — enough to gate CI without a JSON dependency.
-fn baseline_metric(json: &str, key: &str) -> Option<f64> {
-    let scope = json.split("\"gate\"").nth(1)?;
-    let scope = &scope[..scope.find('}')?];
-    let tail = scope.split(&format!("\"{key}\"")).nth(1)?;
-    let tail = tail.trim_start().strip_prefix(':')?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }
 
 /// The ≥2× floor the rewrite must clear at 4 KiB and above, re-checked
@@ -450,34 +458,8 @@ fn baseline_metric(json: &str, key: &str) -> Option<f64> {
 const SPEEDUP_FLOOR: f64 = 2.0;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut params = &FULL;
-    let mut out_path = String::from("BENCH_vos.json");
-    let mut check_path: Option<String> = None;
-    let mut min_ratio = 0.8f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => params = &QUICK,
-            "--out" => out_path = it.next().expect("--out PATH").clone(),
-            "--check" => check_path = Some(it.next().expect("--check BASELINE").clone()),
-            "--min-ratio" => {
-                min_ratio = it
-                    .next()
-                    .expect("--min-ratio R")
-                    .parse()
-                    .expect("ratio must be a number")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: vos_bench [--quick] [--out PATH] [--check BASELINE [--min-ratio R]]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = BenchArgs::from_env("vos_bench", "BENCH_vos.json");
+    let params = if args.quick { &QUICK } else { &FULL };
     eprintln!("vos_bench: mode={}", params.name);
     let mut port = 9300u16;
     let mut next_port = || {
@@ -521,56 +503,17 @@ fn main() {
         report.stream_shared.push((size, shared));
     }
 
-    let json = report.emit_json(params.name);
-    std::fs::write(&out_path, &json).expect("write report");
-    eprintln!("  wrote {out_path}");
-
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let mut failed = false;
-        for (key, measured) in report.gate_metrics() {
-            if key.starts_with("speedup_vs_legacy") {
-                let verdict = if measured < SPEEDUP_FLOOR {
-                    failed = true;
-                    "BELOW FLOOR"
-                } else {
-                    "ok"
-                };
-                eprintln!(
-                    "  gate {key}: measured {measured:.2}x vs floor {SPEEDUP_FLOOR:.1}x .. {verdict}"
-                );
-                continue;
-            }
-            let base = baseline_metric(&baseline, &key)
-                .unwrap_or_else(|| panic!("baseline {path} lacks gate.{key}"));
-            let floor = base * min_ratio;
-            let verdict = if measured < floor {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            eprintln!(
-                "  gate {key}: measured {measured:.2} vs baseline {base:.2} (floor {floor:.2}) .. {verdict}"
-            );
-        }
-        if failed {
-            eprintln!(
-                "vos_bench: regressed >{:.0}% below baseline or under the {SPEEDUP_FLOOR:.1}x legacy floor",
-                (1.0 - min_ratio) * 100.0
-            );
-            std::process::exit(1);
-        }
-    }
+    args.write_report(&report.emit_json(params.name));
+    args.gate("vos_bench", "gate", &report.gate_metrics());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bench_support::gate::baseline_metric;
 
     #[test]
-    fn baseline_metric_reads_gate_scope() {
+    fn report_reads_back_through_the_baseline_reader() {
         let report = Report {
             echo_single: vec![(
                 64,
@@ -594,19 +537,24 @@ mod tests {
             stream_shared: vec![(4096, 900.0), (65536, 2500.0)],
         };
         let json = report.emit_json("quick");
-        assert_eq!(
-            baseline_metric(&json, "bulk_single_mbps_4096"),
-            Some(1000.0)
-        );
-        assert_eq!(
-            baseline_metric(&json, "stream_shared_mbps_4096"),
-            Some(900.0)
-        );
+        let read = |key| baseline_metric(&json, "gate", key);
+        assert_eq!(read("bulk_single_mbps_4096"), Some(1000.0));
+        assert_eq!(read("stream_shared_mbps_4096"), Some(900.0));
         // 64 KiB throughput is deliberately ungated (too noisy in quick
         // mode); only its speedup floor is.
-        assert_eq!(baseline_metric(&json, "stream_shared_mbps_65536"), None);
-        assert_eq!(baseline_metric(&json, "speedup_vs_legacy_4096"), Some(3.0));
-        assert_eq!(baseline_metric(&json, "speedup_vs_legacy_65536"), Some(5.0));
-        assert_eq!(baseline_metric(&json, "missing"), None);
+        assert_eq!(read("stream_shared_mbps_65536"), None);
+        assert_eq!(read("speedup_vs_legacy_4096"), Some(3.0));
+        assert_eq!(read("speedup_vs_legacy_65536"), Some(5.0));
+        assert_eq!(read("missing"), None);
+        let floors: Vec<Floor> = report.gate_metrics().iter().map(|g| g.2).collect();
+        assert_eq!(
+            floors,
+            [
+                Floor::Baseline,
+                Floor::Baseline,
+                Floor::Absolute(SPEEDUP_FLOOR),
+                Floor::Absolute(SPEEDUP_FLOOR)
+            ]
+        );
     }
 }

@@ -26,6 +26,8 @@ use servers::{memcached, redis, vsftpd};
 use vos::VirtualKernel;
 use workload::{run_ftp, run_kv, FtpConfig, KvConfig, KvFlavor, WorkloadReport};
 
+pub mod gate;
+
 /// Which evaluation server/workload a cell uses (Table 2's columns).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Server {
@@ -297,7 +299,7 @@ pub fn run_cell(server: Server, mode: Mode, opts: &BenchOpts) -> WorkloadReport 
             report
         }
         Mode::Mvedsua1 => {
-            let session = Mvedsua::launch(
+            let session = Mvedsua::launch_observed(
                 s.kernel.clone(),
                 s.registry,
                 s.initial,
@@ -305,6 +307,7 @@ pub fn run_cell(server: Server, mode: Mode, opts: &BenchOpts) -> WorkloadReport 
                     ring_capacity: opts.ring_capacity,
                     ..MvedsuaConfig::default()
                 },
+                obs::Obs::disabled(),
             )
             .expect("launch");
             let report = drive(server, s.kernel, opts);
@@ -315,7 +318,7 @@ pub fn run_cell(server: Server, mode: Mode, opts: &BenchOpts) -> WorkloadReport 
         Mode::Muc => run_pair(s, server, Some(LockstepMode::Muc), opts),
         Mode::Mx => run_pair(s, server, Some(LockstepMode::Mx), opts),
         Mode::Mvedsua2 => {
-            let session = Mvedsua::launch(
+            let session = Mvedsua::launch_observed(
                 s.kernel.clone(),
                 s.registry,
                 s.initial,
@@ -323,6 +326,7 @@ pub fn run_cell(server: Server, mode: Mode, opts: &BenchOpts) -> WorkloadReport 
                     ring_capacity: opts.ring_capacity,
                     ..MvedsuaConfig::default()
                 },
+                obs::Obs::disabled(),
             )
             .expect("launch");
             session

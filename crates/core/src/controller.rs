@@ -93,24 +93,11 @@ pub struct Mvedsua {
 }
 
 impl Mvedsua {
-    /// Boots `initial` in single-leader mode and starts serving.
-    ///
-    /// # Errors
-    /// [`MvedsuaError::Dsu`] if the version is not in the registry.
-    pub fn launch(
-        kernel: Arc<VirtualKernel>,
-        registry: Arc<VersionRegistry>,
-        initial: Version,
-        config: MvedsuaConfig,
-    ) -> Result<Mvedsua, MvedsuaError> {
-        Mvedsua::launch_observed(kernel, registry, initial, config, Obs::disabled())
-    }
-
-    /// [`Mvedsua::launch`] with a flight-recorder handle threaded into
-    /// every layer: variant syscall interposition, ring crossings,
-    /// transformer runs, and the session timeline (mirrored into the
-    /// recorder's session lane). Pass [`Obs::disabled`] for the exact
-    /// behavior (and cost) of `launch`.
+    /// Boots `initial` in single-leader mode and starts serving, with a
+    /// flight-recorder handle threaded into every layer: variant syscall
+    /// interposition, ring crossings, transformer runs, and the session
+    /// timeline (mirrored into the recorder's session lane). Pass
+    /// [`Obs::disabled`] to run without a recorder, at no cost.
     ///
     /// # Errors
     /// [`MvedsuaError::Dsu`] if the version is not in the registry.
@@ -200,8 +187,8 @@ impl Mvedsua {
             .map(|a| a.ring_a.stats())
     }
 
-    /// The session's flight-recorder handle (disabled unless launched
-    /// via [`Mvedsua::launch_observed`]).
+    /// The session's flight-recorder handle (the one passed to
+    /// [`Mvedsua::launch_observed`]).
     pub fn obs(&self) -> Obs {
         self.shared.obs.clone()
     }
@@ -719,15 +706,22 @@ mod tests {
         Arc::new(r)
     }
 
+    /// Launches version 1.0 of `registry` on a fresh kernel, with no
+    /// recorder.
+    fn boot(registry: Arc<VersionRegistry>, config: MvedsuaConfig) -> Mvedsua {
+        Mvedsua::launch_observed(
+            VirtualKernel::new(),
+            registry,
+            dsu::v("1.0"),
+            config,
+            Obs::disabled(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn full_lifecycle_update_promote_finalize() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(None), MvedsuaConfig::default());
         assert_eq!(session.stage(), Stage::SingleLeader);
         assert_eq!(session.active_version(), dsu::v("1.0"));
 
@@ -829,13 +823,7 @@ mod tests {
 
     #[test]
     fn unobserved_metrics_report_recorder_disabled() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(None), MvedsuaConfig::default());
         let metrics = session.metrics();
         assert_eq!(metrics.counter("obs.enabled"), 0);
         assert_eq!(metrics.counter("updates.forked"), 0);
@@ -844,13 +832,7 @@ mod tests {
 
     #[test]
     fn operator_rollback_reverts_to_old_version() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(None), MvedsuaConfig::default());
         session
             .update_monitored(UpdatePackage::new(dsu::v("2.0")), Duration::from_millis(50))
             .unwrap();
@@ -869,13 +851,7 @@ mod tests {
     #[test]
     fn follower_crash_rolls_back_automatically() {
         // v2 crashes shortly after it starts replaying.
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(Some(20)),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(Some(20)), MvedsuaConfig::default());
         let err = session
             .update_monitored(UpdatePackage::new(dsu::v("2.0")), Duration::from_secs(5))
             .unwrap_err();
@@ -895,13 +871,7 @@ mod tests {
 
     #[test]
     fn failed_transformer_rolls_back_before_new_version_runs() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(None), MvedsuaConfig::default());
         let package =
             UpdatePackage::new(dsu::v("2.0"))
                 .with_transformer(Arc::new(dsu::FnTransformer::new("always fails", |_| {
@@ -920,13 +890,7 @@ mod tests {
 
     #[test]
     fn wrong_stage_operations_are_rejected() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(None), MvedsuaConfig::default());
         assert!(matches!(
             session.promote().unwrap_err(),
             MvedsuaError::WrongStage { .. }
@@ -954,13 +918,7 @@ mod tests {
 
     #[test]
     fn rulecheck_gate_rejects_bad_rules_before_the_fork() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(None), MvedsuaConfig::default());
         // `frobnicate` is not in the syscall vocabulary and `undefined`
         // is not bound by any pattern — two error-severity findings in a
         // program that parses fine.
@@ -987,16 +945,13 @@ mod tests {
 
     #[test]
     fn rulecheck_gate_can_be_disabled() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
+        let session = boot(
             registry(None),
-            dsu::v("1.0"),
             MvedsuaConfig {
                 lint_rules: false,
                 ..MvedsuaConfig::default()
             },
-        )
-        .unwrap();
+        );
         // Same planted rule as above: parseable, so with the gate off it
         // sails through (the unknown event simply never matches).
         let bad = "rule planted { on frobnicate(x) => write(x, undefined, 1) }";
@@ -1011,16 +966,13 @@ mod tests {
 
     #[test]
     fn rulecheck_gate_rejects_windows_wider_than_the_ring() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
+        let session = boot(
             registry(None),
-            dsu::v("1.0"),
             MvedsuaConfig {
                 ring_capacity: 2,
                 ..MvedsuaConfig::default()
             },
-        )
-        .unwrap();
+        );
         // Three-event window against a two-record ring: the matcher
         // could never hold a candidate match.
         let wide = "rule wide { on read(a, b, c), read(d, e, f2), read(g, h, i) => nothing }";
@@ -1054,13 +1006,7 @@ mod tests {
             |_| Err(UpdateError::StateTypeMismatch),
         ));
         r.register_update(UpdateSpec::new("1.0", "2.0", Arc::new(IdentityTransformer)));
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            Arc::new(r),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(Arc::new(r), MvedsuaConfig::default());
         let err = session
             .request_update(UpdatePackage::new(dsu::v("2.0")))
             .unwrap_err();
@@ -1080,13 +1026,7 @@ mod tests {
         // whole version graph; deployment is refused until it is fixed.
         let mut r = (*registry(None)).clone();
         r.register_update(UpdateSpec::new("2.0", "9.9", Arc::new(IdentityTransformer)));
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            Arc::new(r),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(Arc::new(r), MvedsuaConfig::default());
         let err = session
             .request_update(UpdatePackage::new(dsu::v("2.0")))
             .unwrap_err();
@@ -1101,13 +1041,7 @@ mod tests {
 
     #[test]
     fn second_update_while_monitoring_is_rejected() {
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(registry(None), MvedsuaConfig::default());
         session
             .update_monitored(UpdatePackage::new(dsu::v("2.0")), Duration::from_millis(50))
             .unwrap();
@@ -1160,13 +1094,7 @@ mod tests {
             },
         ));
         r.register_update(UpdateSpec::new("1.0", "1.0", Arc::new(IdentityTransformer)));
-        let session = Mvedsua::launch(
-            VirtualKernel::new(),
-            Arc::new(r),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-        )
-        .unwrap();
+        let session = boot(Arc::new(r), MvedsuaConfig::default());
         let package = UpdatePackage::new(dsu::v("1.0")).with_max_quiesce_attempts(5);
         let err = session
             .update_monitored(package, Duration::from_secs(5))
@@ -1186,8 +1114,7 @@ mod tests {
             monitor_after_promote: false,
             ..MvedsuaConfig::default()
         };
-        let session =
-            Mvedsua::launch(VirtualKernel::new(), registry(None), dsu::v("1.0"), config).unwrap();
+        let session = boot(registry(None), config);
         session
             .update_monitored(UpdatePackage::new(dsu::v("2.0")), Duration::from_millis(50))
             .unwrap();

@@ -9,8 +9,9 @@
 //!   ── t5 updated leader ── t6 retire ── single leader ──
 //! ```
 //!
-//! * [`Mvedsua::launch`] boots a DSU-ready application (any
-//!   [`dsu::DsuApp`]) in single-leader mode on a virtual kernel.
+//! * [`Mvedsua::launch_observed`] boots a DSU-ready application (any
+//!   [`dsu::DsuApp`]) in single-leader mode on a virtual kernel, with
+//!   a flight recorder or [`obs::Obs::disabled`].
 //! * [`Mvedsua::request_update`] *forks* the leader at a quiescent
 //!   update point (a deep state snapshot standing in for `fork(2)`),
 //!   then applies the dynamic update **on the follower** while the
@@ -36,11 +37,12 @@
 //! # fn registry() -> std::sync::Arc<dsu::VersionRegistry> { unimplemented!() }
 //! # fn main() -> Result<(), mvedsua::MvedsuaError> {
 //! let kernel = vos::VirtualKernel::new();
-//! let session = Mvedsua::launch(
+//! let session = Mvedsua::launch_observed(
 //!     kernel,
 //!     registry(),
 //!     dsu::v("1.0"),
 //!     MvedsuaConfig::default(),
+//!     obs::Obs::disabled(),
 //! )?;
 //! session.request_update(UpdatePackage::new(dsu::v("2.0")))?;
 //! // ... traffic flows, both versions agree ...

@@ -575,7 +575,7 @@ impl<'a> Run<'a> {
                 let violations = self
                     .violations
                     .iter()
-                    .map(|v| format!("\"{}\"", obs::json_escape(v)))
+                    .map(|v| format!("\"{}\"", obs::json::escape(v)))
                     .collect::<Vec<_>>()
                     .join(",");
                 let json = format!(

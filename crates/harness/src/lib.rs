@@ -31,12 +31,10 @@ pub mod engine;
 pub mod lint;
 pub mod model;
 pub mod plan;
-pub mod rng;
 pub mod scenarios;
 pub mod trace;
 
 pub use engine::{run_plan, run_seed, RunOptions, RunReport};
 pub use model::{CanonReply, Model};
 pub use plan::{Backend, ClientOp, Perturbations, ScenarioPlan, Special, Step, UpdateDecision};
-pub use rng::ScenarioRng;
 pub use trace::{assert_seed_clean, failure_report, minimize};

@@ -124,38 +124,14 @@ impl LintReport {
 
     /// Machine-readable report: one JSON object per target.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, (name, ds)) in self.results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"target\":{},\"diagnostics\":{}}}",
-                json_string(name),
-                ds.to_json()
-            ));
-        }
-        out.push(']');
-        out
+        obs::json::array(self.results.iter().map(|(name, ds)| {
+            let mut target = obs::json::JsonObject::new();
+            target
+                .field_str("target", name)
+                .field_raw("diagnostics", &ds.to_json());
+            target.finish()
+        }))
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use dsu::{FaultPlan, Version, XformFault};
 
-use crate::rng::ScenarioRng;
+use workload::SplitMix64;
 
 /// Which paper server family the scenario drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,7 +175,7 @@ pub const SENTINEL_VALUE: &str = "42";
 impl ScenarioPlan {
     /// Samples the scenario for `seed`.
     pub fn from_seed(seed: u64) -> Self {
-        let mut rng = ScenarioRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let backend = match rng.below(10) {
             0..=3 => Backend::Kvstore,
             4..=6 => Backend::Redis,
@@ -244,7 +244,7 @@ impl ScenarioPlan {
     }
 }
 
-fn sample_perturbations(rng: &mut ScenarioRng) -> Perturbations {
+fn sample_perturbations(rng: &mut SplitMix64) -> Perturbations {
     let mut p = Perturbations::none();
     if rng.chance(1, 3) {
         p.epoll_delay = Some((rng.range(2, 8), rng.range(20_000, 200_000)));
@@ -264,7 +264,7 @@ fn sample_perturbations(rng: &mut ScenarioRng) -> Perturbations {
 /// Samples the update's fault. `skip_ephemeral_reset` is deliberately
 /// never sampled: its divergence depends on a real dispatch-order race
 /// (§5.3), which would break trace determinism.
-fn sample_fault(rng: &mut ScenarioRng, backend: Backend) -> FaultPlan {
+fn sample_fault(rng: &mut SplitMix64, backend: Backend) -> FaultPlan {
     if !rng.chance(1, 3) {
         return FaultPlan::none();
     }
@@ -293,7 +293,7 @@ fn sample_fault(rng: &mut ScenarioRng, backend: Backend) -> FaultPlan {
 
 fn push_ops(
     steps: &mut Vec<Step>,
-    rng: &mut ScenarioRng,
+    rng: &mut SplitMix64,
     backend: Backend,
     counter: &mut u64,
     lo: u64,
@@ -305,7 +305,7 @@ fn push_ops(
     }
 }
 
-fn sample_op(rng: &mut ScenarioRng, backend: Backend, counter: &mut u64) -> ClientOp {
+fn sample_op(rng: &mut SplitMix64, backend: Backend, counter: &mut u64) -> ClientOp {
     let key = format!("k{}", rng.below(6));
     match backend {
         Backend::Vsftpd => {

@@ -1,10 +1,10 @@
 //! Minimal hand-rolled JSON emission.
 //!
-//! The workspace vendors no JSON crate, and the existing precedent
-//! (`ring_bench`'s `emit_json`) hand-writes its output. This module
-//! centralizes escaping and object/array assembly so every exporter in
-//! the observability layer produces byte-identical, canonically-ordered
-//! output (insertion order, no whitespace).
+//! The workspace vendors no JSON crate. This module centralizes
+//! escaping and object/array assembly so every exporter — the
+//! observability layer, `harness lint` and the bench reports — produces
+//! byte-identical, canonically-ordered output (insertion order, no
+//! whitespace).
 
 /// Escape a string for inclusion in a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -62,6 +62,15 @@ impl JsonObject {
         self
     }
 
+    /// A float with three decimals; a non-finite value, which JSON has
+    /// no number for, becomes `null`.
+    pub fn field_f64(&mut self, key: &str, value: f64) -> &mut Self {
+        if !value.is_finite() {
+            return self.field_raw(key, "null");
+        }
+        self.field_raw(key, &format!("{value:.3}"))
+    }
+
     pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
         self.sep();
         self.buf.push_str(&format!("\"{}\":{}", escape(key), value));
@@ -112,9 +121,11 @@ mod tests {
         obj.field_u64("n", 7);
         obj.field_bool("ok", true);
         obj.field_raw("list", &array(["1".into(), "2".into()]));
+        obj.field_f64("x", 2.0 / 3.0);
+        obj.field_f64("inf", f64::INFINITY);
         assert_eq!(
             obj.finish(),
-            "{\"name\":\"x\\\"y\",\"n\":7,\"ok\":true,\"list\":[1,2]}"
+            "{\"name\":\"x\\\"y\",\"n\":7,\"ok\":true,\"list\":[1,2],\"x\":0.667,\"inf\":null}"
         );
     }
 }

@@ -47,7 +47,7 @@
 //! numbers — two replays of the same seed produce byte-identical dumps.
 
 mod event;
-mod json;
+pub mod json;
 mod metrics;
 mod recorder;
 mod time;
@@ -56,5 +56,3 @@ pub use event::{ObsEvent, ObsKind};
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry};
 pub use recorder::{DivergencePoint, FlightRecorder, Forensics, Obs, VariantDump, SESSION_LANE};
 pub use time::{ManualClock, TimeSource, WallClock};
-
-pub use json::escape as json_escape;

@@ -15,7 +15,7 @@
 //! * Each end holds a busy flag for the length of a call, so there is
 //!   at most one producer call and one consumer call at a time.
 //!
-//! Blocking (`push` on full, `pop` and `peek` on empty, `wait_empty`)
+//! Blocking (`push` on full, `pop` on empty, `wait_empty`)
 //! escalates spin → yield → park via [`crate::wait`]. `pop_batch` on an
 //! empty ring parks at once behind a doorbell: it publishes a wake mark
 //! and the producer wakes it only when occupancy reaches the mark, on
@@ -100,10 +100,10 @@ struct ConsumerSide {
 /// consumer.
 ///
 /// See the [crate docs](crate) for the role it plays in MVE. `Ring` is
-/// `Sync`; share it as `Arc<Ring<T>>`. `push`, `push_tagged`,
-/// `try_push` and `push_batch` form the producer end; `pop`,
-/// `pop_batch` and `peek` the consumer end. Each end may move between
-/// threads, but calling one end from two threads at once panics.
+/// `Sync`; share it as `Arc<Ring<T>>`. `push` and `push_batch` form
+/// the producer end; `pop` and `pop_batch` the consumer end. Each end
+/// may move between threads, but calling one end from two threads at
+/// once panics.
 /// `close`, `poison`, `len`, `stats` and `wait_empty` may be called
 /// from any thread.
 pub struct Ring<T> {
@@ -130,9 +130,9 @@ pub struct Ring<T> {
 }
 
 // SAFETY: records are written on the producer's thread and moved out
-// (or, for `peek`, cloned) on the consumer's; the busy flags and the
-// head/tail handoff give every slot one accessor at a time, so `T: Send`
-// is enough. Every other field is an atomic, a `WaitSet` or a `Mutex`.
+// on the consumer's; the busy flags and the head/tail handoff give every
+// slot one accessor at a time, so `T: Send` is enough. Every other field
+// is an atomic, a `WaitSet` or a `Mutex`.
 unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
@@ -238,9 +238,9 @@ impl<T> Ring<T> {
         tail + n - head <= cap
     }
 
-    /// Waits (when `block`) until `n` records fit and returns the
-    /// position to write them at.
-    fn reserve(&self, n: u64, block: bool) -> Result<u64, RingError> {
+    /// Waits until `n` records fit and returns the position to write
+    /// them at.
+    fn reserve(&self, n: u64) -> Result<u64, RingError> {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let mut backoff = Backoff::new();
         let mut rang = false;
@@ -255,9 +255,6 @@ impl<T> Ring<T> {
             }
             if self.has_room(tail, n) {
                 return Ok(tail);
-            }
-            if !block {
-                return Err(RingError::TimedOut);
             }
             let producer = &self.producer.0;
             producer.stalls.fetch_add(1, Ordering::Relaxed);
@@ -336,36 +333,13 @@ impl<T> Ring<T> {
     /// # Panics
     /// If another producer call is in progress on another thread.
     pub fn push(&self, item: T) -> Result<(), RingError> {
-        self.push_tagged(item).map(|_| ())
-    }
-
-    /// Appends a record, blocking while the ring is full, and returns
-    /// the record's stream position (0-based, never reused). The
-    /// observability layer tags flight-recorder events with it so
-    /// leader and follower dumps can be aligned record-for-record.
-    ///
-    /// # Errors
-    /// As [`Ring::push`].
-    pub fn push_tagged(&self, item: T) -> Result<u64, RingError> {
-        self.push_one(item, true, "push")
-    }
-
-    /// Appends a record if there is room, without blocking.
-    ///
-    /// # Errors
-    /// Also [`RingError::TimedOut`] when the ring is full.
-    pub fn try_push(&self, item: T) -> Result<(), RingError> {
-        self.push_one(item, false, "try_push").map(|_| ())
-    }
-
-    fn push_one(&self, item: T, block: bool, call: &str) -> Result<u64, RingError> {
-        let _end = EndGuard::enter(&self.producer.0.busy, "producer", call);
-        let position = self.reserve(1, block)?;
+        let _end = EndGuard::enter(&self.producer.0.busy, "producer", "push");
+        let position = self.reserve(1)?;
         // SAFETY: we hold the producer end and `reserve` found room, so
         // the slot lies outside `[head, tail)`: empty and ours.
         unsafe { (*self.slot(position)).write(item) };
         self.publish(position + 1);
-        Ok(position)
+        Ok(())
     }
 
     /// Appends a batch of records, blocking while the ring is full.
@@ -385,9 +359,9 @@ impl<T> Ring<T> {
             if chunk == 0 {
                 return Ok(());
             }
-            let position = self.reserve(chunk, true)?;
+            let position = self.reserve(chunk)?;
             for (i, item) in (0..chunk).zip(queue.by_ref()) {
-                // SAFETY: as in `push_one`, for each slot of the chunk.
+                // SAFETY: as in `push`, for each slot of the chunk.
                 unsafe { (*self.slot(position + i)).write(item) };
             }
             self.publish(position + chunk);
@@ -440,11 +414,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// True once [`Ring::poison`] has been called.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
     /// Advances the chaos stall schedule by `count` pop-call indices in
     /// one counter update and sleeps once per scheduled index in the
     /// window, so batched draining consumes exactly the indices that
@@ -474,17 +443,16 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Blocks until at least `n` records are published past `head` and
-    /// returns `(head, tail)`. Called with the consumer end held, so
-    /// `head` cannot move underneath.
+    /// Blocks until a record is published past `head` and returns
+    /// `(head, tail)`. Called with the consumer end held, so `head`
+    /// cannot move underneath.
     ///
     /// With `doorbell = None` the wait spins, yields, then parks, and any
-    /// publish that makes `n` records available wakes it. With
-    /// `Some(mark)` it parks at once and sleeps until `mark` records are
-    /// published, a kick covers a record, or the ring dies.
+    /// publish wakes it. With `Some(mark)` it parks at once and sleeps
+    /// until `mark` records are published, a kick covers a record, or
+    /// the ring dies.
     fn published(
         &self,
-        n: u64,
         timeout: Option<Duration>,
         doorbell: Option<u64>,
     ) -> Result<(u64, u64), RingError> {
@@ -499,25 +467,25 @@ impl<T> Ring<T> {
                 return Err(RingError::Poisoned);
             }
             let tail = cached.load(Ordering::Relaxed);
-            if tail - head >= n {
+            if tail > head {
                 return Ok((head, tail));
             }
             let tail = self.tail.0.load(Ordering::Acquire);
             cached.store(tail, Ordering::Relaxed);
-            if tail - head >= n {
+            if tail > head {
                 return Ok((head, tail));
             }
-            // Closed and short. A push that passed its closed check
+            // Closed and empty. A push that passed its closed check
             // before `close` holds the producer end until it publishes,
             // so trust `tail` only once that end is idle (SeqCst pairs
             // with `close` and with the producer's closed check).
             if self.closed.load(Ordering::SeqCst)
                 && !self.producer.0.busy.load(Ordering::SeqCst)
-                && self.tail.0.load(Ordering::SeqCst) - head < n
+                && self.tail.0.load(Ordering::SeqCst) == head
             {
                 return Err(RingError::Closed);
             }
-            let wake_at = head.saturating_add(doorbell.unwrap_or(n));
+            let wake_at = head + doorbell.unwrap_or(1);
             if !marked {
                 // Published before registering as a waiter (see
                 // `WaitSet::notify_if`); `head` is fixed for this call.
@@ -560,7 +528,7 @@ impl<T> Ring<T> {
     pub fn pop(&self, timeout: Option<Duration>) -> Result<T, RingError> {
         let _end = EndGuard::enter(&self.consumer.0.busy, "consumer", "pop");
         self.apply_pop_stall(1);
-        let (head, _) = self.published(1, timeout, None)?;
+        let (head, _) = self.published(timeout, None)?;
         // SAFETY: we hold the consumer end and `head < tail`, so the slot
         // holds a published record that is ours until `release`.
         let item = unsafe { (*self.slot(head)).assume_init_read() };
@@ -589,7 +557,7 @@ impl<T> Ring<T> {
         }
         self.apply_pop_stall(1);
         let mark = max.min(self.capacity) as u64;
-        let (head, tail) = self.published(1, timeout, Some(mark))?;
+        let (head, tail) = self.published(timeout, Some(mark))?;
         let run = (tail - head).min(max as u64);
         // SAFETY: as in `pop`, for every position below `tail`.
         let out = (head..head + run)
@@ -600,25 +568,6 @@ impl<T> Ring<T> {
         // (the first was consumed on entry).
         self.apply_pop_stall(run - 1);
         Ok(out)
-    }
-
-    /// Returns a clone of the record at offset `index` from the front,
-    /// blocking until the ring holds at least `index + 1` records.
-    ///
-    /// Rewrite rules that match multi-call patterns (e.g. Figure 5's
-    /// `read(...), write(...)` pair) peek ahead before consuming.
-    ///
-    /// # Errors
-    /// Same conditions as [`Ring::pop`]; `Closed` here means the ring
-    /// closed before enough records arrived.
-    pub fn peek(&self, index: usize, timeout: Option<Duration>) -> Result<T, RingError>
-    where
-        T: Clone,
-    {
-        let _end = EndGuard::enter(&self.consumer.0.busy, "consumer", "peek");
-        let (head, _) = self.published((index as u64).saturating_add(1), timeout, None)?;
-        // SAFETY: as in `pop`; the record stays in place.
-        Ok(unsafe { (*self.slot(head + index as u64)).assume_init_ref() }.clone())
     }
 }
 
@@ -669,13 +618,16 @@ mod tests {
     #[test]
     fn capacity_is_logical_not_slot_count() {
         // Capacity 3 rounds up to 4 slots but must still block at 3.
-        let r = Ring::with_capacity(3);
-        r.push(1u32).unwrap();
-        r.push(2).unwrap();
-        r.push(3).unwrap();
-        assert_eq!(r.try_push(4).unwrap_err(), RingError::TimedOut);
+        let r = Arc::new(Ring::with_capacity(3));
+        r.push_batch([1u32, 2, 3]).unwrap();
+        let r2 = r.clone();
+        let t = thread::spawn(move || r2.push(4));
+        while r.stats().producer_stalls == 0 {
+            thread::yield_now();
+        }
+        assert_eq!(r.len(), 3, "the fourth push is blocked");
         assert_eq!(r.pop(None).unwrap(), 1);
-        r.try_push(4).unwrap();
+        t.join().unwrap().unwrap();
         assert_eq!(r.len(), 3);
     }
 
@@ -694,13 +646,6 @@ mod tests {
         assert_eq!(r.pop(None).unwrap(), 2);
         assert!(r.stats().producer_stalls >= 1);
         assert!(r.stats().producer_stall_nanos > 0);
-    }
-
-    #[test]
-    fn try_push_full_times_out() {
-        let r = Ring::with_capacity(1);
-        r.try_push(1).unwrap();
-        assert_eq!(r.try_push(2).unwrap_err(), RingError::TimedOut);
     }
 
     #[test]
@@ -754,50 +699,7 @@ mod tests {
         r.poison();
         assert_eq!(t.join().unwrap().unwrap_err(), RingError::Poisoned);
         assert_eq!(r.pop(None).unwrap_err(), RingError::Poisoned);
-        assert!(r.is_poisoned());
         assert_eq!(r.len(), 0);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let r = Ring::with_capacity(4);
-        r.push("a").unwrap();
-        r.push("b").unwrap();
-        assert_eq!(r.peek(0, None).unwrap(), "a");
-        assert_eq!(r.peek(1, None).unwrap(), "b");
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.pop(None).unwrap(), "a");
-    }
-
-    #[test]
-    fn peek_blocks_for_depth() {
-        let r = Arc::new(Ring::with_capacity(4));
-        r.push(1u32).unwrap();
-        let r2 = r.clone();
-        let t = thread::spawn(move || r2.peek(1, None).unwrap());
-        thread::sleep(Duration::from_millis(20));
-        r.push(2).unwrap();
-        assert_eq!(t.join().unwrap(), 2);
-    }
-
-    #[test]
-    fn peek_closed_before_depth_errors() {
-        let r = Ring::with_capacity(4);
-        r.push(1u32).unwrap();
-        r.close();
-        assert_eq!(r.peek(0, None).unwrap(), 1);
-        assert_eq!(r.peek(1, None).unwrap_err(), RingError::Closed);
-    }
-
-    #[test]
-    fn peek_past_any_capacity_waits_instead_of_reading() {
-        let r = Ring::with_capacity(2);
-        r.push(1u32).unwrap();
-        let short = Some(Duration::from_millis(1));
-        assert_eq!(r.peek(usize::MAX, short).unwrap_err(), RingError::TimedOut);
-        r.close();
-        assert_eq!(r.peek(usize::MAX, None).unwrap_err(), RingError::Closed);
-        assert_eq!(r.pop(None).unwrap(), 1);
     }
 
     #[test]

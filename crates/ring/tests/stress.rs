@@ -265,21 +265,18 @@ fn panic_message(call: impl FnOnce() + Send + 'static) -> Option<String> {
     )
 }
 
-/// The ring has one consumer: a second thread calling `pop`,
-/// `pop_batch` or `peek` while another consumer call is blocked
-/// panics instead of racing it, and the blocked call still completes.
+/// The ring has one consumer: a second thread calling `pop` or
+/// `pop_batch` while another consumer call is blocked panics instead
+/// of racing it, and the blocked call still completes.
 #[test]
 fn second_consumer_call_panics_while_one_is_blocked() {
     type Call = fn(&Ring<u64>);
-    let calls: [(&str, Call); 3] = [
+    let calls: [(&str, Call); 2] = [
         ("pop", |r| {
             let _ = r.pop(Some(Duration::ZERO));
         }),
         ("pop_batch", |r| {
             let _ = r.pop_batch(4, Some(Duration::ZERO));
-        }),
-        ("peek", |r| {
-            let _ = r.peek(0, Some(Duration::ZERO));
         }),
     ];
     let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(4));
@@ -319,15 +316,9 @@ fn second_consumer_call_panics_while_one_is_blocked() {
 #[test]
 fn second_producer_call_panics_while_one_is_blocked() {
     type Call = fn(&Ring<u64>);
-    let calls: [(&str, Call); 4] = [
+    let calls: [(&str, Call); 2] = [
         ("push", |r| {
             let _ = r.push(9);
-        }),
-        ("push", |r| {
-            let _ = r.push_tagged(9);
-        }),
-        ("try_push", |r| {
-            let _ = r.try_push(9);
         }),
         ("push_batch", |r| {
             let _ = r.push_batch([9]);
@@ -359,32 +350,33 @@ fn second_producer_call_panics_while_one_is_blocked() {
 
 /// `close` and `poison` are not tied to either end: called from a third
 /// thread, each wakes a producer blocked on a full ring and a consumer
-/// blocked on a `peek` past the end at the same time.
+/// blocked on an empty one.
 #[test]
 fn close_and_poison_from_a_third_thread_wake_both_ends() {
     for (poison, expected) in [(false, RingError::Closed), (true, RingError::Poisoned)] {
         for _ in 0..20 {
-            let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
-            r.push(0).unwrap();
+            let full: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
+            full.push(0).unwrap();
             let producer = {
-                let r = r.clone();
+                let r = full.clone();
                 thread::spawn(move || r.push(1))
             };
-            // Capacity 1 can never hold two records: this peek blocks
-            // until the ring dies.
+            let empty: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
             let consumer = {
-                let r = r.clone();
-                thread::spawn(move || r.peek(1, None))
+                let r = empty.clone();
+                thread::spawn(move || r.pop(None))
             };
-            while r.stats().producer_stalls == 0 {
+            while full.stats().producer_stalls == 0 || empty.stats().parks == 0 {
                 thread::yield_now();
             }
-            let r_third = r.clone();
+            let rings = (full.clone(), empty.clone());
             thread::spawn(move || {
-                if poison {
-                    r_third.poison();
-                } else {
-                    r_third.close();
+                for r in [rings.0, rings.1] {
+                    if poison {
+                        r.poison();
+                    } else {
+                        r.close();
+                    }
                 }
             })
             .join()

@@ -2,11 +2,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use vos::{OsResult, VirtualKernel};
 
 use crate::client::LineClient;
+use crate::rng::SplitMix64;
 use crate::stats::WorkloadReport;
 
 /// Which wire protocol the generator speaks.
@@ -117,6 +116,7 @@ fn one_op(
 pub fn run_kv(kernel: Arc<VirtualKernel>, config: &KvConfig) -> WorkloadReport {
     let stop = Arc::new(AtomicBool::new(false));
     let num_buckets = (config.duration.as_millis() as u64 / config.bucket_ms + 2) as usize;
+    let reads_per_million = (config.read_ratio.clamp(0.0, 1.0) * 1e6) as u64;
     let started = Instant::now();
 
     let handles: Vec<_> = (0..config.clients.max(1))
@@ -126,7 +126,7 @@ pub fn run_kv(kernel: Arc<VirtualKernel>, config: &KvConfig) -> WorkloadReport {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let mut report = WorkloadReport::new(config.bucket_ms, num_buckets);
-                let mut rng = StdRng::seed_from_u64(config.seed ^ ((client_idx as u64) << 32));
+                let mut rng = SplitMix64::new(config.seed ^ ((client_idx as u64) << 32));
                 let Ok(mut client) =
                     LineClient::connect_retry(kernel.clone(), config.port, Duration::from_secs(5))
                 else {
@@ -134,8 +134,8 @@ pub fn run_kv(kernel: Arc<VirtualKernel>, config: &KvConfig) -> WorkloadReport {
                     return report;
                 };
                 while !stop.load(Ordering::Relaxed) {
-                    let is_read = rng.gen_bool(config.read_ratio.clamp(0.0, 1.0));
-                    let key = rng.gen_range(0..config.keyspace.max(1));
+                    let is_read = rng.chance(reads_per_million, 1_000_000);
+                    let key = rng.below(config.keyspace.max(1));
                     let value = make_value(config.value_len, key);
                     let begin = Instant::now();
                     match one_op(&mut client, config.flavor, is_read, key, &value) {

@@ -1,108 +1,5 @@
 use std::time::Duration;
 
-/// Log-scale latency histogram (nanoseconds), 5% relative resolution,
-/// constant memory. Enough fidelity for the percentile and max-latency
-/// numbers the paper reports.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    /// Bucket `i` counts samples in `[base * 1.05^i, base * 1.05^(i+1))`
-    /// with `base` = 1 µs; an underflow bucket catches faster samples.
-    buckets: Vec<u64>,
-    count: u64,
-    sum_nanos: u128,
-    max_nanos: u64,
-}
-
-const BASE_NANOS: f64 = 1_000.0;
-const GROWTH: f64 = 1.05;
-const NUM_BUCKETS: usize = 400; // covers ~1 µs .. ~5 minutes
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; NUM_BUCKETS + 1],
-            count: 0,
-            sum_nanos: 0,
-            max_nanos: 0,
-        }
-    }
-
-    fn bucket_of(nanos: u64) -> usize {
-        if (nanos as f64) < BASE_NANOS {
-            return 0;
-        }
-        let idx = ((nanos as f64 / BASE_NANOS).ln() / GROWTH.ln()).floor() as usize + 1;
-        idx.min(NUM_BUCKETS)
-    }
-
-    fn bucket_upper_nanos(index: usize) -> u64 {
-        if index == 0 {
-            return BASE_NANOS as u64;
-        }
-        (BASE_NANOS * GROWTH.powi(index as i32)) as u64
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, latency: Duration) {
-        let nanos = latency.as_nanos() as u64;
-        self.buckets[Self::bucket_of(nanos)] += 1;
-        self.count += 1;
-        self.sum_nanos += nanos as u128;
-        self.max_nanos = self.max_nanos.max(nanos);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest sample (exact, not bucketed).
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_nanos)
-    }
-
-    /// Mean latency.
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos((self.sum_nanos / self.count as u128) as u64)
-    }
-
-    /// Approximate percentile (`q` in 0..=100), to bucket resolution.
-    pub fn percentile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Duration::from_nanos(Self::bucket_upper_nanos(i).min(self.max_nanos));
-            }
-        }
-        self.max()
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_nanos += other.sum_nanos;
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram::new()
-    }
-}
-
 /// Aggregated results of one workload run.
 #[derive(Clone, Debug)]
 pub struct WorkloadReport {
@@ -112,8 +9,10 @@ pub struct WorkloadReport {
     pub errors: u64,
     /// Wall-clock span of the run.
     pub elapsed: Duration,
-    /// Latency distribution.
-    pub hist: LatencyHistogram,
+    /// Sum of every completed op's latency (exact).
+    pub latency_sum: Duration,
+    /// Largest single op latency (exact): Figure 7's metric.
+    pub max_latency: Duration,
     /// Completed ops per time bucket (Figure 6's series).
     pub series: Vec<u64>,
     /// Width of one series bucket, in milliseconds.
@@ -127,7 +26,8 @@ impl WorkloadReport {
             ops: 0,
             errors: 0,
             elapsed: Duration::ZERO,
-            hist: LatencyHistogram::new(),
+            latency_sum: Duration::ZERO,
+            max_latency: Duration::ZERO,
             series: vec![0; num_buckets],
             bucket_ms: bucket_ms.max(1),
         }
@@ -137,7 +37,8 @@ impl WorkloadReport {
     /// bucket containing `at` (time since workload start).
     pub fn record(&mut self, at: Duration, latency: Duration) {
         self.ops += 1;
-        self.hist.record(latency);
+        self.latency_sum += latency;
+        self.max_latency = self.max_latency.max(latency);
         let bucket = (at.as_millis() as u64 / self.bucket_ms) as usize;
         if let Some(slot) = self.series.get_mut(bucket) {
             *slot += 1;
@@ -159,6 +60,14 @@ impl WorkloadReport {
         }
     }
 
+    /// Mean latency of the completed ops.
+    pub fn mean_latency(&self) -> Duration {
+        if self.ops == 0 {
+            return Duration::ZERO;
+        }
+        Duration::from_nanos((self.latency_sum.as_nanos() / u128::from(self.ops)) as u64)
+    }
+
     /// Ops/sec per series bucket, for plotting.
     pub fn series_ops_per_sec(&self) -> Vec<f64> {
         let scale = 1000.0 / self.bucket_ms as f64;
@@ -170,7 +79,8 @@ impl WorkloadReport {
         self.ops += other.ops;
         self.errors += other.errors;
         self.elapsed = self.elapsed.max(other.elapsed);
-        self.hist.merge(&other.hist);
+        self.latency_sum += other.latency_sum;
+        self.max_latency = self.max_latency.max(other.max_latency);
         if self.series.len() < other.series.len() {
             self.series.resize(other.series.len(), 0);
         }
@@ -182,14 +92,13 @@ impl WorkloadReport {
     /// One-line summary used by the bench binaries.
     pub fn summary(&self) -> String {
         format!(
-            "{:.0} ops/s over {:.2}s ({} ops, {} errors), mean {:.3}ms, p99 {:.3}ms, max {:.3}ms",
+            "{:.0} ops/s over {:.2}s ({} ops, {} errors), mean {:.3}ms, max {:.3}ms",
             self.throughput(),
             self.elapsed.as_secs_f64(),
             self.ops,
             self.errors,
-            self.hist.mean().as_secs_f64() * 1e3,
-            self.hist.percentile(99.0).as_secs_f64() * 1e3,
-            self.hist.max().as_secs_f64() * 1e3,
+            self.mean_latency().as_secs_f64() * 1e3,
+            self.max_latency.as_secs_f64() * 1e3,
         )
     }
 }
@@ -197,56 +106,6 @@ impl WorkloadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_records_and_ranks() {
-        let mut h = LatencyHistogram::new();
-        for ms in [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 100] {
-            h.record(Duration::from_millis(ms));
-        }
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.max(), Duration::from_millis(100));
-        let p50 = h.percentile(50.0);
-        assert!(
-            p50 >= Duration::from_millis(4) && p50 <= Duration::from_millis(7),
-            "{p50:?}"
-        );
-        let p100 = h.percentile(100.0);
-        assert_eq!(p100, Duration::from_millis(100));
-        assert!(h.mean() >= Duration::from_millis(13));
-    }
-
-    #[test]
-    fn histogram_relative_error_is_bounded() {
-        let mut h = LatencyHistogram::new();
-        let sample = Duration::from_micros(12_345);
-        h.record(sample);
-        let p = h.percentile(100.0);
-        // Max is exact; p100 clamps to max.
-        assert_eq!(p, sample);
-        let p50 = h.percentile(50.0).as_nanos() as f64;
-        let truth = sample.as_nanos() as f64;
-        assert!((p50 - truth).abs() / truth < 0.06, "{p50} vs {truth}");
-    }
-
-    #[test]
-    fn histogram_merge_combines() {
-        let mut a = LatencyHistogram::new();
-        a.record(Duration::from_millis(1));
-        let mut b = LatencyHistogram::new();
-        b.record(Duration::from_millis(50));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), Duration::from_millis(50));
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroes() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.percentile(99.0), Duration::ZERO);
-        assert_eq!(h.mean(), Duration::ZERO);
-        assert_eq!(h.max(), Duration::ZERO);
-    }
 
     #[test]
     fn report_series_and_throughput() {
@@ -270,13 +129,18 @@ mod tests {
         a.elapsed = Duration::from_secs(1);
         let mut b = WorkloadReport::new(100, 5);
         b.record(Duration::from_millis(10), Duration::from_micros(5));
+        b.record(Duration::from_millis(20), Duration::from_micros(50));
         b.record_error();
         b.elapsed = Duration::from_secs(2);
         a.merge(&b);
-        assert_eq!(a.ops, 2);
+        assert_eq!(a.ops, 3);
         assert_eq!(a.errors, 1);
-        assert_eq!(a.series[0], 2);
+        assert_eq!(a.series[0], 3);
         assert_eq!(a.elapsed, Duration::from_secs(2));
-        assert!(a.summary().contains("ops/s"));
+        assert_eq!(a.mean_latency(), Duration::from_micros(20));
+        assert_eq!(a.max_latency, Duration::from_micros(50));
+        let summary = a.summary();
+        assert!(summary.contains("mean 0.020ms, max 0.050ms"), "{summary}");
+        assert_eq!(WorkloadReport::new(100, 5).mean_latency(), Duration::ZERO);
     }
 }

@@ -51,11 +51,12 @@ fn stress(session: &Mvedsua, a: &mut LineClient, b: &mut LineClient, rounds: usi
 
 fn main() {
     const PORT: u16 = 11211;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         VirtualKernel::new(),
         memcached::registry(PORT, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
     let mut c1 = connect(&session, PORT);

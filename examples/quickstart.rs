@@ -24,11 +24,12 @@ fn main() {
     const PORT: u16 = 4000;
 
     println!("== boot v1 under MVEDSUA (single-leader stage) ==");
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         VirtualKernel::new(),
         kvstore::registry(PORT),
         dsu::v(kvstore::V1),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
     let mut client =

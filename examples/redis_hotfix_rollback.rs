@@ -27,11 +27,12 @@ fn main() {
 
     println!("== redis 2.0.0 (clean build), bug arrives with 2.0.1 ==");
     let options = redis::RedisOptions::new(PORT).with_hmget_bug_from(dsu::v("2.0.1"));
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         VirtualKernel::new(),
         redis::registry(&options),
         dsu::v("2.0.0"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
     let mut client =

@@ -25,11 +25,12 @@ fn main() {
         .write_file("/motd.txt", b"do not interrupt the session")
         .expect("seed fs");
 
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         kernel,
         vsftpd::registry(PORT),
         dsu::v("1.1.0"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .expect("launch");
 

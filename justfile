@@ -11,9 +11,10 @@ test-all:
     cargo test --workspace -q
 
 # lifebench's own tests: it is a package outside the workspace, so
-# `test-all` does not reach them.
+# `test-all` does not reach them. `--locked` fails instead of rewriting
+# lifebench/Cargo.lock when its dependency graph changes.
 test-lifebench:
-    cargo test --offline --manifest-path lifebench/Cargo.toml -q
+    cargo test --locked --offline --manifest-path lifebench/Cargo.toml -q
 
 # The chaos smoke sweep the test tier runs, via the harness binary
 # (fixed 200-seed base; exits 1 with seed + minimized trace on failure).

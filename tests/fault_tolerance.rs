@@ -24,11 +24,12 @@ fn redis_hmget_crash_is_tolerated_by_mvedsua() {
     // 2.0.0 is built without the bad revision; the 2.0.0 -> 2.0.1 update
     // introduces it, exactly as the paper stages the experiment.
     let options = redis::RedisOptions::new(port).with_hmget_bug_from(dsu::v("2.0.1"));
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         redis::registry(&options),
         dsu::v("2.0.0"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -104,11 +105,12 @@ fn redis_hmget_crash_kills_kitsune_alone() {
 #[test]
 fn dropped_state_diverges_on_first_read_and_rolls_back() {
     let port = 7602;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -138,11 +140,12 @@ fn dropped_state_diverges_on_first_read_and_rolls_back() {
 #[test]
 fn corrupt_field_diverges_when_the_bad_default_is_read() {
     let port = 7603;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -170,11 +173,12 @@ fn memcached_poisoned_transformation_crashes_follower_later() {
     // memory; the crash comes *after* the update completed. MVEDSUA
     // tolerates it; execution continues on the old version.
     let port = 7604;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         memcached::registry(port, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -206,11 +210,12 @@ fn memcached_poisoned_transformation_crashes_follower_later() {
 #[test]
 fn clean_xform_failure_rolls_back_before_new_version_serves() {
     let port = 7605;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         memcached::registry(port, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let err = session
@@ -274,11 +279,12 @@ fn old_version_crash_promotes_the_updated_follower() {
         ));
         std::sync::Arc::new(r)
     };
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         registry,
         dsu::v("2.0.0"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -359,11 +365,12 @@ fn hammer_pairs(
 #[test]
 fn skipped_ephemeral_reset_diverges_and_retry_succeeds() {
     let port = 7607;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         memcached::registry(port, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c1 = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -438,11 +445,12 @@ fn skipped_ephemeral_reset_diverges_and_retry_succeeds() {
 #[test]
 fn with_ephemeral_reset_the_same_traffic_never_diverges() {
     let port = 7608;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         memcached::registry(port, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c1 = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();

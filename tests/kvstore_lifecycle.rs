@@ -13,11 +13,12 @@ const PORT: u16 = 7500;
 
 fn launch(port: u16) -> Mvedsua {
     let kernel = vos::VirtualKernel::new();
-    Mvedsua::launch(
+    Mvedsua::launch_observed(
         kernel,
         kvstore::registry(port),
         dsu::v(kvstore::V1),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap()
 }

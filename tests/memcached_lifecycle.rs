@@ -10,11 +10,12 @@ use servers::memcached;
 use workload::{run_kv, KvConfig, KvFlavor, LineClient};
 
 fn launch(port: u16) -> Mvedsua {
-    Mvedsua::launch(
+    Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         memcached::registry(port, 4),
         dsu::v("1.2.2"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap()
 }

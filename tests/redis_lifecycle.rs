@@ -10,11 +10,12 @@ use workload::{run_kv, KvConfig, KvFlavor};
 #[test]
 fn reorder_rules_survive_load_in_both_stages() {
     let port = 7900;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         redis::registry(&redis::RedisOptions::new(port)),
         dsu::v("2.0.0"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
 

@@ -48,11 +48,12 @@ fn monitored_virtual(
 #[test]
 fn ten_update_rollback_cycles_lose_nothing() {
     let port = 8100;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(30)).unwrap();
@@ -136,11 +137,12 @@ fn repeated_faulty_updates_then_a_clean_one() {
     // Alternate every §6.2 fault class back-to-back; the service must
     // absorb all of them and still complete a clean update afterwards.
     let port = 8101;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(30)).unwrap();

@@ -46,11 +46,12 @@ fn monitored_virtual(
 #[test]
 fn figure2_stage_order() {
     let port = 7800;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -120,7 +121,7 @@ fn tiny_ring_applies_backpressure_but_loses_nothing() {
     // With a 4-entry ring, the leader repeatedly blocks on the slower
     // follower; every request still completes exactly once.
     let port = 7801;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
@@ -128,6 +129,7 @@ fn tiny_ring_applies_backpressure_but_loses_nothing() {
             ring_capacity: 4,
             ..MvedsuaConfig::default()
         },
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -156,7 +158,7 @@ fn tiny_ring_applies_backpressure_but_loses_nothing() {
 fn lockstep_baseline_also_completes_the_lifecycle() {
     // The MUC-like configuration is slower but functionally equivalent.
     let port = 7802;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
@@ -165,6 +167,7 @@ fn lockstep_baseline_also_completes_the_lifecycle() {
             lockstep: Some(LockstepMode::Muc),
             ..MvedsuaConfig::default()
         },
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
@@ -193,7 +196,7 @@ fn consecutive_updates_back_to_back() {
     // kvstore only has one update path, so run it, roll back, run it
     // again, promote-bypass style, with a fresh session per mode.
     let port = 7803;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         kvstore::registry(port),
         dsu::v(kvstore::V1),
@@ -201,6 +204,7 @@ fn consecutive_updates_back_to_back() {
             monitor_after_promote: false,
             ..MvedsuaConfig::default()
         },
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();

@@ -27,11 +27,12 @@ fn thirteen_updates_with_live_session() {
     let port = 7700;
     let kernel = vos::VirtualKernel::new();
     kernel.fs().write_file("/motd.txt", b"welcome").unwrap();
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         kernel,
         vsftpd::registry(port),
         dsu::v("1.1.0"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = ftp_session(&session, port);
@@ -93,11 +94,12 @@ fn new_command_rejected_identically_by_both_versions_under_rules() {
     // During 1.1.3 -> 1.2.0 monitoring, STOU (new in 1.2.0) must be
     // rejected by both versions thanks to the Figure 5 redirect.
     let port = 7701;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         vsftpd::registry(port),
         dsu::v("1.1.3"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = ftp_session(&session, port);
@@ -137,11 +139,12 @@ fn stou_under_new_leader_is_tolerated_by_rev_rules() {
     // whole handling sequence maps to the old follower's rejection, and
     // later downloads of the created file agree on both sides.
     let port = 7702;
-    let session = Mvedsua::launch(
+    let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
         vsftpd::registry(port),
         dsu::v("1.1.3"),
         MvedsuaConfig::default(),
+        obs::Obs::disabled(),
     )
     .unwrap();
     let mut c = ftp_session(&session, port);

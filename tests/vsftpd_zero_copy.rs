@@ -119,21 +119,25 @@ fn retr_chunks_are_windows_of_the_file_snapshot_end_to_end() {
         .client_send(client, b"USER a\r\nPASS b\r\nRETR big.bin\r\n")
         .unwrap();
 
-    // Step the leader until its log holds the end of the transfer.
+    // Step the leader until its log holds the end of the transfer,
+    // draining the log as it goes.
     let mut leader_steps = 0;
+    let mut log: Vec<EventRecord> = Vec::new();
     let mut logged: Vec<Buf> = Vec::new();
     let mut conn = None;
     while !logged.iter().any(|w| w.starts_with(b"226 ")) {
         assert!(leader_steps < 100, "transfer did not finish");
         let _ = leader_app.step(&mut leader);
         leader_steps += 1;
-        logged.clear();
-        for i in 0..ring.len() {
-            if let EventRecord::Syscall { record, .. } = ring.peek(i, None).unwrap() {
-                if let Syscall::Write { fd, data } = record.call {
-                    conn = Some(fd);
-                    logged.push(data);
+        while !ring.is_empty() {
+            for record in ring.pop_batch(ring.capacity(), None).unwrap() {
+                if let EventRecord::Syscall { record, .. } = &record {
+                    if let Syscall::Write { fd, data } = &record.call {
+                        conn = Some(*fd);
+                        logged.push(data.clone());
+                    }
                 }
+                log.push(record);
             }
         }
     }
@@ -173,13 +177,16 @@ fn retr_chunks_are_windows_of_the_file_snapshot_end_to_end() {
     }
     assert_eq!(received, content);
 
-    // The follower replays the same steps; its file read returns the
-    // leader's window and it writes that back unchanged.
+    // The follower replays the same steps from the drained log, re-pushed
+    // into a ring of its own; its file read returns the leader's window
+    // and it writes that back unchanged.
+    let follower_ring = Arc::new(Ring::with_capacity(ring.capacity()));
+    follower_ring.push_batch(log).unwrap();
     let follower = VariantOs::follower(
         1,
         kernel.clone(),
         FollowerConfig {
-            ring: ring.clone(),
+            ring: follower_ring.clone(),
             rules: Arc::new(RuleSet::empty()),
             builtins: Arc::new(Builtins::standard()),
             promote_to: None,
@@ -194,7 +201,10 @@ fn retr_chunks_are_windows_of_the_file_snapshot_end_to_end() {
     for _ in 0..leader_steps {
         let _ = follower_app.step(&mut spy);
     }
-    assert!(ring.is_empty(), "the follower replayed the whole log");
+    assert!(
+        follower_ring.is_empty(),
+        "the follower replayed the whole log"
+    );
     let follower_writes: Vec<Buf> = spy
         .writes
         .into_iter()
