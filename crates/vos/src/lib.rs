@@ -13,6 +13,13 @@
 //! like real kernel objects outlive a crashed process: client connections
 //! keep working while the MVE layer kills and replaces server variants.
 //!
+//! Blocking calls park on condvars, and a wake-up costs a futex syscall
+//! only when a thread is parked: a write notifies the peer's inbox only
+//! when a reader waits on it, and an epoll instance — registered with
+//! each fd's wait set once, at `epoll_ctl(Add)` — is notified only when
+//! a thread waits in `epoll_wait` on it. `docs/vos.md` gives the
+//! lost-wakeup argument.
+//!
 //! # Example
 //!
 //! ```
@@ -52,7 +59,7 @@ pub use clock::Clock;
 pub use error::{Errno, OsResult};
 pub use fd::Fd;
 pub use fs::{FileStat, MemFs, NodeKind, OpenMode};
-pub use kernel::{KernelStats, VirtualKernel};
+pub use kernel::VirtualKernel;
 pub use os::{DirectOs, Os};
 pub use poll::CtlOp;
 pub use syscall::{SysRet, Syscall, SyscallKind};

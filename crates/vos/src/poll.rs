@@ -4,7 +4,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::fd::Fd;
-use crate::stream::Notifier;
+use crate::stream::{Notifier, WaitSet};
 
 /// Operation argument to `epoll_ctl`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -22,9 +22,11 @@ pub enum CtlOp {
 /// round-robin fairness lives in user space (see `mvedsua-evloop`), which
 /// is exactly the split that produces the paper's LibEvent timing error.
 ///
-/// The notifier is what this instance registers with the [`WaitSet`] of
-/// each descriptor it is interested in: activity on those descriptors —
-/// and only those — wakes this instance's waiters.
+/// As Linux's `ep_insert` does, `add` registers the notifier with the
+/// [`WaitSet`] of the added descriptor once, and `del` unregisters it:
+/// activity on the descriptors in the list — and only those — wakes this
+/// instance's waiters. Both hold the interest-list lock while they do it,
+/// so the list and the registrations never disagree.
 ///
 /// [`WaitSet`]: crate::stream::WaitSet
 #[derive(Debug, Default)]
@@ -42,34 +44,49 @@ impl EpollState {
         Self::default()
     }
 
-    pub fn add(&self, fd: Fd) -> bool {
+    /// Adds `fd` to the interest list and registers with its wait-set
+    /// (`None` for a descriptor that no longer exists: the scan reports
+    /// it ready anyway). False if `fd` was already in the list.
+    pub fn add(&self, fd: Fd, wait: Option<&WaitSet>) -> bool {
         let mut interests = self.interests.lock();
         if interests.contains(&fd) {
-            false
-        } else {
-            interests.push(fd);
-            true
+            return false;
         }
+        interests.push(fd);
+        if let Some(wait) = wait {
+            wait.register(&self.notifier);
+        }
+        true
     }
 
-    pub fn del(&self, fd: Fd) -> bool {
+    /// Removes `fd` from the interest list and unregisters from its
+    /// wait-set. False if `fd` was not in the list.
+    pub fn del(&self, fd: Fd, wait: Option<&WaitSet>) -> bool {
         let mut interests = self.interests.lock();
-        match interests.iter().position(|f| *f == fd) {
-            Some(i) => {
-                interests.remove(i);
-                true
-            }
-            None => false,
+        let Some(i) = interests.iter().position(|f| *f == fd) else {
+            return false;
+        };
+        interests.remove(i);
+        if let Some(wait) = wait {
+            wait.unregister(&self.notifier);
         }
+        true
     }
 
-    /// Snapshot of the interest list, in registration order.
-    pub fn interests(&self) -> Vec<Fd> {
-        self.interests.lock().clone()
+    /// Up to `max` interests for which `ready` holds, in registration
+    /// order. Walks the list under its lock instead of copying it.
+    pub fn ready(&self, max: usize, ready: impl FnMut(&Fd) -> bool) -> Vec<Fd> {
+        self.interests
+            .lock()
+            .iter()
+            .copied()
+            .filter(ready)
+            .take(max)
+            .collect()
     }
 
     /// The notifier descriptor wait-sets bump to wake this instance.
-    pub fn notifier(&self) -> &Arc<Notifier> {
+    pub fn notifier(&self) -> &Notifier {
         &self.notifier
     }
 
@@ -86,22 +103,36 @@ impl EpollState {
 mod tests {
     use super::*;
 
+    fn all(ep: &EpollState) -> Vec<Fd> {
+        ep.ready(usize::MAX, |_| true)
+    }
+
     #[test]
     fn add_is_idempotent_and_ordered() {
         let ep = EpollState::new();
-        assert!(ep.add(Fd::from_raw(5)));
-        assert!(ep.add(Fd::from_raw(3)));
-        assert!(!ep.add(Fd::from_raw(5)));
-        assert_eq!(ep.interests(), &[Fd::from_raw(5), Fd::from_raw(3)]);
+        assert!(ep.add(Fd::from_raw(5), None));
+        assert!(ep.add(Fd::from_raw(3), None));
+        assert!(!ep.add(Fd::from_raw(5), None));
+        assert_eq!(all(&ep), &[Fd::from_raw(5), Fd::from_raw(3)]);
     }
 
     #[test]
     fn del_removes_only_present() {
         let ep = EpollState::new();
-        ep.add(Fd::from_raw(1));
-        assert!(ep.del(Fd::from_raw(1)));
-        assert!(!ep.del(Fd::from_raw(1)));
-        assert!(ep.interests().is_empty());
+        ep.add(Fd::from_raw(1), None);
+        assert!(ep.del(Fd::from_raw(1), None));
+        assert!(!ep.del(Fd::from_raw(1), None));
+        assert!(all(&ep).is_empty());
+    }
+
+    #[test]
+    fn ready_keeps_registration_order_and_max() {
+        let ep = EpollState::new();
+        for fd in [9, 2, 6, 4] {
+            ep.add(Fd::from_raw(fd), None);
+        }
+        let even = ep.ready(2, |fd| fd.as_raw() % 2 == 0);
+        assert_eq!(even, &[Fd::from_raw(2), Fd::from_raw(6)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -9,37 +9,57 @@ use crate::error::{Errno, OsResult};
 
 /// A readiness notifier: a generation counter plus a condvar.
 ///
-/// Every epoll instance owns one. It is registered (weakly) with the
-/// [`WaitSet`] of each resource the instance is interested in, so a
-/// state change on fd A wakes only the waiters that registered for
-/// fd A — unlike the seed design, whose single kernel-wide notifier
-/// broadcast every write to every `epoll_wait` in the process.
+/// Every epoll instance owns one. `epoll_ctl(Add)` registers it
+/// (weakly) with the [`WaitSet`] of the added descriptor, so a state
+/// change on fd A wakes only the instances interested in fd A.
+///
+/// The generation and the number of parked waiters live under one
+/// mutex. `bump` calls the condvar only when someone is parked: a
+/// `notify_all` with no sleeper is still a futex syscall. The check is
+/// made under the lock the sleeper parks on, so no wake-up is lost.
 #[derive(Debug, Default)]
 pub(crate) struct Notifier {
-    gen: Mutex<u64>,
+    state: Mutex<NotifierState>,
     cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct NotifierState {
+    gen: u64,
+    /// Threads inside `wait_change`'s park; `bump` wakes only if > 0.
+    parked: usize,
 }
 
 impl Notifier {
     pub fn current(&self) -> u64 {
-        *self.gen.lock()
+        self.state.lock().gen
+    }
+
+    /// Threads currently parked in [`wait_change`](Self::wait_change)
+    /// (test rendezvous and diagnostics).
+    pub fn parked(&self) -> usize {
+        self.state.lock().parked
     }
 
     pub fn bump(&self) {
-        let mut g = self.gen.lock();
-        *g += 1;
-        self.cv.notify_all();
+        let mut state = self.state.lock();
+        state.gen += 1;
+        if state.parked > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Waits until the generation differs from `seen` or `timeout` passes.
     /// Returns the generation observed on wakeup.
     pub fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut g = self.gen.lock();
-        if *g != seen {
-            return *g;
+        let mut state = self.state.lock();
+        if state.gen != seen {
+            return state.gen;
         }
-        let _ = self.cv.wait_for(&mut g, timeout);
-        *g
+        state.parked += 1;
+        let _ = self.cv.wait_for(&mut state, timeout);
+        state.parked -= 1;
+        state.gen
     }
 }
 
@@ -47,8 +67,7 @@ impl Notifier {
 ///
 /// Registration is idempotent (per-notifier, by pointer identity) and
 /// weak: a dropped epoll instance falls out lazily. `wake` bumps every
-/// live registered notifier — the per-fd replacement for the seed's
-/// global `notify_all`.
+/// live registered notifier.
 #[derive(Debug, Default)]
 pub(crate) struct WaitSet {
     waiters: Mutex<Vec<Weak<Notifier>>>,
@@ -67,6 +86,13 @@ impl WaitSet {
         if !waiters.iter().any(|w| w.as_ptr() == Arc::as_ptr(notifier)) {
             waiters.push(Arc::downgrade(notifier));
         }
+    }
+
+    /// Removes `notifier` (and any dead entry) from this resource.
+    pub fn unregister(&self, notifier: &Arc<Notifier>) {
+        self.waiters
+            .lock()
+            .retain(|w| w.strong_count() > 0 && w.as_ptr() != Arc::as_ptr(notifier));
     }
 
     /// Wakes every live registered notifier.
@@ -89,78 +115,6 @@ impl WaitSet {
     }
 }
 
-/// Shared read-stall bookkeeping for every stream of one kernel:
-/// how often blocking reads actually blocked and for how long,
-/// measured against an injectable [`obs::TimeSource`] (the same
-/// treatment the ring gives producer stalls) so the numbers are
-/// replay-stable when a virtual clock is injected.
-#[derive(Default)]
-pub(crate) struct ReadTiming {
-    clock: Mutex<Option<Arc<dyn obs::TimeSource>>>,
-    stalls: std::sync::atomic::AtomicU64,
-    stall_nanos: std::sync::atomic::AtomicU64,
-}
-
-impl ReadTiming {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn set_clock(&self, source: Arc<dyn obs::TimeSource>) {
-        *self.clock.lock() = Some(source);
-    }
-
-    pub fn stalls(&self) -> u64 {
-        self.stalls.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    pub fn stall_nanos(&self) -> u64 {
-        self.stall_nanos.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn record(&self, nanos: u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.stalls.fetch_add(1, Relaxed);
-        self.stall_nanos.fetch_add(nanos, Relaxed);
-    }
-}
-
-impl std::fmt::Debug for ReadTiming {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadTiming")
-            .field("stalls", &self.stalls())
-            .field("stall_nanos", &self.stall_nanos())
-            .finish()
-    }
-}
-
-/// Stall-duration measurement against either the wall clock or the
-/// injected time source. Built only on the cold blocked-read path; the
-/// fast path (data already buffered) never touches a clock.
-enum StallTimer {
-    Wall(std::time::Instant),
-    Source(Arc<dyn obs::TimeSource>, u64),
-}
-
-impl StallTimer {
-    fn start(timing: &ReadTiming) -> Self {
-        match timing.clock.lock().clone() {
-            Some(src) => {
-                let begin = src.now_nanos();
-                StallTimer::Source(src, begin)
-            }
-            None => StallTimer::Wall(std::time::Instant::now()),
-        }
-    }
-
-    fn elapsed_nanos(&self) -> u64 {
-        match self {
-            StallTimer::Wall(begin) => begin.elapsed().as_nanos() as u64,
-            StallTimer::Source(src, begin) => src.now_nanos().saturating_sub(*begin),
-        }
-    }
-}
-
 /// Bytes flowing toward one endpoint: a queue of shared immutable
 /// chunks, exactly as the peers wrote them. Reads slice the front chunk
 /// without copying; only a read spanning chunk boundaries coalesces
@@ -174,8 +128,10 @@ struct Inbox {
     /// Set when the peer endpoint closed: reads drain remaining bytes and
     /// then report EOF (an empty read).
     closed: bool,
-    /// Readers currently parked on the condvar (test synchronization
-    /// and diagnostics; replaces wall-clock sleeps in tests).
+    /// Readers currently parked on the condvar. `write` calls the
+    /// condvar only when this is non-zero, so it is kept exactly: a
+    /// reader counts itself in under this lock right before it parks.
+    /// Tests also rendezvous on it instead of sleeping.
     waiting_readers: usize,
 }
 
@@ -191,20 +147,19 @@ pub(crate) struct StreamEnd {
     peer: OnceLock<Weak<StreamEnd>>,
     /// Epoll waiters interested in this endpoint's readability.
     waiters: Arc<WaitSet>,
-    timing: Arc<ReadTiming>,
 }
 
 impl StreamEnd {
-    /// Creates a connected pair of endpoints sharing `timing`.
-    pub fn pair(timing: Arc<ReadTiming>) -> (Arc<StreamEnd>, Arc<StreamEnd>) {
-        let a = Arc::new(StreamEnd::new(timing.clone()));
-        let b = Arc::new(StreamEnd::new(timing));
+    /// Creates a connected pair of endpoints.
+    pub fn pair() -> (Arc<StreamEnd>, Arc<StreamEnd>) {
+        let a = Arc::new(StreamEnd::new());
+        let b = Arc::new(StreamEnd::new());
         a.peer.set(Arc::downgrade(&b)).expect("fresh endpoint");
         b.peer.set(Arc::downgrade(&a)).expect("fresh endpoint");
         (a, b)
     }
 
-    fn new(timing: Arc<ReadTiming>) -> Self {
+    fn new() -> Self {
         StreamEnd {
             inbox: Mutex::new(Inbox {
                 chunks: VecDeque::new(),
@@ -215,7 +170,6 @@ impl StreamEnd {
             cv: Condvar::new(),
             peer: OnceLock::new(),
             waiters: Arc::new(WaitSet::new()),
-            timing,
         }
     }
 
@@ -236,7 +190,8 @@ impl StreamEnd {
 
     /// Writes `data` toward the peer, sharing (not copying) the payload.
     /// Fails with `ConnReset` if the peer endpoint is gone or has closed
-    /// its receiving side.
+    /// its receiving side. Wakes the peer's condvar only when a reader is
+    /// parked on it.
     pub fn write(&self, data: Buf) -> OsResult<usize> {
         let peer = self.peer().ok_or(Errno::ConnReset)?;
         let n = data.len();
@@ -249,7 +204,9 @@ impl StreamEnd {
                 inbox.len += n;
                 inbox.chunks.push_back(data);
             }
-            peer.cv.notify_all();
+            if inbox.waiting_readers > 0 {
+                peer.cv.notify_all();
+            }
         }
         peer.waiters.wake();
         Ok(n)
@@ -265,52 +222,36 @@ impl StreamEnd {
         if max == 0 {
             return Ok(Buf::new());
         }
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
         let mut inbox = self.inbox.lock();
-        let mut stall: Option<StallTimer> = None;
+        // Set on the first park only: a read that finds data never reads
+        // a clock.
+        let mut deadline = None;
         loop {
             if inbox.len > 0 {
-                let out = Self::take(&mut inbox, max);
-                drop(inbox);
-                if let Some(timer) = stall {
-                    self.timing.record(timer.elapsed_nanos());
-                }
-                return Ok(out);
+                return Ok(Self::take(&mut inbox, max));
             }
             if inbox.closed {
-                drop(inbox);
-                if let Some(timer) = stall {
-                    self.timing.record(timer.elapsed_nanos());
-                }
                 return Ok(Buf::new());
             }
-            if stall.is_none() {
-                stall = Some(StallTimer::start(&self.timing));
-            }
-            inbox.waiting_readers += 1;
-            let wait_result = match deadline {
-                None => {
-                    self.cv.wait(&mut inbox);
-                    Ok(())
-                }
-                Some(d) => {
-                    let now = std::time::Instant::now();
+            let left = match timeout {
+                None => None,
+                Some(t) => {
+                    let now = Instant::now();
+                    let d = *deadline.get_or_insert(now + t);
                     if now >= d {
-                        Err(Errno::TimedOut)
-                    } else {
-                        let _ = self.cv.wait_for(&mut inbox, d - now);
-                        Ok(())
+                        return Err(Errno::TimedOut);
                     }
+                    Some(d - now)
                 }
             };
-            inbox.waiting_readers -= 1;
-            if let Err(e) = wait_result {
-                drop(inbox);
-                if let Some(timer) = stall {
-                    self.timing.record(timer.elapsed_nanos());
+            inbox.waiting_readers += 1;
+            match left {
+                None => self.cv.wait(&mut inbox),
+                Some(left) => {
+                    let _ = self.cv.wait_for(&mut inbox, left);
                 }
-                return Err(e);
             }
+            inbox.waiting_readers -= 1;
         }
     }
 
@@ -383,10 +324,6 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn pair() -> (Arc<StreamEnd>, Arc<StreamEnd>) {
-        StreamEnd::pair(Arc::new(ReadTiming::new()))
-    }
-
     fn buf(data: &[u8]) -> Buf {
         Buf::copy_from_slice(data)
     }
@@ -404,14 +341,14 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         a.write(buf(b"hello")).unwrap();
         assert_eq!(b.read(16, None).unwrap(), b"hello");
     }
 
     #[test]
     fn read_respects_max() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         a.write(buf(b"abcdef")).unwrap();
         assert_eq!(b.read(2, None).unwrap(), b"ab");
         assert_eq!(b.read(16, None).unwrap(), b"cdef");
@@ -419,7 +356,7 @@ mod tests {
 
     #[test]
     fn read_spanning_chunks_coalesces() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         a.write(buf(b"ab")).unwrap();
         a.write(buf(b"cd")).unwrap();
         a.write(buf(b"ef")).unwrap();
@@ -430,7 +367,7 @@ mod tests {
 
     #[test]
     fn whole_chunk_read_is_zero_copy() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         let payload = buf(b"payload-bytes");
         let src_ptr = payload.as_slice().as_ptr();
         a.write(payload).unwrap();
@@ -445,7 +382,7 @@ mod tests {
 
     #[test]
     fn partial_chunk_read_is_zero_copy() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         let payload = buf(b"0123456789");
         let src_ptr = payload.as_slice().as_ptr();
         a.write(payload).unwrap();
@@ -463,7 +400,7 @@ mod tests {
 
     #[test]
     fn read_blocks_until_written() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         let b2 = b.clone();
         let t = std::thread::spawn(move || b2.read(8, None).unwrap());
         await_reader(&b);
@@ -473,14 +410,14 @@ mod tests {
 
     #[test]
     fn read_times_out() {
-        let (_a, b) = pair();
+        let (_a, b) = StreamEnd::pair();
         let err = b.read(8, Some(Duration::from_millis(10))).unwrap_err();
         assert_eq!(err, Errno::TimedOut);
     }
 
     #[test]
     fn close_gives_eof_after_drain() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         a.write(buf(b"tail")).unwrap();
         a.close();
         assert_eq!(b.read(16, None).unwrap(), b"tail");
@@ -489,14 +426,14 @@ mod tests {
 
     #[test]
     fn write_to_closed_peer_is_reset() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         b.close();
         assert_eq!(a.write(buf(b"x")).unwrap_err(), Errno::ConnReset);
     }
 
     #[test]
     fn readable_reflects_buffer_and_eof() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         assert!(!b.readable());
         a.write(buf(b"x")).unwrap();
         assert!(b.readable());
@@ -508,7 +445,7 @@ mod tests {
 
     #[test]
     fn empty_write_is_accepted_and_buffers_nothing() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         assert_eq!(a.write(Buf::new()).unwrap(), 0);
         assert_eq!(b.pending(), 0);
         assert!(!b.readable());
@@ -516,7 +453,7 @@ mod tests {
 
     #[test]
     fn waitset_wakes_only_registered_waiters() {
-        let (a, b) = pair();
+        let (a, b) = StreamEnd::pair();
         let watcher = Arc::new(Notifier::default());
         let bystander = Arc::new(Notifier::default());
         b.waiters().register(&watcher);
@@ -540,42 +477,44 @@ mod tests {
     }
 
     #[test]
-    fn blocked_read_stall_is_measured_through_injected_clock() {
-        let timing = Arc::new(ReadTiming::new());
-        let clock = Arc::new(obs::ManualClock::new());
-        timing.set_clock(clock.clone());
-        let (a, b) = StreamEnd::pair(timing.clone());
+    fn write_wakes_only_a_parked_reader_and_loses_nothing() {
+        let (a, b) = StreamEnd::pair();
+        // No reader parked: the write only queues.
+        assert_eq!(b.waiting_readers(), 0);
+        a.write(buf(b"early")).unwrap();
         let b2 = b.clone();
-        let t = std::thread::spawn(move || b2.read(8, None).unwrap());
-        while b.waiting_readers() == 0 {
-            std::thread::yield_now();
-        }
-        clock.advance(1_500);
-        a.write(buf(b"x")).unwrap();
-        assert_eq!(t.join().unwrap(), b"x");
-        assert_eq!(timing.stalls(), 1);
+        let t = std::thread::spawn(move || {
+            let first = b2.read(16, None).unwrap();
+            // Parks after the write it never waited for.
+            let second = b2.read(16, None).unwrap();
+            (first, second)
+        });
+        await_reader(&b);
+        a.write(buf(b"late")).unwrap();
+        let (first, second) = t.join().unwrap();
+        assert_eq!((&first[..], &second[..]), (&b"early"[..], &b"late"[..]));
         assert_eq!(
-            timing.stall_nanos(),
-            1_500,
-            "stall time is exactly what the injected clock advanced"
+            b.waiting_readers(),
+            0,
+            "the woken reader counted itself out"
         );
     }
 
     #[test]
-    fn unblocked_read_records_no_stall() {
-        let timing = Arc::new(ReadTiming::new());
-        let (a, b) = StreamEnd::pair(timing.clone());
-        a.write(buf(b"ready")).unwrap();
-        let _ = b.read(8, None).unwrap();
-        assert_eq!(timing.stalls(), 0);
-        assert_eq!(timing.stall_nanos(), 0);
-    }
-
-    #[test]
-    fn timed_out_read_counts_as_a_stall() {
-        let timing = Arc::new(ReadTiming::new());
-        let (_a, b) = StreamEnd::pair(timing.clone());
-        let _ = b.read(8, Some(Duration::from_millis(5))).unwrap_err();
-        assert_eq!(timing.stalls(), 1);
+    fn notifier_counts_parked_waiters() {
+        let n = Arc::new(Notifier::default());
+        n.bump(); // Nobody parked: the generation still moves.
+        let seen = n.current();
+        assert_eq!(seen, 1);
+        let n2 = n.clone();
+        let t = std::thread::spawn(move || n2.wait_change(seen, Duration::from_secs(5)));
+        while n.parked() == 0 {
+            std::thread::yield_now();
+        }
+        n.bump();
+        assert_eq!(t.join().unwrap(), 2);
+        assert_eq!(n.parked(), 0);
+        // A stale generation returns at once without parking.
+        assert_eq!(n.wait_change(seen, Duration::from_secs(5)), 2);
     }
 }

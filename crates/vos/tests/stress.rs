@@ -5,7 +5,8 @@
 //! unit tests.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -345,5 +346,186 @@ fn epoll_ready_order_is_registration_order_under_concurrent_writes() {
                 .unwrap();
             assert_eq!(got, b"r");
         }
+    }
+}
+
+/// SplitMix64 step: the schedule source of the seeded wake-up test.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The bytes connection `c` carries under `seed`: pseudo-random, so a
+/// lost, duplicated or reordered piece fails the comparison.
+fn schedule_stream(seed: u64, c: u64) -> Vec<u8> {
+    let mut state = seed << 40 ^ c << 32;
+    (0..48 * 1024).map(|_| mix(&mut state) as u8).collect()
+}
+
+/// A random pause: nothing, a yield, or a sleep of up to 255 µs.
+fn jitter(r: u64) {
+    match r % 16 {
+        0 => thread::sleep(Duration::from_micros(r >> 56)),
+        1..=4 => thread::yield_now(),
+        _ => {}
+    }
+}
+
+/// Lost-wakeup stress under seeded random schedules. Writers on four
+/// connections send random-sized pieces with random yields and pauses.
+/// Connection 0 is read by a reader that blocks without a timeout, 1 by
+/// a reader with random short timeouts, and 2 and 3 by an `epoll_wait`
+/// loop with random timeouts, some of them an hour long, while a churn
+/// thread keeps deleting and re-adding connection 3's interest. Every
+/// byte must arrive in order. Writers close only after their reader has
+/// drained the stream, so a lost wake-up leaves an untimed reader or a
+/// long epoll wait asleep with data pending, and the watchdog fails the
+/// seed.
+#[test]
+fn seeded_schedules_lose_no_wakeups() {
+    for seed in 0..32u64 {
+        let (done_tx, done_rx) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            run_wakeup_schedule(seed);
+            let _ = done_tx.send(());
+        });
+        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(30)) {
+            panic!("seed {seed}: a waiter hung");
+        }
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+fn run_wakeup_schedule(seed: u64) {
+    let kernel = VirtualKernel::new();
+    let listener = kernel.listen(7100).unwrap();
+    let conns: Vec<(Fd, Fd)> = (0..4)
+        .map(|_| {
+            let client = kernel.connect(7100).unwrap();
+            (client, kernel.accept(listener).unwrap())
+        })
+        .collect();
+    let mut threads = Vec::new();
+
+    for (c, &(client, server)) in conns.iter().enumerate() {
+        let k = kernel.clone();
+        threads.push(thread::spawn(move || {
+            let body = schedule_stream(seed, c as u64);
+            let mut rng = seed ^ 0x1000 ^ c as u64;
+            let mut sent = 0;
+            while sent < body.len() {
+                let r = mix(&mut rng);
+                let n = (1 + r as usize % 512).min(body.len() - sent);
+                k.client_send(client, &body[sent..sent + n]).unwrap();
+                sent += n;
+                jitter(mix(&mut rng));
+            }
+            // Close only once the reader has drained everything: the
+            // close wakes every sleeper, so closing early would hide a
+            // write that failed to wake one.
+            while k.pending_bytes(server).unwrap() > 0 {
+                thread::sleep(Duration::from_micros(50));
+            }
+            k.close(client).unwrap();
+        }));
+    }
+
+    for (c, &(_, server)) in conns.iter().enumerate().take(2) {
+        let k = kernel.clone();
+        threads.push(thread::spawn(move || {
+            let mut rng = seed ^ 0x2000 ^ c as u64;
+            let mut got = Vec::new();
+            loop {
+                let r = mix(&mut rng);
+                let timeout = (c == 1).then(|| Duration::from_micros(r >> 55));
+                match k.read(server, 1 + r as usize % 1024, timeout) {
+                    Ok(data) if data.is_empty() => break,
+                    Ok(data) => got.extend_from_slice(&data),
+                    Err(Errno::TimedOut) => {}
+                    Err(e) => panic!("seed {seed} conn {c}: read failed: {e:?}"),
+                }
+            }
+            assert!(
+                got == schedule_stream(seed, c as u64),
+                "seed {seed} conn {c}: bytes lost or reordered"
+            );
+        }));
+    }
+
+    let ep = kernel.epoll_create().unwrap();
+    let watched = [conns[2].1, conns[3].1];
+    for fd in watched {
+        kernel.epoll_ctl(ep, CtlOp::Add, fd).unwrap();
+    }
+    // (watched, drained) for connection 3, under one lock so the churn
+    // thread never re-adds a descriptor the loop has drained.
+    let churned = Arc::new(Mutex::new((true, false)));
+    {
+        let k = kernel.clone();
+        let churned = churned.clone();
+        threads.push(thread::spawn(move || {
+            let mut rng = seed ^ 0x3000;
+            loop {
+                {
+                    let mut st = churned.lock().unwrap();
+                    if st.1 {
+                        break;
+                    }
+                    let op = if st.0 { CtlOp::Del } else { CtlOp::Add };
+                    k.epoll_ctl(ep, op, watched[1]).unwrap();
+                    st.0 = !st.0;
+                }
+                jitter(mix(&mut rng));
+            }
+        }));
+    }
+    let k = kernel.clone();
+    threads.push(thread::spawn(move || {
+        let mut rng = seed ^ 0x4000;
+        let mut got = [Vec::new(), Vec::new()];
+        let mut eof = [false, false];
+        while !(eof[0] && eof[1]) {
+            let r = mix(&mut rng);
+            let timeout = match r % 4 {
+                0 => Duration::ZERO,
+                1 | 2 => Duration::from_micros(r >> 53),
+                _ => Duration::from_secs(3600),
+            };
+            for fd in k.epoll_wait(ep, 4, timeout).unwrap() {
+                let i = watched.iter().position(|w| *w == fd).unwrap();
+                // Only this thread reads these fds, so a ready one never
+                // blocks.
+                let data = k.read(fd, 1 + (r >> 8) as usize % 2048, None).unwrap();
+                if !data.is_empty() {
+                    got[i].extend_from_slice(&data);
+                    continue;
+                }
+                eof[i] = true;
+                // A drained fd stays readable; stop watching it.
+                let mut st = churned.lock().unwrap();
+                if i == 0 || st.0 {
+                    k.epoll_ctl(ep, CtlOp::Del, fd).unwrap();
+                }
+                if i == 1 {
+                    *st = (false, true);
+                }
+            }
+        }
+        for (i, got) in got.iter().enumerate() {
+            assert!(
+                *got == schedule_stream(seed, 2 + i as u64),
+                "seed {seed} conn {}: bytes lost or reordered",
+                2 + i
+            );
+        }
+    }));
+
+    for t in threads {
+        t.join().unwrap();
     }
 }

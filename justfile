@@ -8,7 +8,7 @@ verify:
 
 # Everything: all workspace crates' tests.
 test-all:
-    cargo test --workspace -q
+    cargo test --workspace --no-fail-fast -q
 
 # lifebench's own tests: it is a package outside the workspace, so
 # `test-all` does not reach them. `--locked` fails instead of rewriting
