@@ -9,6 +9,12 @@
 //!   server read → server write → client_recv — with the server running
 //!   leader-only (`VariantOs::single`, MVE off) and leader+follower
 //!   (records crossing the ring to a live replaying follower),
+//! * the cross-thread hand-off: a client thread and a server thread
+//!   ping-pong 64 B, the server waiting as `NetCore` does (`epoll_wait`
+//!   → `read_timeout` → `write`); round trips per second and process
+//!   CPU ns per round trip. Echo runs both sides on one thread, so only
+//!   this case pays for waking a blocked peer. Reported, not gated,
+//!   because it shows wake-up cost, which moves with the host's load,
 //! * bulk throughput (MB/s) — the server streams a large payload in
 //!   size-`S` writes, the client drains concurrently — in both modes,
 //! * stream-level throughput of the new chunk-queue path vs. the
@@ -33,7 +39,7 @@ use dsl::{Builtins, RuleSet};
 use mve::{EventRing, FollowerConfig, LeaderConfig, VariantOs};
 use obs::json::JsonObject;
 use ring::Ring;
-use vos::{Buf, Os, VirtualKernel};
+use vos::{Buf, CtlOp, Errno, Os, VirtualKernel};
 
 const SIZES: [usize; 4] = [64, 1024, 4096, 65536];
 /// Bounded record retention mirroring the replication ring's depth.
@@ -45,18 +51,22 @@ struct ModeParams {
     echo_ops: u64,
     /// Bytes streamed per bulk measurement.
     bulk_bytes: usize,
+    /// Round trips of the cross-thread hand-off.
+    handoff_ops: u64,
 }
 
 const FULL: ModeParams = ModeParams {
     name: "full",
     echo_ops: 20_000,
     bulk_bytes: 64 << 20,
+    handoff_ops: 200_000,
 };
 
 const QUICK: ModeParams = ModeParams {
     name: "quick",
     echo_ops: 2_000,
     bulk_bytes: 8 << 20,
+    handoff_ops: 20_000,
 };
 
 fn follower_config(ring: EventRing) -> FollowerConfig {
@@ -141,6 +151,90 @@ fn bench_echo(port: u16, mve: bool, size: usize, ops: u64) -> EchoResult {
         kops: ops as f64 / elapsed.as_secs_f64() / 1e3,
         p50_ns: samples[samples.len() / 2],
         p99_ns: samples[samples.len() * 99 / 100],
+    }
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
+/// CPU time every thread of this process has run so far, in ns. Time
+/// spent parked or waiting to be scheduled does not count.
+fn process_cpu_ns() -> u64 {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec (two 64-bit fields on
+    // 64-bit Linux).
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+        return 0;
+    }
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+struct HandoffResult {
+    round_trips_per_s: f64,
+    cpu_ns_per_round_trip: f64,
+}
+
+/// Cross-thread hand-off: the client (this thread) sends 64 B and
+/// blocks for the reply; a server thread waits as `NetCore` does —
+/// `epoll_wait`, `read_timeout`, then `write` — with its 10 ms poll and
+/// 20 ms read timeouts. Every round trip hands the turn to the other
+/// thread twice.
+fn bench_handoff(port: u16, ops: u64) -> HandoffResult {
+    const SIZE: usize = 64;
+    let kernel = VirtualKernel::new();
+    let mut server = VariantOs::single(0, kernel.clone(), None);
+    let listener = server.listen(port).expect("listen");
+    let client = kernel.connect(port).expect("connect");
+    let conn = server.accept(listener).expect("accept");
+    let ep = server.epoll_create().expect("epoll_create");
+    server.epoll_ctl(ep, CtlOp::Add, conn).expect("epoll_ctl");
+    let serve = thread::spawn(move || {
+        let mut served = 0;
+        while served < ops {
+            for fd in server.epoll_wait(ep, 16, 10).expect("epoll_wait") {
+                match server.read_timeout(fd, 4096, 20) {
+                    Ok(req) => {
+                        server.write_buf(fd, req).expect("write");
+                        served += 1;
+                    }
+                    Err(Errno::TimedOut) => {}
+                    Err(e) => panic!("server read: {e:?}"),
+                }
+            }
+        }
+    });
+
+    let payload = [0x5Au8; SIZE];
+    let cpu0 = process_cpu_ns();
+    let begin = Instant::now();
+    for _ in 0..ops {
+        kernel.client_send(client, &payload).expect("send");
+        let mut got = 0;
+        while got < SIZE {
+            got += kernel
+                .client_recv_timeout(client, SIZE, Duration::from_secs(10))
+                .expect("recv")
+                .len();
+        }
+    }
+    let elapsed = begin.elapsed();
+    let cpu = process_cpu_ns() - cpu0;
+    serve.join().expect("server");
+    HandoffResult {
+        round_trips_per_s: ops as f64 / elapsed.as_secs_f64(),
+        cpu_ns_per_round_trip: cpu as f64 / ops as f64,
     }
 }
 
@@ -357,6 +451,7 @@ fn at(entries: &[(usize, f64)], size: usize) -> Option<f64> {
 struct Report {
     echo_single: Vec<(usize, EchoResult)>,
     echo_mve: Vec<(usize, EchoResult)>,
+    handoff: HandoffResult,
     bulk_single: Vec<(usize, f64)>,
     bulk_mve: Vec<(usize, f64)>,
     stream_legacy: Vec<(usize, f64)>,
@@ -434,6 +529,11 @@ impl Report {
             }
             results.field_raw(section, &object.finish());
         }
+        let mut handoff = JsonObject::new();
+        handoff
+            .field_f64("round_trips_per_s", self.handoff.round_trips_per_s)
+            .field_f64("cpu_ns_per_round_trip", self.handoff.cpu_ns_per_round_trip);
+        results.field_raw("handoff_64", &handoff.finish());
         let mut gate = JsonObject::new();
         for (key, measured, _) in self.gate_metrics() {
             gate.field_f64(&key, measured);
@@ -467,9 +567,16 @@ fn main() {
         port
     };
 
+    let handoff = bench_handoff(next_port(), params.handoff_ops);
+    eprintln!(
+        "  handoff   64B: {:8.1} kround-trips/s   {:7.0} CPU ns per round trip",
+        handoff.round_trips_per_s / 1e3,
+        handoff.cpu_ns_per_round_trip
+    );
     let mut report = Report {
         echo_single: Vec::new(),
         echo_mve: Vec::new(),
+        handoff,
         bulk_single: Vec::new(),
         bulk_mve: Vec::new(),
         stream_legacy: Vec::new(),
@@ -531,6 +638,10 @@ mod tests {
                     p99_ns: 30,
                 },
             )],
+            handoff: HandoffResult {
+                round_trips_per_s: 1e5,
+                cpu_ns_per_round_trip: 9000.0,
+            },
             bulk_single: vec![(4096, 1000.0), (65536, 4000.0)],
             bulk_mve: vec![(4096, 500.0)],
             stream_legacy: vec![(4096, 300.0), (65536, 500.0)],
@@ -546,6 +657,11 @@ mod tests {
         assert_eq!(read("speedup_vs_legacy_4096"), Some(3.0));
         assert_eq!(read("speedup_vs_legacy_65536"), Some(5.0));
         assert_eq!(read("missing"), None);
+        // The hand-off case is reported only.
+        let handoff = |key| baseline_metric(&json, "handoff_64", key);
+        assert_eq!(handoff("cpu_ns_per_round_trip"), Some(9000.0));
+        assert_eq!(handoff("round_trips_per_s"), Some(1e5));
+        assert_eq!(read("cpu_ns_per_round_trip"), None);
         let floors: Vec<Floor> = report.gate_metrics().iter().map(|g| g.2).collect();
         assert_eq!(
             floors,

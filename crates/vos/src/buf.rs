@@ -45,7 +45,13 @@ impl Buf {
         }
     }
 
-    /// Wraps an owned vector without copying its contents.
+    /// Moves an owned vector into a buffer. This copies the bytes once:
+    /// an `Arc<[u8]>` keeps its reference counts in the same block as
+    /// the bytes, so `Arc::from(Vec<u8>)` allocates a new block, copies
+    /// the bytes into it and frees the vector. The file freeze in
+    /// `fs::Contents::snapshot` and the coalescing path of
+    /// `StreamEnd::take` each pay this copy; clones and slices of the
+    /// result copy nothing.
     pub fn from_vec(v: Vec<u8>) -> Self {
         if v.is_empty() {
             return Buf::new();

@@ -2,41 +2,23 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 /// Monotonic kernel clock.
 ///
 /// Reports nanoseconds since kernel boot. The clock can additionally be
 /// advanced manually ([`Clock::advance`]), which deterministic tests use
 /// to exercise timeout paths without sleeping.
 ///
-/// Two extensions serve the chaos harness:
-///
-/// * **Virtual mode** ([`Clock::new_virtual`]): real elapsed time is
-///   ignored entirely and the clock moves *only* via [`Clock::advance`],
-///   making timestamps a pure function of the advance sequence.
-/// * **Advance hooks and jitter**: observers can register callbacks that
-///   fire after every advance (the session [`Timeline`] uses this to
-///   re-check kernel-clock deadlines), and a seeded, bounded jitter can
-///   be mixed into each advance to perturb timer alignment
-///   deterministically.
+/// In **virtual mode** ([`Clock::new_virtual`]), which the chaos
+/// harness uses, real elapsed time is ignored entirely and the clock
+/// moves *only* via [`Clock::advance`], making timestamps a pure
+/// function of the advance sequence.
 pub struct Clock {
     boot: Instant,
     /// Virtual nanoseconds added on top of (real or zero) elapsed time.
     skew: AtomicU64,
     /// When true, `now_nanos` ignores real elapsed time.
     virtual_only: bool,
-    /// LCG state for advance jitter; only read when `jitter_max > 0`.
-    jitter_state: AtomicU64,
-    /// Upper bound (exclusive) on per-advance jitter nanoseconds.
-    jitter_max: AtomicU64,
-    /// Callbacks invoked with the post-advance timestamp. Callbacks must
-    /// not call back into `advance`.
-    on_advance: Mutex<Vec<AdvanceCallback>>,
 }
-
-/// Callback invoked with the post-advance timestamp.
-type AdvanceCallback = Box<dyn Fn(u64) + Send + Sync>;
 
 impl Clock {
     /// Creates a clock whose epoch is "now" and which tracks real time.
@@ -45,9 +27,6 @@ impl Clock {
             boot: Instant::now(),
             skew: AtomicU64::new(0),
             virtual_only: false,
-            jitter_state: AtomicU64::new(0),
-            jitter_max: AtomicU64::new(0),
-            on_advance: Mutex::new(Vec::new()),
         }
     }
 
@@ -58,11 +37,6 @@ impl Clock {
             virtual_only: true,
             ..Clock::new()
         }
-    }
-
-    /// Whether this clock ignores real elapsed time.
-    pub fn is_virtual(&self) -> bool {
-        self.virtual_only
     }
 
     /// Nanoseconds since boot (real elapsed time plus any virtual skew;
@@ -76,44 +50,9 @@ impl Clock {
         real.saturating_add(self.skew.load(Ordering::Relaxed))
     }
 
-    /// Advances the clock by `nanos` virtual nanoseconds (plus bounded
-    /// jitter when configured), then fires the advance hooks.
+    /// Advances the clock by `nanos` virtual nanoseconds.
     pub fn advance(&self, nanos: u64) {
-        let mut step = nanos;
-        let max = self.jitter_max.load(Ordering::Relaxed);
-        if max > 0 {
-            // One LCG step per advance keeps the jitter sequence a pure
-            // function of the seed and the number of advances.
-            let state = self
-                .jitter_state
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                    Some(
-                        s.wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407),
-                    )
-                })
-                .unwrap_or(0);
-            step = step.saturating_add(state % max);
-        }
-        self.skew.fetch_add(step, Ordering::Relaxed);
-        let now = self.now_nanos();
-        for hook in self.on_advance.lock().iter() {
-            hook(now);
-        }
-    }
-
-    /// Enables bounded advance jitter: every [`Clock::advance`] gains an
-    /// extra `[0, max_nanos)` nanoseconds drawn from an LCG seeded with
-    /// `seed`. Time stays monotone; only alignment shifts.
-    pub fn set_advance_jitter(&self, seed: u64, max_nanos: u64) {
-        self.jitter_state.store(seed, Ordering::Relaxed);
-        self.jitter_max.store(max_nanos, Ordering::Relaxed);
-    }
-
-    /// Registers a callback fired (with the new timestamp) after every
-    /// advance. Callbacks must not call back into [`Clock::advance`].
-    pub fn on_advance(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
-        self.on_advance.lock().push(Box::new(hook));
+        self.skew.fetch_add(nanos, Ordering::Relaxed);
     }
 }
 
@@ -144,8 +83,6 @@ impl obs::TimeSource for Clock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
 
     #[test]
     fn clock_is_monotonic() {
@@ -166,48 +103,10 @@ mod tests {
     #[test]
     fn virtual_clock_only_moves_on_advance() {
         let c = Clock::new_virtual();
-        assert!(c.is_virtual());
         assert_eq!(c.now_nanos(), 0);
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert_eq!(c.now_nanos(), 0);
         c.advance(250);
         assert_eq!(c.now_nanos(), 250);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let run = |seed| {
-            let c = Clock::new_virtual();
-            c.set_advance_jitter(seed, 100);
-            (0..50)
-                .map(|_| {
-                    c.advance(1_000);
-                    c.now_nanos()
-                })
-                .collect::<Vec<_>>()
-        };
-        let a = run(7);
-        let b = run(7);
-        assert_eq!(a, b);
-        // Jitter adds at most 99 per step.
-        for (i, t) in a.iter().enumerate() {
-            let base = 1_000 * (i as u64 + 1);
-            assert!(*t >= base && *t < base + 100 * (i as u64 + 1), "{t}");
-        }
-        assert_ne!(a, run(8));
-    }
-
-    #[test]
-    fn advance_hooks_fire_with_new_time() {
-        let c = Clock::new_virtual();
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = seen.clone();
-        c.on_advance(move |now| {
-            assert!(now > 0);
-            seen2.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        });
-        c.advance(10);
-        c.advance(10);
-        assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 2);
     }
 }

@@ -550,11 +550,46 @@ impl obs::TimeSource for VirtualKernel {
 mod tests {
     use super::*;
 
-    /// Spins (yielding) until a thread is parked in `epoll_wait` on `ep`.
+    /// Yields until a thread is parked in `epoll_wait` on `ep`; panics
+    /// after 10 s, so a wait that never parks fails instead of hanging.
     fn await_epoll_waiter(k: &VirtualKernel, ep: Fd) {
+        let give_up = Instant::now() + Duration::from_secs(10);
         while k.epoll_waiters(ep).unwrap() == 0 {
+            assert!(Instant::now() < give_up, "epoll_wait never parked");
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn handoff_waits_leave_no_parked_waiter() {
+        // A client and a server thread ping-pong as `NetCore` serves:
+        // epoll_wait, read_timeout, write. Most waits on both sides end
+        // in the spin phase; none may stay counted as parked.
+        let k = VirtualKernel::new();
+        let l = k.listen(80).unwrap();
+        let c = k.connect(80).unwrap();
+        let s = k.accept(l).unwrap();
+        let ep = k.epoll_create().unwrap();
+        k.epoll_ctl(ep, CtlOp::Add, s).unwrap();
+        let k2 = k.clone();
+        let server = std::thread::spawn(move || {
+            let mut served = 0;
+            while served < 2_000 {
+                for fd in k2.epoll_wait(ep, 16, Duration::from_millis(10)).unwrap() {
+                    let req = k2.read(fd, 4096, Some(Duration::from_millis(20))).unwrap();
+                    k2.write_buf(fd, req).unwrap();
+                    served += 1;
+                }
+            }
+        });
+        for i in 0..2_000u32 {
+            k.client_send(c, &i.to_le_bytes()).unwrap();
+            assert_eq!(k.client_recv(c, 64).unwrap(), &i.to_le_bytes()[..]);
+        }
+        server.join().unwrap();
+        assert_eq!(k.epoll_waiters(ep).unwrap(), 0);
+        assert_eq!(k.waiting_readers(s).unwrap(), 0);
+        assert_eq!(k.waiting_readers(c).unwrap(), 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -7,44 +8,79 @@ use parking_lot::{Condvar, Mutex};
 use crate::buf::Buf;
 use crate::error::{Errno, OsResult};
 
+/// How long a blocking wait polls for its peer before it parks. On the
+/// shared 2-vCPU guest the numbers in docs/vos.md come from, a futex
+/// park and the wake that ends it cost about 5 µs of CPU each; a peer
+/// that answers within this budget is met with neither.
+const SPIN_BUDGET: Duration = Duration::from_micros(3);
+
+/// The spin phase of a blocking wait: polls `changed` until it holds,
+/// [`SPIN_BUDGET`] passes or `deadline` does, whichever is first, and
+/// returns whether it held. It alternates a spin-loop hint with a
+/// yield, so a peer that shares this CPU gets to run and answer.
+///
+/// `changed` reads a lock-free mirror of the waited-on state. Its
+/// answer only decides when the caller re-checks that state under its
+/// lock; the caller then parks exactly as it would have without the
+/// spin, so the spin never changes what a wait returns.
+fn spin_until(changed: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
+    let budget = Instant::now() + SPIN_BUDGET;
+    let end = deadline.map_or(budget, |d| d.min(budget));
+    let mut yield_next = false;
+    while !changed() {
+        if Instant::now() >= end {
+            return false;
+        }
+        if yield_next {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+        yield_next = !yield_next;
+    }
+    true
+}
+
 /// A readiness notifier: a generation counter plus a condvar.
 ///
 /// Every epoll instance owns one. `epoll_ctl(Add)` registers it
 /// (weakly) with the [`WaitSet`] of the added descriptor, so a state
 /// change on fd A wakes only the instances interested in fd A.
 ///
-/// The generation and the number of parked waiters live under one
-/// mutex. `bump` calls the condvar only when someone is parked: a
-/// `notify_all` with no sleeper is still a futex syscall. The check is
-/// made under the lock the sleeper parks on, so no wake-up is lost.
+/// The generation changes only under the mutex that counts the parked
+/// waiters, so a waiter that checks it under that mutex before parking
+/// cannot miss a bump; it is an atomic so that [`current`](Self::current)
+/// and the spin phase read it without the lock. `bump` calls the condvar
+/// only when someone is parked: a `notify_all` with no sleeper is still
+/// a futex syscall. The check is made under the lock the sleeper parks
+/// on, so no wake-up is lost.
 #[derive(Debug, Default)]
 pub(crate) struct Notifier {
-    state: Mutex<NotifierState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct NotifierState {
-    gen: u64,
+    /// `bump`'s `Release` pairs with `current`'s `Acquire`: a waiter
+    /// that sees a new generation also sees the state change that
+    /// preceded the bump when it rescans.
+    gen: AtomicU64,
     /// Threads inside `wait_change`'s park; `bump` wakes only if > 0.
-    parked: usize,
+    parked: Mutex<usize>,
+    cv: Condvar,
 }
 
 impl Notifier {
     pub fn current(&self) -> u64 {
-        self.state.lock().gen
+        self.gen.load(Ordering::Acquire)
     }
 
     /// Threads currently parked in [`wait_change`](Self::wait_change)
-    /// (test rendezvous and diagnostics).
+    /// (test rendezvous and diagnostics). A wait that ends inside the
+    /// spin phase never counts.
     pub fn parked(&self) -> usize {
-        self.state.lock().parked
+        *self.parked.lock()
     }
 
     pub fn bump(&self) {
-        let mut state = self.state.lock();
-        state.gen += 1;
-        if state.parked > 0 {
+        let parked = self.parked.lock();
+        self.gen.fetch_add(1, Ordering::Release);
+        if *parked > 0 {
             self.cv.notify_all();
         }
     }
@@ -52,14 +88,18 @@ impl Notifier {
     /// Waits until the generation differs from `seen` or `timeout` passes.
     /// Returns the generation observed on wakeup.
     pub fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut state = self.state.lock();
-        if state.gen != seen {
-            return state.gen;
+        let deadline = Instant::now() + timeout;
+        if spin_until(|| self.current() != seen, Some(deadline)) {
+            return self.current();
         }
-        state.parked += 1;
-        let _ = self.cv.wait_for(&mut state, timeout);
-        state.parked -= 1;
-        state.gen
+        let mut parked = self.parked.lock();
+        let left = deadline.saturating_duration_since(Instant::now());
+        if self.current() == seen && !left.is_zero() {
+            *parked += 1;
+            let _ = self.cv.wait_for(&mut parked, left);
+            *parked -= 1;
+        }
+        self.current()
     }
 }
 
@@ -143,6 +183,11 @@ struct Inbox {
 #[derive(Debug)]
 pub(crate) struct StreamEnd {
     inbox: Mutex<Inbox>,
+    /// Writes and closes that reached the inbox, bumped under its lock:
+    /// the lock-free mirror the spin phase of `read` polls. `Relaxed`
+    /// throughout, because it publishes nothing: a reader that sees it
+    /// move takes the inbox lock before it looks at the inbox.
+    arrivals: AtomicU64,
     cv: Condvar,
     peer: OnceLock<Weak<StreamEnd>>,
     /// Epoll waiters interested in this endpoint's readability.
@@ -167,6 +212,7 @@ impl StreamEnd {
                 closed: false,
                 waiting_readers: 0,
             }),
+            arrivals: AtomicU64::new(0),
             cv: Condvar::new(),
             peer: OnceLock::new(),
             waiters: Arc::new(WaitSet::new()),
@@ -184,6 +230,7 @@ impl StreamEnd {
     }
 
     /// Readers currently parked waiting for data (test synchronization).
+    /// A read that ends inside the spin phase never counts.
     pub fn waiting_readers(&self) -> usize {
         self.inbox.lock().waiting_readers
     }
@@ -204,6 +251,7 @@ impl StreamEnd {
                 inbox.len += n;
                 inbox.chunks.push_back(data);
             }
+            peer.arrivals.fetch_add(1, Ordering::Relaxed);
             if inbox.waiting_readers > 0 {
                 peer.cv.notify_all();
             }
@@ -218,14 +266,19 @@ impl StreamEnd {
     /// The common case — the front chunk covers the request — returns a
     /// slice of the writer's own allocation, zero-copy. A request that
     /// spans chunks coalesces them with bulk copies.
+    ///
+    /// A read that finds the inbox empty first spins (see [`spin_until`])
+    /// on `arrivals` with the lock released, then re-checks under the
+    /// lock; only when that finds nothing does it park.
     pub fn read(&self, max: usize, timeout: Option<Duration>) -> OsResult<Buf> {
         if max == 0 {
             return Ok(Buf::new());
         }
         let mut inbox = self.inbox.lock();
-        // Set on the first park only: a read that finds data never reads
-        // a clock.
+        // Set on the first empty check only: a read that finds data never
+        // reads a clock.
         let mut deadline = None;
+        let mut spun = false;
         loop {
             if inbox.len > 0 {
                 return Ok(Self::take(&mut inbox, max));
@@ -244,6 +297,14 @@ impl StreamEnd {
                     Some(d - now)
                 }
             };
+            if !spun {
+                spun = true;
+                let seen = self.arrivals.load(Ordering::Relaxed);
+                drop(inbox);
+                spin_until(|| self.arrivals.load(Ordering::Relaxed) != seen, deadline);
+                inbox = self.inbox.lock();
+                continue;
+            }
             inbox.waiting_readers += 1;
             match left {
                 None => self.cv.wait(&mut inbox),
@@ -305,6 +366,7 @@ impl StreamEnd {
         {
             let mut inbox = self.inbox.lock();
             inbox.closed = true;
+            self.arrivals.fetch_add(1, Ordering::Relaxed);
             self.cv.notify_all();
         }
         self.waiters.wake();
@@ -312,6 +374,7 @@ impl StreamEnd {
             {
                 let mut inbox = peer.inbox.lock();
                 inbox.closed = true;
+                peer.arrivals.fetch_add(1, Ordering::Relaxed);
                 peer.cv.notify_all();
             }
             peer.waiters.wake();
@@ -328,15 +391,23 @@ mod tests {
         Buf::copy_from_slice(data)
     }
 
-    /// Spins (yielding) until `end` has a parked reader — the
-    /// deterministic replacement for the seed's 20 ms sleep: the
-    /// waiting_readers counter is incremented under the inbox lock
-    /// immediately before the condvar park, so observing it guarantees
-    /// the reader cannot miss a subsequent notify.
-    fn await_reader(end: &StreamEnd) {
-        while end.waiting_readers() == 0 {
+    /// Yields until `parked()` reports a parked waiter; panics after
+    /// 10 s, so a waiter that never parks fails instead of hanging.
+    fn await_parked(parked: impl Fn() -> usize) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while parked() == 0 {
+            assert!(Instant::now() < give_up, "the waiter never parked");
             std::thread::yield_now();
         }
+    }
+
+    /// Yields until `end` has a parked reader — the deterministic
+    /// replacement for the seed's 20 ms sleep: the waiting_readers
+    /// counter is incremented under the inbox lock immediately before
+    /// the condvar park, so observing it guarantees the reader cannot
+    /// miss a subsequent notify.
+    fn await_reader(end: &StreamEnd) {
+        await_parked(|| end.waiting_readers());
     }
 
     #[test]
@@ -508,13 +579,74 @@ mod tests {
         assert_eq!(seen, 1);
         let n2 = n.clone();
         let t = std::thread::spawn(move || n2.wait_change(seen, Duration::from_secs(5)));
-        while n.parked() == 0 {
-            std::thread::yield_now();
-        }
+        await_parked(|| n.parked());
         n.bump();
         assert_eq!(t.join().unwrap(), 2);
         assert_eq!(n.parked(), 0);
         // A stale generation returns at once without parking.
         assert_eq!(n.wait_change(seen, Duration::from_secs(5)), 2);
+    }
+
+    /// Runs `wait` 100 times with a 1 ns timeout and returns the fastest
+    /// run. A spin that ignored the deadline would take the whole budget
+    /// every time. The deadline passes before the spin's first yield, so
+    /// on a loaded machine a run is delayed only if it is preempted, and
+    /// the fastest of 100 is not.
+    fn fastest_short_wait(mut wait: impl FnMut(Duration)) -> Duration {
+        (0..100)
+            .map(|_| {
+                let t0 = Instant::now();
+                wait(Duration::from_nanos(1));
+                t0.elapsed()
+            })
+            .min()
+            .expect("100 runs")
+    }
+
+    #[test]
+    fn read_shorter_than_the_spin_budget_times_out_on_time() {
+        let (_a, b) = StreamEnd::pair();
+        let fastest = fastest_short_wait(|timeout| {
+            assert_eq!(b.read(8, Some(timeout)).unwrap_err(), Errno::TimedOut);
+        });
+        assert!(
+            fastest < SPIN_BUDGET,
+            "fastest timed-out read took {fastest:?}"
+        );
+        assert_eq!(b.waiting_readers(), 0);
+    }
+
+    #[test]
+    fn wait_change_shorter_than_the_spin_budget_returns_on_time() {
+        let n = Notifier::default();
+        let fastest = fastest_short_wait(|timeout| {
+            assert_eq!(n.wait_change(0, timeout), 0, "the old generation");
+        });
+        assert!(
+            fastest < SPIN_BUDGET,
+            "fastest timed-out wait took {fastest:?}"
+        );
+        assert_eq!(n.parked(), 0);
+    }
+
+    #[test]
+    fn ping_pong_waits_leave_no_parked_count() {
+        // Two threads hand 64 B back and forth, so most reads find their
+        // reply while they spin; whichever way each wait ended, none may
+        // stay counted as parked.
+        let (a, b) = StreamEnd::pair();
+        let b2 = b.clone();
+        let echo = std::thread::spawn(move || {
+            for _ in 0..2_000 {
+                let req = b2.read(64, None).unwrap();
+                b2.write(req).unwrap();
+            }
+        });
+        for i in 0..2_000u32 {
+            a.write(buf(&i.to_le_bytes())).unwrap();
+            assert_eq!(a.read(64, None).unwrap(), &i.to_le_bytes()[..]);
+        }
+        echo.join().unwrap();
+        assert_eq!((a.waiting_readers(), b.waiting_readers()), (0, 0));
     }
 }

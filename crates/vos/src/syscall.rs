@@ -153,15 +153,6 @@ impl Syscall {
             Syscall::Pid => SyscallKind::Pid,
         }
     }
-
-    /// The payload of a `write`, if this is one. Rewrite rules predicate
-    /// heavily on write payloads, so this accessor is provided here.
-    pub fn write_payload(&self) -> Option<&[u8]> {
-        match self {
-            Syscall::Write { data, .. } => Some(data.as_slice()),
-            _ => None,
-        }
-    }
 }
 
 /// The most payload bytes a rendered `write` shows. A longer payload
@@ -405,16 +396,6 @@ mod tests {
         assert_eq!(SysRet::Time(5).as_time(), Some(5));
         assert_eq!(SysRet::Pid(42).as_pid(), Some(42));
         assert_eq!(SysRet::Err(Errno::BadFd).as_data(), None);
-    }
-
-    #[test]
-    fn write_payload_accessor() {
-        let w = Syscall::Write {
-            fd: Fd::from_raw(4),
-            data: Buf::from(b"hi"),
-        };
-        assert_eq!(w.write_payload(), Some(&b"hi"[..]));
-        assert_eq!(Syscall::Now.write_payload(), None);
     }
 
     #[test]

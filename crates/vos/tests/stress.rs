@@ -383,7 +383,10 @@ fn jitter(r: u64) {
 /// byte must arrive in order. Writers close only after their reader has
 /// drained the stream, so a lost wake-up leaves an untimed reader or a
 /// long epoll wait asleep with data pending, and the watchdog fails the
-/// seed.
+/// seed. On odd seeds the writers never pause: each sends its next
+/// piece as soon as the reader has taken the last one, so most waits
+/// end inside the spin phase of a read or `epoll_wait` instead of in a
+/// park.
 #[test]
 fn seeded_schedules_lose_no_wakeups() {
     for seed in 0..32u64 {
@@ -423,7 +426,15 @@ fn run_wakeup_schedule(seed: u64) {
                 let n = (1 + r as usize % 512).min(body.len() - sent);
                 k.client_send(client, &body[sent..sent + n]).unwrap();
                 sent += n;
-                jitter(mix(&mut rng));
+                if seed.is_multiple_of(2) {
+                    jitter(mix(&mut rng));
+                } else {
+                    // No pause: hand the next piece over as soon as the
+                    // reader has taken this one.
+                    while k.pending_bytes(server).unwrap() > 0 {
+                        thread::yield_now();
+                    }
+                }
             }
             // Close only once the reader has drained everything: the
             // close wakes every sleeper, so closing early would hide a

@@ -39,6 +39,34 @@ chaos-traces dir:
     for s in $(seq 0 199); do "${CARGO_TARGET_DIR:-target}/release/harness" --seed $s > {{dir}}/seed-$s.txt 2>/dev/null || true; done
     "${CARGO_TARGET_DIR:-target}/release/harness" --scenarios > {{dir}}/scenarios.txt 2>/dev/null || true
 
+# Chaos traces of REV against the working tree: builds REV in a git
+# worktree under target/, writes the traces of both trees as
+# `chaos-traces` does (seeds 0..200 and --scenarios, one file per run,
+# stderr dropped) and compares them with one `diff -r`. Exits 1 and
+# prints the differences if any trace differs.
+chaos-traces-vs rev:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    base=target/chaos-traces-vs/base
+    out=target/chaos-traces-vs/out
+    if [ -d "$base" ]; then
+        git -C "$base" checkout --quiet --detach {{rev}}
+    else
+        git worktree add --quiet --detach "$base" {{rev}}
+    fi
+    cargo build --release --offline -p mvedsua-harness \
+        --manifest-path "$base/Cargo.toml" --target-dir "$base/target"
+    cargo build --release --offline -p mvedsua-harness
+    traces() {
+        rm -rf "$2" && mkdir -p "$2"
+        for s in $(seq 0 199); do "$1" --seed $s > "$2/seed-$s.txt" 2>/dev/null || true; done
+        "$1" --scenarios > "$2/scenarios.txt" 2>/dev/null || true
+    }
+    traces "$base/target/release/harness" "$out/base"
+    traces "${CARGO_TARGET_DIR:-target}/release/harness" "$out/change"
+    diff -r "$out/base" "$out/change"
+    echo "chaos traces of {{rev}} and the working tree are identical"
+
 # The §6.2 error study through the chaos engine.
 chaos-scenarios:
     cargo run --release -p mvedsua-harness -- --scenarios
