@@ -15,6 +15,11 @@
 //!   CPU ns per round trip. Echo runs both sides on one thread, so only
 //!   this case pays for waking a blocked peer. Reported, not gated,
 //!   because it shows wake-up cost, which moves with the host's load,
+//! * the price of a park (`park_price`): CPU and wall ns per hand-off
+//!   of a `Mutex` + `Condvar` ping-pong, CPU ns per hand-off of a
+//!   ping-pong that polls with yields, and the ns of one `yield_now` —
+//!   the numbers `vos`'s spin budget is derived from (docs/vos.md);
+//!   reported, not gated,
 //! * bulk throughput (MB/s) — the server streams a large payload in
 //!   size-`S` writes, the client drains concurrently — in both modes,
 //! * stream-level throughput of the new chunk-queue path vs. the
@@ -30,7 +35,8 @@
 //! Usage: `vos_bench [--quick] [--out PATH] [--check BASELINE [--min-ratio R]]`
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -235,6 +241,92 @@ fn bench_handoff(port: u16, ops: u64) -> HandoffResult {
     HandoffResult {
         round_trips_per_s: ops as f64 / elapsed.as_secs_f64(),
         cpu_ns_per_round_trip: cpu as f64 / ops as f64,
+    }
+}
+
+/// What one hand-off between two threads costs when the waiter parks
+/// and when it polls with yields: the prices `vos`'s `SPIN_BUDGET` is
+/// derived from. Reported, not gated.
+struct ParkPrice {
+    /// Process CPU ns per hand-off of a `Mutex` + `Condvar` ping-pong:
+    /// one park and the wake that ends it.
+    condvar_cpu_ns_per_handoff: f64,
+    /// Wall ns per hand-off of the same ping-pong.
+    condvar_wall_ns_per_handoff: f64,
+    /// Process CPU ns per hand-off of a ping-pong whose waiter polls an
+    /// atomic and yields between polls, as `vos`'s spin phase does.
+    yield_cpu_ns_per_handoff: f64,
+    /// Wall ns of one `yield_now` with no other thread to run.
+    yield_ns: f64,
+}
+
+/// Two threads pass a turn back and forth `ops` times each way; `wait`
+/// blocks the calling thread until the turn is `mine`, `pass` hands it
+/// on. Returns (process CPU ns, wall ns) per hand-off.
+fn ping_pong<S: Send + Sync + 'static>(
+    ops: u64,
+    state: S,
+    wait: fn(&S, u64),
+    pass: fn(&S, u64),
+) -> (f64, f64) {
+    let state = Arc::new(state);
+    let peer = {
+        let state = state.clone();
+        thread::spawn(move || {
+            for _ in 0..ops {
+                wait(&state, 1);
+                pass(&state, 0);
+            }
+        })
+    };
+    let cpu0 = process_cpu_ns();
+    let begin = Instant::now();
+    for _ in 0..ops {
+        pass(&state, 1);
+        wait(&state, 0);
+    }
+    let wall = begin.elapsed().as_nanos() as f64;
+    let cpu = (process_cpu_ns() - cpu0) as f64;
+    peer.join().expect("ping-pong peer");
+    let handoffs = 2.0 * ops as f64;
+    (cpu / handoffs, wall / handoffs)
+}
+
+fn bench_park_price(ops: u64) -> ParkPrice {
+    type Parked = (Mutex<u64>, Condvar);
+    let (condvar_cpu, condvar_wall) = ping_pong(
+        ops,
+        (Mutex::new(0), Condvar::new()),
+        |(turn, cv): &Parked, mine| {
+            let mut turn = turn.lock().expect("turn");
+            while *turn != mine {
+                turn = cv.wait(turn).expect("turn");
+            }
+        },
+        |(turn, cv): &Parked, next| {
+            *turn.lock().expect("turn") = next;
+            cv.notify_one();
+        },
+    );
+    let (yield_cpu, _) = ping_pong(
+        ops,
+        AtomicU64::new(0),
+        |turn, mine| {
+            while turn.load(Ordering::Acquire) != mine {
+                thread::yield_now();
+            }
+        },
+        |turn, next| turn.store(next, Ordering::Release),
+    );
+    let begin = Instant::now();
+    for _ in 0..ops {
+        thread::yield_now();
+    }
+    ParkPrice {
+        condvar_cpu_ns_per_handoff: condvar_cpu,
+        condvar_wall_ns_per_handoff: condvar_wall,
+        yield_cpu_ns_per_handoff: yield_cpu,
+        yield_ns: begin.elapsed().as_nanos() as f64 / ops as f64,
     }
 }
 
@@ -452,6 +544,7 @@ struct Report {
     echo_single: Vec<(usize, EchoResult)>,
     echo_mve: Vec<(usize, EchoResult)>,
     handoff: HandoffResult,
+    park_price: ParkPrice,
     bulk_single: Vec<(usize, f64)>,
     bulk_mve: Vec<(usize, f64)>,
     stream_legacy: Vec<(usize, f64)>,
@@ -534,6 +627,20 @@ impl Report {
             .field_f64("round_trips_per_s", self.handoff.round_trips_per_s)
             .field_f64("cpu_ns_per_round_trip", self.handoff.cpu_ns_per_round_trip);
         results.field_raw("handoff_64", &handoff.finish());
+        let price = &self.park_price;
+        let mut park_price = JsonObject::new();
+        park_price
+            .field_f64(
+                "condvar_cpu_ns_per_handoff",
+                price.condvar_cpu_ns_per_handoff,
+            )
+            .field_f64(
+                "condvar_wall_ns_per_handoff",
+                price.condvar_wall_ns_per_handoff,
+            )
+            .field_f64("yield_cpu_ns_per_handoff", price.yield_cpu_ns_per_handoff)
+            .field_f64("yield_ns", price.yield_ns);
+        results.field_raw("park_price", &park_price.finish());
         let mut gate = JsonObject::new();
         for (key, measured, _) in self.gate_metrics() {
             gate.field_f64(&key, measured);
@@ -573,10 +680,19 @@ fn main() {
         handoff.round_trips_per_s / 1e3,
         handoff.cpu_ns_per_round_trip
     );
+    let park_price = bench_park_price(params.handoff_ops);
+    eprintln!(
+        "  park price:    condvar {:5.0} CPU ns / {:5.0} wall ns per hand-off   yield {:5.0} CPU ns per hand-off   {:4.0} ns per yield",
+        park_price.condvar_cpu_ns_per_handoff,
+        park_price.condvar_wall_ns_per_handoff,
+        park_price.yield_cpu_ns_per_handoff,
+        park_price.yield_ns
+    );
     let mut report = Report {
         echo_single: Vec::new(),
         echo_mve: Vec::new(),
         handoff,
+        park_price,
         bulk_single: Vec::new(),
         bulk_mve: Vec::new(),
         stream_legacy: Vec::new(),
@@ -642,6 +758,12 @@ mod tests {
                 round_trips_per_s: 1e5,
                 cpu_ns_per_round_trip: 9000.0,
             },
+            park_price: ParkPrice {
+                condvar_cpu_ns_per_handoff: 4500.0,
+                condvar_wall_ns_per_handoff: 8000.0,
+                yield_cpu_ns_per_handoff: 600.0,
+                yield_ns: 150.0,
+            },
             bulk_single: vec![(4096, 1000.0), (65536, 4000.0)],
             bulk_mve: vec![(4096, 500.0)],
             stream_legacy: vec![(4096, 300.0), (65536, 500.0)],
@@ -662,6 +784,12 @@ mod tests {
         assert_eq!(handoff("cpu_ns_per_round_trip"), Some(9000.0));
         assert_eq!(handoff("round_trips_per_s"), Some(1e5));
         assert_eq!(read("cpu_ns_per_round_trip"), None);
+        let price = |key| baseline_metric(&json, "park_price", key);
+        assert_eq!(price("condvar_cpu_ns_per_handoff"), Some(4500.0));
+        assert_eq!(price("condvar_wall_ns_per_handoff"), Some(8000.0));
+        assert_eq!(price("yield_cpu_ns_per_handoff"), Some(600.0));
+        assert_eq!(price("yield_ns"), Some(150.0));
+        assert_eq!(read("yield_ns"), None);
         let floors: Vec<Floor> = report.gate_metrics().iter().map(|g| g.2).collect();
         assert_eq!(
             floors,

@@ -481,8 +481,11 @@ impl<'a> Run<'a> {
                 }
             }
             (Backend::Memcached, ClientOp::Put { key, value }) => {
-                send(c, &format!("set {key} 0 0 {}", value.len()))?;
-                send(c, value)?;
+                // The command line and its data block go in one write.
+                // As two, the server's read would take one or both
+                // depending on timing, and the forensics dump records
+                // the length of every read.
+                send(c, &format!("set {key} 0 0 {}\r\n{value}", value.len()))?;
                 match line(c)?.as_str() {
                     "STORED" => Ok(CanonReply::Stored),
                     other => Err(format!("mc set: {other:?}")),

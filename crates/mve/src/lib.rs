@@ -40,11 +40,11 @@
 //! A follower replays each call against a queue of expected records and
 //! refills the queue one way only, with or without rewrite rules:
 //!
-//! * It takes up to 32 records from its ring with `pop_batch`. On an
-//!   empty ring it sleeps until 32 records are buffered or the leader
-//!   kicks the ring, which the leader does whenever it is about to wait
-//!   on something else (see `docs/ring.md`). It wakes about once per
-//!   batch, not once per record.
+//! * It takes up to 128 records from its ring with `pop_batch`. On an
+//!   empty ring it sleeps until 128 records are buffered (half the ring,
+//!   if that is fewer) or the leader kicks the ring, which the leader
+//!   does whenever it is about to wait on something else (see
+//!   `docs/ring.md`). It wakes about once per batch, not once per record.
 //! * The rule engine cuts the records into windows. A window grows while
 //!   some longer rule could still match it. A window that reaches the
 //!   last record taken is *carried* into the next batch, undecided,

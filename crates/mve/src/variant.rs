@@ -26,10 +26,10 @@ use vos::Buf;
 pub type VariantId = u32;
 
 /// How many records a follower takes from the ring per refill. It is
-/// also the ring's wake mark: a follower that keeps up sleeps until this
-/// many records are buffered, or until the leader kicks the ring
-/// because it is about to wait on something else.
-const FOLLOWER_BATCH: usize = 32;
+/// also the ring's wake mark, capped at half the ring: a follower that
+/// keeps up sleeps until this many records are buffered, or until the
+/// leader kicks the ring because it is about to wait on something else.
+const FOLLOWER_BATCH: usize = 128;
 
 /// Leader-side configuration: the outgoing ring and the synchronization
 /// discipline.

@@ -563,3 +563,57 @@ fn reorder_rule_replays_the_leaders_errno() {
         "the copied write keeps the leader's errno"
     );
 }
+
+const CALLS: u64 = 1_000;
+
+/// Runs a leader through `CALLS` `now` calls against a live follower
+/// and returns how often the follower was woken. `now` neither blocks
+/// untimed nor comes back idle, so the leader never kicks: only the
+/// doorbell and the closing `close` wake the follower.
+fn follower_wakes_for_now_calls(paced: bool) -> u64 {
+    let kernel = VirtualKernel::new();
+    let ring = new_ring(1024);
+    let mut leader = VariantOs::single(0, kernel.clone(), None);
+    leader.attach_follower(LeaderConfig {
+        ring: ring.clone(),
+        lockstep: None,
+    });
+    let mut follower = VariantOs::follower(1, kernel.clone(), follower_config(ring.clone()), None);
+    let replay = thread::spawn(move || (0..CALLS).map(|_| follower.now()).collect::<Vec<_>>());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while ring.stats().parks == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "follower never parked"
+        );
+        thread::yield_now();
+    }
+    let stamps: Vec<u64> = (0..CALLS)
+        .map(|_| {
+            if paced {
+                // Let the follower catch up and park again.
+                thread::sleep(Duration::from_micros(10));
+            }
+            leader.now()
+        })
+        .collect();
+    ring.close();
+    assert_eq!(replay.join().unwrap(), stamps);
+    let stats = ring.stats();
+    assert_eq!(stats.producer_stalls, 0, "a full ring would kick");
+    stats.wakes
+}
+
+#[test]
+fn a_leader_that_never_kicks_wakes_its_follower_once_per_batch() {
+    // Unpaced, the leader publishes many records while a woken follower
+    // is still on its way: the doorbell must ring once for them all.
+    // Paced, the follower keeps up and parks again after every batch.
+    for paced in [false, true] {
+        let wakes = follower_wakes_for_now_calls(paced);
+        assert!(
+            wakes <= CALLS.div_ceil(128) + 1,
+            "paced {paced}: {wakes} wakes for {CALLS} records"
+        );
+    }
+}

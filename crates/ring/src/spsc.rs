@@ -18,9 +18,10 @@
 //! Blocking (`push` on full, `pop` on empty, `wait_empty`)
 //! escalates spin → yield → park via [`crate::wait`]. `pop_batch` on an
 //! empty ring parks at once behind a doorbell: it publishes a wake mark
-//! and the producer wakes it only when occupancy reaches the mark, on
-//! [`Ring::kick`], or when the ring is closed, poisoned, full or waited
-//! empty. See `docs/ring.md`.
+//! of at most half the ring, and the producer wakes it only when
+//! occupancy reaches the mark (once per mark), on [`Ring::kick`], or
+//! when the ring is closed, poisoned, full or waited empty. See
+//! `docs/ring.md`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -86,7 +87,8 @@ struct ConsumerSide {
     cached_tail: AtomicU64,
     /// The `tail` at which a publish must wake the consumer. Written
     /// before the consumer registers to park; the producer reads it
-    /// only when someone is parked.
+    /// only when someone is parked, and the publish that rings it sets
+    /// it to `u64::MAX`, so the doorbell rings once per mark.
     wake_at: AtomicU64,
     /// Monotone `pop` call counter (drives the stall schedule).
     pops: AtomicU64,
@@ -300,9 +302,30 @@ impl<T> Ring<T> {
             let occupancy = (end - head).min(self.capacity as u64);
             producer.high_water.fetch_max(occupancy, Ordering::Relaxed);
         }
+        self.data_waiters.notify_if(|| self.claim_wake_mark(end));
+    }
+
+    /// Whether a publish up to `end` rings the doorbell: true once `end`
+    /// reaches the wake mark, which it then clears. A consumer woken at
+    /// its mark takes what is published and stores a new mark before it
+    /// parks again, so until then further publishes skip the lock and
+    /// the futex wake of a consumer that is already waking. The compare
+    /// and swap never clears a newer mark the consumer stored meanwhile.
+    fn claim_wake_mark(&self, end: u64) -> bool {
         let wake_at = &self.consumer.0.wake_at;
-        self.data_waiters
-            .notify_if(|| end >= wake_at.load(Ordering::Relaxed));
+        let mut mark = wake_at.load(Ordering::Relaxed);
+        while mark <= end {
+            match wake_at.compare_exchange_weak(
+                mark,
+                u64::MAX,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(current) => mark = current,
+            }
+        }
+        false
     }
 
     /// Wakes the consumer for every record published below `tail`,
@@ -540,11 +563,13 @@ impl<T> Ring<T> {
     /// round, moving out whatever run is already published.
     ///
     /// On an empty ring it parks at once, with no spin and no yield,
-    /// behind a doorbell: the wake mark is `min(max, capacity)` records,
-    /// and a publish wakes it only once that many are buffered.
+    /// behind a doorbell: the wake mark is `min(max, capacity / 2)`
+    /// records (at least one), and a publish wakes it only once that
+    /// many are buffered. Half the ring stays free as slack, so the
+    /// producer does not fill the ring while the consumer wakes.
     /// [`Ring::kick`], `close`, `poison`, `wait_empty` and a producer
     /// blocked on a full ring wake it early. So a consumer that keeps up
-    /// costs one wakeup per `max` records rather than one per record.
+    /// costs one wakeup per mark rather than one per record.
     /// The chaos stall schedule still advances once per record, keeping
     /// perturbation density identical to record-at-a-time consumption.
     ///
@@ -556,7 +581,7 @@ impl<T> Ring<T> {
             return Ok(Vec::new());
         }
         self.apply_pop_stall(1);
-        let mark = max.min(self.capacity) as u64;
+        let mark = max.min(self.capacity / 2).max(1) as u64;
         let (head, tail) = self.published(timeout, Some(mark))?;
         let run = (tail - head).min(max as u64);
         // SAFETY: as in `pop`, for every position below `tail`.
@@ -825,13 +850,43 @@ mod tests {
     }
 
     #[test]
-    fn batch_mark_is_capped_by_capacity() {
-        let r = Arc::new(Ring::with_capacity(4));
-        let consumer = parked_batch_consumer(&r, 32);
-        r.push_batch(0..3).unwrap();
-        assert_still_parked(&r, &consumer);
-        r.push(3).unwrap();
-        assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1, 2, 3]);
+    fn batch_mark_is_capped_at_half_the_ring() {
+        // The publish that brings occupancy to `capacity / 2` wakes an
+        // unbounded batch consumer, so the producer never fills the ring
+        // while the consumer wakes: it records no stall.
+        for capacity in [1, 4, 16, 64] {
+            let r = Arc::new(Ring::with_capacity(capacity));
+            let mark = (capacity as u32 / 2).max(1);
+            let consumer = parked_batch_consumer(&r, usize::MAX);
+            for i in 0..mark - 1 {
+                r.push(i).unwrap();
+            }
+            assert_still_parked(&r, &consumer);
+            r.push(mark - 1).unwrap();
+            assert_eq!(
+                consumer.join().unwrap().unwrap(),
+                (0..mark).collect::<Vec<_>>(),
+                "capacity {capacity}"
+            );
+            let stats = r.stats();
+            assert_eq!((stats.wakes, stats.producer_stalls), (1, 0));
+        }
+    }
+
+    #[test]
+    fn the_doorbell_rings_once_per_mark() {
+        // Publishes past the mark find the consumer still registered
+        // until it runs; only the first of them wakes it.
+        let r = Arc::new(Ring::with_capacity(64));
+        let consumer = parked_batch_consumer(&r, 8);
+        for i in 0..40 {
+            r.push(i).unwrap();
+        }
+        assert_eq!(
+            consumer.join().unwrap().unwrap(),
+            (0..8).collect::<Vec<_>>()
+        );
+        assert_eq!(r.stats().wakes, 1);
     }
 
     #[test]
@@ -874,22 +929,19 @@ mod tests {
         r.wait_empty(Some(Duration::from_secs(10))).unwrap();
         assert_eq!(consumer.join().unwrap().unwrap(), vec![7]);
 
-        // Mark 8: five records leave it asleep, and a batch of five
+        // Mark 4: three records leave it asleep, and a batch of eight
         // more does not fit, so the blocked producer rings the bell.
         let r = Arc::new(Ring::with_capacity(8));
         let consumer = parked_batch_consumer(&r, 32);
-        r.push_batch(0..5).unwrap();
+        r.push_batch(0..3).unwrap();
         assert_still_parked(&r, &consumer);
         let producer = {
             let r = r.clone();
-            thread::spawn(move || r.push_batch(5..10))
+            thread::spawn(move || r.push_batch(3..11))
         };
-        assert_eq!(
-            consumer.join().unwrap().unwrap(),
-            (0..5).collect::<Vec<_>>()
-        );
+        assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1, 2]);
         producer.join().unwrap().unwrap();
-        assert_eq!(r.pop_batch(32, None).unwrap(), (5..10).collect::<Vec<_>>());
+        assert_eq!(r.pop_batch(32, None).unwrap(), (3..11).collect::<Vec<_>>());
     }
 
     #[test]

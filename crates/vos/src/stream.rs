@@ -1,5 +1,5 @@
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -8,37 +8,74 @@ use parking_lot::{Condvar, Mutex};
 use crate::buf::Buf;
 use crate::error::{Errno, OsResult};
 
-/// How long a blocking wait polls for its peer before it parks. On the
-/// shared 2-vCPU guest the numbers in docs/vos.md come from, a futex
-/// park and the wake that ends it cost about 5 µs of CPU each; a peer
-/// that answers within this budget is met with neither.
-const SPIN_BUDGET: Duration = Duration::from_micros(3);
+/// How long a blocking wait polls for its peer before it parks: about
+/// the wall time of one futex hand-off, so a wait never polls for much
+/// longer than parking would have cost (competitive spinning). On the
+/// shared 2-vCPU guest the numbers in docs/vos.md come from, a park and
+/// the wake that ends it cost 4.0–4.5 µs of CPU and 6–11 µs of wall; a
+/// peer that answers within this budget is met with neither.
+/// `vos_bench`'s `park_price` measures these prices on another host.
+const SPIN_BUDGET: Duration = Duration::from_micros(10);
 
-/// The spin phase of a blocking wait: polls `changed` until it holds,
-/// [`SPIN_BUDGET`] passes or `deadline` does, whichever is first, and
-/// returns whether it held. It alternates a spin-loop hint with a
-/// yield, so a peer that shares this CPU gets to run and answer.
+/// The most waits in a row a waiter skips its spin for.
+const MAX_SKIPPED_SPINS: u32 = 15;
+
+/// The spin phase of a blocking wait, with a memory of how the waiter's
+/// last spins ended.
+///
+/// [`spin_until`](Self::spin_until) polls `changed` until it holds,
+/// [`SPIN_BUDGET`] passes or the caller's deadline does, whichever is
+/// first, and returns whether it held. It yields between polls, so a
+/// peer that shares this CPU gets to run and answer.
+///
+/// A waiter whose peer keeps answering later than the budget only
+/// wastes its polls: after `n` spins in a row ran out, its next `n`
+/// waits (at most [`MAX_SKIPPED_SPINS`]) go straight to the park, and
+/// the wait after them spins again, so it notices when its peer speeds
+/// up. A spin that sees its change clears the count. A spin cut short
+/// by the caller's own deadline counts neither way.
 ///
 /// `changed` reads a lock-free mirror of the waited-on state. Its
 /// answer only decides when the caller re-checks that state under its
 /// lock; the caller then parks exactly as it would have without the
-/// spin, so the spin never changes what a wait returns.
-fn spin_until(changed: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
-    let budget = Instant::now() + SPIN_BUDGET;
-    let end = deadline.map_or(budget, |d| d.min(budget));
-    let mut yield_next = false;
-    while !changed() {
-        if Instant::now() >= end {
+/// spin, so the spin never changes what a wait returns. The history is
+/// kept with plain loads and stores: two waiters racing on one endpoint
+/// can blur it, which changes only whether a later wait spins.
+#[derive(Debug, Default)]
+struct Spinner {
+    /// Spins in a row that ran out of budget.
+    misses: AtomicU32,
+    /// Waits left that skip the spin.
+    skips: AtomicU32,
+}
+
+impl Spinner {
+    fn spin_until(&self, changed: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
+        let skips = self.skips.load(Ordering::Relaxed);
+        if skips > 0 {
+            self.skips.store(skips - 1, Ordering::Relaxed);
             return false;
         }
-        if yield_next {
+        let budget = Instant::now() + SPIN_BUDGET;
+        // Whether the budget, not the caller's deadline, ends the spin.
+        let (end, budgeted) = match deadline {
+            Some(d) if d < budget => (d, false),
+            _ => (budget, true),
+        };
+        while !changed() {
+            if Instant::now() >= end {
+                if budgeted {
+                    let misses = (self.misses.load(Ordering::Relaxed) + 1).min(MAX_SKIPPED_SPINS);
+                    self.misses.store(misses, Ordering::Relaxed);
+                    self.skips.store(misses, Ordering::Relaxed);
+                }
+                return false;
+            }
             std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
         }
-        yield_next = !yield_next;
+        self.misses.store(0, Ordering::Relaxed);
+        true
     }
-    true
 }
 
 /// A readiness notifier: a generation counter plus a condvar.
@@ -63,6 +100,7 @@ pub(crate) struct Notifier {
     /// Threads inside `wait_change`'s park; `bump` wakes only if > 0.
     parked: Mutex<usize>,
     cv: Condvar,
+    spinner: Spinner,
 }
 
 impl Notifier {
@@ -89,7 +127,10 @@ impl Notifier {
     /// Returns the generation observed on wakeup.
     pub fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
         let deadline = Instant::now() + timeout;
-        if spin_until(|| self.current() != seen, Some(deadline)) {
+        if self
+            .spinner
+            .spin_until(|| self.current() != seen, Some(deadline))
+        {
             return self.current();
         }
         let mut parked = self.parked.lock();
@@ -188,6 +229,7 @@ pub(crate) struct StreamEnd {
     /// throughout, because it publishes nothing: a reader that sees it
     /// move takes the inbox lock before it looks at the inbox.
     arrivals: AtomicU64,
+    spinner: Spinner,
     cv: Condvar,
     peer: OnceLock<Weak<StreamEnd>>,
     /// Epoll waiters interested in this endpoint's readability.
@@ -213,6 +255,7 @@ impl StreamEnd {
                 waiting_readers: 0,
             }),
             arrivals: AtomicU64::new(0),
+            spinner: Spinner::default(),
             cv: Condvar::new(),
             peer: OnceLock::new(),
             waiters: Arc::new(WaitSet::new()),
@@ -267,7 +310,7 @@ impl StreamEnd {
     /// slice of the writer's own allocation, zero-copy. A request that
     /// spans chunks coalesces them with bulk copies.
     ///
-    /// A read that finds the inbox empty first spins (see [`spin_until`])
+    /// A read that finds the inbox empty first spins (see [`Spinner`])
     /// on `arrivals` with the lock released, then re-checks under the
     /// lock; only when that finds nothing does it park.
     pub fn read(&self, max: usize, timeout: Option<Duration>) -> OsResult<Buf> {
@@ -301,7 +344,8 @@ impl StreamEnd {
                 spun = true;
                 let seen = self.arrivals.load(Ordering::Relaxed);
                 drop(inbox);
-                spin_until(|| self.arrivals.load(Ordering::Relaxed) != seen, deadline);
+                self.spinner
+                    .spin_until(|| self.arrivals.load(Ordering::Relaxed) != seen, deadline);
                 inbox = self.inbox.lock();
                 continue;
             }
@@ -385,6 +429,7 @@ impl StreamEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::time::Duration;
 
     fn buf(data: &[u8]) -> Buf {
@@ -587,16 +632,26 @@ mod tests {
         assert_eq!(n.wait_change(seen, Duration::from_secs(5)), 2);
     }
 
-    /// Runs `wait` 100 times with a 1 ns timeout and returns the fastest
-    /// run. A spin that ignored the deadline would take the whole budget
-    /// every time. The deadline passes before the spin's first yield, so
-    /// on a loaded machine a run is delayed only if it is preempted, and
-    /// the fastest of 100 is not.
-    fn fastest_short_wait(mut wait: impl FnMut(Duration)) -> Duration {
+    /// Runs `wait` 100 times with a 1 ns timeout, each time on a fresh
+    /// waiter from `fresh`, and returns the fastest run. A spin that
+    /// ignored the deadline would poll for the whole 10 µs budget every
+    /// time; a fresh waiter has no history of run-out spins that would
+    /// let it skip the spin. The spin checks its deadline before each
+    /// yield, and a 1 ns deadline has passed by the first check, so a run
+    /// never yields: on a loaded machine it is delayed only if it is
+    /// preempted, and the fastest of 100 is not. A longer timeout that
+    /// still lies inside the budget would reach a yield on every run, now
+    /// that the spin yields on every poll, and could lose the CPU each
+    /// time.
+    fn fastest_short_wait<W>(
+        mut fresh: impl FnMut() -> W,
+        mut wait: impl FnMut(&W, Duration),
+    ) -> Duration {
         (0..100)
             .map(|_| {
+                let waiter = fresh();
                 let t0 = Instant::now();
-                wait(Duration::from_nanos(1));
+                wait(&waiter, Duration::from_nanos(1));
                 t0.elapsed()
             })
             .min()
@@ -605,28 +660,62 @@ mod tests {
 
     #[test]
     fn read_shorter_than_the_spin_budget_times_out_on_time() {
-        let (_a, b) = StreamEnd::pair();
-        let fastest = fastest_short_wait(|timeout| {
+        let fastest = fastest_short_wait(StreamEnd::pair, |(_a, b), timeout| {
             assert_eq!(b.read(8, Some(timeout)).unwrap_err(), Errno::TimedOut);
+            assert_eq!(b.waiting_readers(), 0);
         });
         assert!(
             fastest < SPIN_BUDGET,
             "fastest timed-out read took {fastest:?}"
         );
-        assert_eq!(b.waiting_readers(), 0);
     }
 
     #[test]
     fn wait_change_shorter_than_the_spin_budget_returns_on_time() {
-        let n = Notifier::default();
-        let fastest = fastest_short_wait(|timeout| {
+        let fastest = fastest_short_wait(Notifier::default, |n, timeout| {
             assert_eq!(n.wait_change(0, timeout), 0, "the old generation");
+            assert_eq!(n.parked(), 0);
         });
         assert!(
             fastest < SPIN_BUDGET,
             "fastest timed-out wait took {fastest:?}"
         );
-        assert_eq!(n.parked(), 0);
+    }
+
+    #[test]
+    fn spins_that_keep_running_out_are_skipped_then_retried() {
+        let spinner = Spinner::default();
+        let state = |s: &Spinner| {
+            (
+                s.misses.load(Ordering::Relaxed),
+                s.skips.load(Ordering::Relaxed),
+            )
+        };
+        // Each spin that runs out skips one more of the following waits.
+        for misses in 1..=3 {
+            assert!(!spinner.spin_until(|| false, None));
+            assert_eq!(state(&spinner), (misses, misses));
+            for skipped in 1..=misses {
+                let polls = Cell::new(0);
+                let changed = || {
+                    polls.set(polls.get() + 1);
+                    false
+                };
+                assert!(!spinner.spin_until(changed, None));
+                assert_eq!(polls.get(), 0, "a skipped spin does not poll");
+                assert_eq!(state(&spinner), (misses, misses - skipped));
+            }
+        }
+        // The count is capped, and one spin that sees its change clears it.
+        spinner.misses.store(MAX_SKIPPED_SPINS, Ordering::Relaxed);
+        assert!(!spinner.spin_until(|| false, None));
+        assert_eq!(state(&spinner), (MAX_SKIPPED_SPINS, MAX_SKIPPED_SPINS));
+        spinner.skips.store(0, Ordering::Relaxed);
+        assert!(spinner.spin_until(|| true, None));
+        assert_eq!(state(&spinner), (0, 0));
+        // A spin cut short by the caller's deadline counts neither way.
+        assert!(!spinner.spin_until(|| false, Some(Instant::now())));
+        assert_eq!(state(&spinner), (0, 0));
     }
 
     #[test]

@@ -39,33 +39,12 @@ chaos-traces dir:
     for s in $(seq 0 199); do "${CARGO_TARGET_DIR:-target}/release/harness" --seed $s > {{dir}}/seed-$s.txt 2>/dev/null || true; done
     "${CARGO_TARGET_DIR:-target}/release/harness" --scenarios > {{dir}}/scenarios.txt 2>/dev/null || true
 
-# Chaos traces of REV against the working tree: builds REV in a git
-# worktree under target/, writes the traces of both trees as
-# `chaos-traces` does (seeds 0..200 and --scenarios, one file per run,
-# stderr dropped) and compares them with one `diff -r`. Exits 1 and
-# prints the differences if any trace differs.
+# Chaos traces of REV against the working tree: extracts REV under
+# target/, writes the traces of both trees as `chaos-traces` does and
+# compares them with one `diff -r` (exit 1 on a difference). The body is
+# scripts/chaos-traces-vs.sh, which runs without `just` as well.
 chaos-traces-vs rev:
-    #!/usr/bin/env bash
-    set -euo pipefail
-    base=target/chaos-traces-vs/base
-    out=target/chaos-traces-vs/out
-    if [ -d "$base" ]; then
-        git -C "$base" checkout --quiet --detach {{rev}}
-    else
-        git worktree add --quiet --detach "$base" {{rev}}
-    fi
-    cargo build --release --offline -p mvedsua-harness \
-        --manifest-path "$base/Cargo.toml" --target-dir "$base/target"
-    cargo build --release --offline -p mvedsua-harness
-    traces() {
-        rm -rf "$2" && mkdir -p "$2"
-        for s in $(seq 0 199); do "$1" --seed $s > "$2/seed-$s.txt" 2>/dev/null || true; done
-        "$1" --scenarios > "$2/scenarios.txt" 2>/dev/null || true
-    }
-    traces "$base/target/release/harness" "$out/base"
-    traces "${CARGO_TARGET_DIR:-target}/release/harness" "$out/change"
-    diff -r "$out/base" "$out/change"
-    echo "chaos traces of {{rev}} and the working tree are identical"
+    scripts/chaos-traces-vs.sh {{rev}}
 
 # The §6.2 error study through the chaos engine.
 chaos-scenarios:
@@ -105,38 +84,17 @@ ci:
     just bench-vos-smoke
 
 # Interleaved lifebench pairs: REV (the parent) against the working
-# tree. Builds REV in a git worktree under target/, then runs N pairs of
-# 30 s runs on WORKLOAD, REV first, seed = pair number, and prints each
-# pair's CPU per op and set-up time with the change/parent ratios.
+# tree, N pairs of 30 s runs on WORKLOAD, the parent first in odd pairs
+# and the change first in even ones; ends with each metric's medians,
+# ratio and pairs lower. The body is scripts/lifebench-pairs.sh.
 lifebench-pairs rev workload n:
-    #!/usr/bin/env bash
-    set -euo pipefail
-    base=target/lifebench-pairs/base
-    out=target/lifebench-pairs/out
-    if [ -d "$base" ]; then
-        git -C "$base" checkout --quiet --detach {{rev}}
-    else
-        git worktree add --quiet --detach "$base" {{rev}}
-    fi
-    cargo build --release --offline --manifest-path "$base/lifebench/Cargo.toml"
-    cargo build --release --offline --manifest-path lifebench/Cargo.toml
-    mkdir -p "$out"
-    value() { tail -n 1 "$1" | sed -E "s/.*\"$2\": \{\"value\": ([-0-9.eE+]+).*/\1/"; }
-    for i in $(seq 1 {{n}}); do
-        for side in parent change; do
-            bin=lifebench/target/release/lifebench
-            if [ $side = parent ]; then bin="$base/$bin"; fi
-            "$bin" --workload {{workload}} --seed "$i" --seconds 30 --trace 0 \
-                > "$out/{{workload}}-$side-$i.txt" 2> /dev/null
-        done
-        line="pair $i"
-        for m in cpu_us_per_op_single cpu_us_per_op_monitored setup_s; do
-            a=$(value "$out/{{workload}}-parent-$i.txt" $m)
-            b=$(value "$out/{{workload}}-change-$i.txt" $m)
-            line="$line  $m $(awk "BEGIN { printf \"%.4g -> %.4g (%.3f)\", $a, $b, $b / $a }")"
-        done
-        echo "$line"
-    done
+    scripts/lifebench-pairs.sh {{rev}} {{workload}} {{n}}
+
+# CPU µs and parks (voluntary switches) per attempted op for each thread
+# role of one lifebench run of BIN, sampled from /proc; see
+# scripts/lifebench-roles.sh.
+lifebench-roles bin workload seconds="30" seed="1":
+    scripts/lifebench-roles.sh {{bin}} {{workload}} {{seconds}} {{seed}}
 
 # Ring microbenchmark, full mode: rewrites BENCH_ring.json in place.
 bench-ring:

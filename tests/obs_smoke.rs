@@ -3,7 +3,8 @@
 //! * Attaching the recorder must not change scenario outcomes or traces.
 //! * Two replays of the same seed must produce **byte-identical**
 //!   canonical forensics JSON (`RunReport::obs_json`) — the property
-//!   that makes a dump attachable to a bug report.
+//!   that makes a dump attachable to a bug report. Every one of the 200
+//!   smoke seeds is replayed twice.
 //! * A seed whose plan injects a state-transformation fault must yield a
 //!   dump whose divergence point is identified and whose peer-lane event
 //!   at the same stream position is flagged.
@@ -63,6 +64,45 @@ fn two_replays_dump_identical_divergence_forensics() {
     assert!(a.contains("\"at_divergence\":true"), "{a}");
     // Canonical dumps never leak raw timing or role labels.
     assert!(!a.contains("at_nanos"), "{a}");
+}
+
+/// Two replays of every smoke seed must dump byte-identical forensics.
+/// How long a wait polls before it parks, and whether a reply lands
+/// inside the poll, changes only how many idle rounds a server makes
+/// (empty `epoll_wait`s, timed-out reads); the dump keeps the semantic
+/// stream only, so no such round may appear in it. A run spends most of
+/// its time waiting, not computing, so eight threads share the seeds.
+#[test]
+fn every_smoke_seed_dumps_identical_forensics() {
+    const THREADS: u64 = 8;
+    let unstable: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|first| {
+                scope.spawn(move || {
+                    let mut unstable = Vec::new();
+                    for seed in (first..200).step_by(THREADS as usize) {
+                        let plan = ScenarioPlan::from_seed(seed);
+                        let a = run_plan(&plan, &observed()).obs_json.expect("dump");
+                        let b = run_plan(&plan, &observed()).obs_json.expect("dump");
+                        if a != b {
+                            unstable.push(format!("seed {seed}: two replays differ"));
+                        }
+                        for idle in ["EpollWait", "TimedOut", "WouldBlock", "at_nanos"] {
+                            if a.contains(idle) {
+                                unstable.push(format!("seed {seed}: {idle} in the dump"));
+                            }
+                        }
+                    }
+                    unstable
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker"))
+            .collect()
+    });
+    assert!(unstable.is_empty(), "{unstable:#?}");
 }
 
 #[test]
