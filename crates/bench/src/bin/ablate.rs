@@ -36,11 +36,13 @@ fn ring_capacity_sweep() {
             let ring = ring.clone();
             std::thread::spawn(move || {
                 let mut n = 0u64;
-                while ring.pop(None).is_ok() {
-                    // A consumer that does a little work per record (a
-                    // follower matching + reconstructing).
-                    n = n.wrapping_mul(31).wrapping_add(1);
-                    std::hint::black_box(n);
+                // Drains like the follower, doing a little work per
+                // record (matching + reconstructing).
+                while let Ok(batch) = ring.pop_batch(mve::FOLLOWER_BATCH) {
+                    for _record in batch {
+                        n = n.wrapping_mul(31).wrapping_add(1);
+                        std::hint::black_box(n);
+                    }
                 }
                 n
             })

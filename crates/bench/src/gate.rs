@@ -154,8 +154,7 @@ mod tests {
     fn reads_the_committed_baselines() {
         let ring = include_str!("../../../BENCH_ring.json");
         let read = |key| baseline_metric(ring, "lockfree_ring", key);
-        assert_eq!(read("single_mops"), Some(16.364));
-        assert_eq!(read("batched_mops"), Some(133.576));
+        assert_eq!(read("stream_mops"), Some(25.24));
         let vos = include_str!("../../../BENCH_vos.json");
         let read = |key| baseline_metric(vos, "gate", key);
         assert_eq!(read("bulk_single_mbps_4096"), Some(5024.29));

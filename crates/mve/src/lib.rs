@@ -76,4 +76,6 @@ pub use project::{
     event_signatures, reconstruct_result, record_matches, request_matches, syscall_event,
 };
 pub use stats::SyscallStats;
-pub use variant::{FollowerConfig, LeaderConfig, Notice, NoticeKind, Role, VariantId, VariantOs};
+pub use variant::{
+    FollowerConfig, LeaderConfig, Notice, NoticeKind, Role, VariantId, VariantOs, FOLLOWER_BATCH,
+};

@@ -29,7 +29,7 @@ pub type VariantId = u32;
 /// also the ring's wake mark, capped at half the ring: a follower that
 /// keeps up sleeps until this many records are buffered, or until the
 /// leader kicks the ring because it is about to wait on something else.
-const FOLLOWER_BATCH: usize = 128;
+pub const FOLLOWER_BATCH: usize = 128;
 
 /// Leader-side configuration: the outgoing ring and the synchronization
 /// discipline.
@@ -577,7 +577,7 @@ impl VariantOs {
                                 }
                                 if let Some(mode) = state.lockstep {
                                     for _ in 0..mode.rounds() {
-                                        if state.ring.wait_empty(None).is_err() {
+                                        if state.ring.wait_empty().is_err() {
                                             to_single = true;
                                             break;
                                         }
@@ -587,7 +587,6 @@ impl VariantOs {
                             // Rollback: the follower is gone; revert to
                             // single-leader mode and keep serving.
                             Err(RingError::Poisoned) | Err(RingError::Closed) => to_single = true,
-                            Err(RingError::TimedOut) => unreachable!("untimed push"),
                         }
                     }
                     self.obs.emit(self.id, || ObsKind::Syscall {
@@ -747,7 +746,7 @@ impl VariantOs {
                 return FollowerVerdict::Promote;
             }
             // Refill the expected queue from the leader's stream.
-            match state.ring.pop_batch(FOLLOWER_BATCH, None) {
+            match state.ring.pop_batch(FOLLOWER_BATCH) {
                 Ok(batch) => Self::take_batch(state, batch, obs.is_enabled()),
                 // The stream ended: it settles any open window, and the
                 // follower takes over once the queue drains.
@@ -756,7 +755,6 @@ impl VariantOs {
                 }
                 Err(RingError::Closed) => return FollowerVerdict::Single,
                 Err(RingError::Poisoned) => RetiredSignal::raise(RetireReason::Terminated),
-                Err(RingError::TimedOut) => unreachable!("untimed pop"),
             }
         }
     }

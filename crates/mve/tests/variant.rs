@@ -612,7 +612,7 @@ fn a_leader_that_never_kicks_wakes_its_follower_once_per_batch() {
     for paced in [false, true] {
         let wakes = follower_wakes_for_now_calls(paced);
         assert!(
-            wakes <= CALLS.div_ceil(128) + 1,
+            wakes <= CALLS.div_ceil(mve::FOLLOWER_BATCH as u64) + 1,
             "paced {paced}: {wakes} wakes for {CALLS} records"
         );
     }

@@ -15,11 +15,12 @@
 //! * **Records are never dropped or reordered.**
 //!
 //! [`Ring`] is a fixed-capacity, lock-free single-producer/
-//! single-consumer ring in the style of Varan's shared-memory ring; the
-//! consumer moves records out rather than cloning them. One consumer is
-//! all MVEDSUA needs, since the runner builds fresh rings for every
-//! update. Calling either end from two threads at once panics. See
-//! `docs/ring.md` for the protocol.
+//! single-consumer ring in the style of Varan's shared-memory ring. The
+//! leader `push`es one record per logged call and the follower drains
+//! them with `pop_batch`, moving records out rather than cloning them.
+//! One consumer is all MVEDSUA needs, since the runner builds fresh
+//! rings for every update. Calling either end from two threads at once
+//! panics. See `docs/ring.md` for the protocol.
 //!
 //! # Example
 //!
@@ -30,10 +31,11 @@
 //! let ring: Arc<Ring<u32>> = Arc::new(Ring::with_capacity(4));
 //! ring.push(1)?;
 //! ring.push(2)?;
-//! assert_eq!(ring.pop(None)?, 1);
+//! ring.push(3)?;
+//! assert_eq!(ring.pop_batch(1)?, [1]);
 //! ring.close();
-//! assert_eq!(ring.pop(None)?, 2);
-//! assert!(ring.pop(None).is_err()); // drained and closed
+//! assert_eq!(ring.pop_batch(8)?, [2, 3]);
+//! assert!(ring.pop_batch(8).is_err()); // drained and closed
 //! # Ok::<(), ring::RingError>(())
 //! ```
 
@@ -45,15 +47,14 @@ mod wait;
 
 pub use spsc::Ring;
 
-/// Why a ring operation could not complete.
+/// Why a ring operation could not complete. Every wait is untimed: a
+/// blocked call returns only with records, room, or one of these.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RingError {
     /// Producer closed the ring and all records were drained.
     Closed,
     /// Consumer side is gone; the record cannot ever be delivered.
     Poisoned,
-    /// A timed wait elapsed.
-    TimedOut,
 }
 
 impl fmt::Display for RingError {
@@ -61,7 +62,6 @@ impl fmt::Display for RingError {
         f.write_str(match self {
             RingError::Closed => "ring closed by producer",
             RingError::Poisoned => "ring poisoned: consumer is gone",
-            RingError::TimedOut => "timed out waiting on ring",
         })
     }
 }

@@ -15,12 +15,12 @@
 //! * Each end holds a busy flag for the length of a call, so there is
 //!   at most one producer call and one consumer call at a time.
 //!
-//! Blocking (`push` on full, `pop` on empty, `wait_empty`)
-//! escalates spin → yield → park via [`crate::wait`]. `pop_batch` on an
-//! empty ring parks at once behind a doorbell: it publishes a wake mark
-//! of at most half the ring, and the producer wakes it only when
-//! occupancy reaches the mark (once per mark), on [`Ring::kick`], or
-//! when the ring is closed, poisoned, full or waited empty. See
+//! The producer's waits (`push` on a full ring, `wait_empty`) escalate
+//! spin → yield → park via [`crate::wait`]. The consumer, `pop_batch`,
+//! parks at once on an empty ring behind a doorbell: it publishes a
+//! wake mark of at most half the ring, and the producer wakes it only
+//! when occupancy reaches the mark (once per mark), on [`Ring::kick`],
+//! or when the ring is closed, poisoned, full or waited empty. See
 //! `docs/ring.md`.
 
 use std::cell::UnsafeCell;
@@ -42,7 +42,7 @@ struct CachePadded<T>(T);
 
 /// Marks one end of the ring as in use for the length of a call. Both
 /// ends take `&self`, so nothing else stops two threads from calling
-/// `push` (or `pop`) at once and racing on the same counter.
+/// `push` (or `pop_batch`) at once and racing on the same counter.
 struct EndGuard<'a>(&'a AtomicBool);
 
 impl<'a> EndGuard<'a> {
@@ -90,9 +90,10 @@ struct ConsumerSide {
     /// only when someone is parked, and the publish that rings it sets
     /// it to `u64::MAX`, so the doorbell rings once per mark.
     wake_at: AtomicU64,
-    /// Monotone `pop` call counter (drives the stall schedule).
+    /// Monotone stall schedule index: one per record taken, or one per
+    /// `pop_batch` call that takes none.
     pops: AtomicU64,
-    /// Stall every Nth `pop` call; 0 disables the perturbation.
+    /// Stall at every Nth schedule index; 0 disables the perturbation.
     pop_stall_every: AtomicU64,
     /// Length of each injected consumer stall, in nanoseconds.
     pop_stall_nanos: AtomicU64,
@@ -102,10 +103,9 @@ struct ConsumerSide {
 /// consumer.
 ///
 /// See the [crate docs](crate) for the role it plays in MVE. `Ring` is
-/// `Sync`; share it as `Arc<Ring<T>>`. `push` and `push_batch` form
-/// the producer end; `pop` and `pop_batch` the consumer end. Each end
-/// may move between threads, but calling one end from two threads at
-/// once panics.
+/// `Sync`; share it as `Arc<Ring<T>>`. `push` is the producer end and
+/// `pop_batch` the consumer end. Each end may move between threads, but
+/// calling one end from two threads at once panics.
 /// `close`, `poison`, `len`, `stats` and `wait_empty` may be called
 /// from any thread.
 pub struct Ring<T> {
@@ -176,8 +176,9 @@ impl<T> Ring<T> {
         *self.stall_clock.lock() = Some(source);
     }
 
-    /// Perturbation hook for the chaos harness: every `every`-th
-    /// `pop` call sleeps for `stall` first, modelling a descheduled or
+    /// Perturbation hook for the chaos harness: the consumer sleeps for
+    /// `stall` at every `every`-th record it takes (a `pop_batch` call
+    /// that takes none counts as one), modelling a descheduled or
     /// lagging consumer. `every == 0` disables it. Only timing shifts;
     /// FIFO order and delivery are untouched.
     pub fn set_pop_stall(&self, every: u64, stall: Duration) {
@@ -227,22 +228,22 @@ impl<T> Ring<T> {
         self.slots[(position & self.mask) as usize].get()
     }
 
-    /// Whether `n` more records fit after `tail`, reloading `head` only
-    /// when the cached copy says no.
-    fn has_room(&self, tail: u64, n: u64) -> bool {
+    /// Whether a record fits at `tail`, reloading `head` only when the
+    /// cached copy says no.
+    fn has_room(&self, tail: u64) -> bool {
         let cap = self.capacity as u64;
         let cached = &self.producer.0.cached_head;
-        if tail + n - cached.load(Ordering::Relaxed) <= cap {
+        if tail - cached.load(Ordering::Relaxed) < cap {
             return true;
         }
         let head = self.head.0.load(Ordering::Acquire);
         cached.store(head, Ordering::Relaxed);
-        tail + n - head <= cap
+        tail - head < cap
     }
 
-    /// Waits until `n` records fit and returns the position to write
-    /// them at.
-    fn reserve(&self, n: u64) -> Result<u64, RingError> {
+    /// Waits until a record fits and returns the position to write it
+    /// at.
+    fn reserve(&self) -> Result<u64, RingError> {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let mut backoff = Backoff::new();
         let mut rang = false;
@@ -255,13 +256,15 @@ impl<T> Ring<T> {
             if self.closed.load(Ordering::SeqCst) {
                 return Err(RingError::Closed);
             }
-            if self.has_room(tail, n) {
+            if self.has_room(tail) {
                 return Ok(tail);
             }
             let producer = &self.producer.0;
             producer.stalls.fetch_add(1, Ordering::Relaxed);
             // A consumer parked on a mark it cannot reach would never
-            // free the room we wait for.
+            // free the room we wait for. A mark is at most half the
+            // ring, so a push reaches it before the ring fills; this
+            // kick does not rely on that.
             if !rang {
                 self.ring_doorbell(tail);
                 rang = true;
@@ -279,9 +282,9 @@ impl<T> Ring<T> {
             let ready = || {
                 self.poisoned.load(Ordering::Acquire)
                     || self.closed.load(Ordering::Acquire)
-                    || self.has_room(tail, n)
+                    || self.has_room(tail)
             };
-            backoff.idle(&self.space_waiters, ready, None);
+            backoff.idle(&self.space_waiters, ready);
             producer
                 .stall_nanos
                 .fetch_add(now().saturating_sub(begin), Ordering::Relaxed);
@@ -357,38 +360,12 @@ impl<T> Ring<T> {
     /// If another producer call is in progress on another thread.
     pub fn push(&self, item: T) -> Result<(), RingError> {
         let _end = EndGuard::enter(&self.producer.0.busy, "producer", "push");
-        let position = self.reserve(1)?;
+        let position = self.reserve()?;
         // SAFETY: we hold the producer end and `reserve` found room, so
         // the slot lies outside `[head, tail)`: empty and ours.
         unsafe { (*self.slot(position)).write(item) };
         self.publish(position + 1);
         Ok(())
-    }
-
-    /// Appends a batch of records, blocking while the ring is full.
-    /// Room for up to `capacity` records at a time is reserved and
-    /// published in one synchronization round, so per-record overhead
-    /// amortizes away.
-    ///
-    /// # Errors
-    /// As [`Ring::push`]. On error, records already published stay
-    /// published; the unpublished remainder of the batch is dropped.
-    pub fn push_batch(&self, items: impl IntoIterator<Item = T>) -> Result<(), RingError> {
-        let _end = EndGuard::enter(&self.producer.0.busy, "producer", "push_batch");
-        let mut pending: Vec<T> = items.into_iter().collect();
-        let mut queue = pending.drain(..);
-        loop {
-            let chunk = queue.len().min(self.capacity) as u64;
-            if chunk == 0 {
-                return Ok(());
-            }
-            let position = self.reserve(chunk)?;
-            for (i, item) in (0..chunk).zip(queue.by_ref()) {
-                // SAFETY: as in `push`, for each slot of the chunk.
-                unsafe { (*self.slot(position + i)).write(item) };
-            }
-            self.publish(position + chunk);
-        }
     }
 
     /// Marks the producer side finished: the consumer drains the
@@ -410,16 +387,15 @@ impl<T> Ring<T> {
         self.space_waiters.notify();
     }
 
-    /// Blocks until the ring drains empty, the ring dies, or `timeout`
-    /// elapses. Lockstep execution (the MUC/Mx baselines) rendezvouses
-    /// on this after every push. It kicks first, so a consumer parked in
-    /// `pop_batch` below its wake mark drains what is buffered.
+    /// Blocks until the ring drains empty or dies. Lockstep execution
+    /// (the MUC/Mx baselines) rendezvouses on this after every push. It
+    /// kicks first, so a consumer parked in `pop_batch` below its wake
+    /// mark drains what is buffered.
     ///
     /// # Errors
-    /// [`RingError::Poisoned`] if poisoned, [`RingError::TimedOut`] on
-    /// timeout. A closed ring that drains still returns `Ok`.
-    pub fn wait_empty(&self, timeout: Option<Duration>) -> Result<(), RingError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+    /// [`RingError::Poisoned`] if poisoned. A closed ring that drains
+    /// still returns `Ok`.
+    pub fn wait_empty(&self) -> Result<(), RingError> {
         self.kick();
         let drained = || self.head.0.load(Ordering::Acquire) >= self.tail.0.load(Ordering::Acquire);
         let mut backoff = Backoff::new();
@@ -431,14 +407,12 @@ impl<T> Ring<T> {
                 return Ok(());
             }
             let ready = || self.poisoned.load(Ordering::Acquire) || drained();
-            if !backoff.idle(&self.space_waiters, ready, deadline) {
-                return Err(RingError::TimedOut);
-            }
+            backoff.idle(&self.space_waiters, ready);
         }
     }
 
-    /// Advances the chaos stall schedule by `count` pop-call indices in
-    /// one counter update and sleeps once per scheduled index in the
+    /// Advances the chaos stall schedule by `count` indices in one
+    /// counter update and sleeps once per scheduled index in the
     /// window, so batched draining consumes exactly the indices that
     /// record-at-a-time draining would.
     fn apply_pop_stall(&self, count: u64) {
@@ -449,7 +423,7 @@ impl<T> Ring<T> {
         let every = consumer.pop_stall_every.load(Ordering::Relaxed);
         if every == 0 {
             // The call counter only matters while the perturbation is
-            // armed, and the chaos harness arms it before the first pop
+            // armed, and the chaos harness arms it before the first take
             // — skip the counter update on the unperturbed hot path.
             return;
         }
@@ -468,22 +442,13 @@ impl<T> Ring<T> {
 
     /// Blocks until a record is published past `head` and returns
     /// `(head, tail)`. Called with the consumer end held, so `head`
-    /// cannot move underneath.
-    ///
-    /// With `doorbell = None` the wait spins, yields, then parks, and any
-    /// publish wakes it. With `Some(mark)` it parks at once and sleeps
-    /// until `mark` records are published, a kick covers a record, or
-    /// the ring dies.
-    fn published(
-        &self,
-        timeout: Option<Duration>,
-        doorbell: Option<u64>,
-    ) -> Result<(u64, u64), RingError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+    /// cannot move underneath. On an empty ring it parks at once and
+    /// sleeps until `mark` records are published, a kick covers a
+    /// record, or the ring dies.
+    fn published(&self, mark: u64) -> Result<(u64, u64), RingError> {
         let head = self.head.0.load(Ordering::Relaxed);
         let consumer = &self.consumer.0;
         let cached = &consumer.cached_tail;
-        let mut backoff = Backoff::new();
         let mut marked = false;
         loop {
             if self.poisoned.load(Ordering::Acquire) {
@@ -508,7 +473,7 @@ impl<T> Ring<T> {
             {
                 return Err(RingError::Closed);
             }
-            let wake_at = head + doorbell.unwrap_or(1);
+            let wake_at = head + mark;
             if !marked {
                 // Published before registering as a waiter (see
                 // `WaitSet::notify_if`); `head` is fixed for this call.
@@ -520,15 +485,9 @@ impl<T> Ring<T> {
                 self.poisoned.load(Ordering::SeqCst)
                     || self.closed.load(Ordering::SeqCst)
                     || self.tail.0.load(Ordering::SeqCst) >= wake_at
-                    || (doorbell.is_some() && self.producer.0.kicked.load(Ordering::SeqCst) > head)
+                    || self.producer.0.kicked.load(Ordering::SeqCst) > head
             };
-            let awake = match doorbell {
-                Some(_) => self.data_waiters.park(ready, deadline),
-                None => backoff.idle(&self.data_waiters, ready, deadline),
-            };
-            if !awake {
-                return Err(RingError::TimedOut);
-            }
+            self.data_waiters.park(ready);
         }
     }
 
@@ -536,27 +495,6 @@ impl<T> Ring<T> {
     fn release(&self, head: u64) {
         self.head.0.store(head, Ordering::Release);
         self.space_waiters.notify();
-    }
-
-    /// Removes and returns the oldest record, blocking while empty.
-    /// With `timeout = None` the wait is unbounded.
-    ///
-    /// # Errors
-    /// [`RingError::Closed`] once the ring is closed *and* drained;
-    /// [`RingError::TimedOut`] if `timeout` elapses;
-    /// [`RingError::Poisoned`] if the ring was poisoned.
-    ///
-    /// # Panics
-    /// If another consumer call is in progress on another thread.
-    pub fn pop(&self, timeout: Option<Duration>) -> Result<T, RingError> {
-        let _end = EndGuard::enter(&self.consumer.0.busy, "consumer", "pop");
-        self.apply_pop_stall(1);
-        let (head, _) = self.published(timeout, None)?;
-        // SAFETY: we hold the consumer end and `head < tail`, so the slot
-        // holds a published record that is ours until `release`.
-        let item = unsafe { (*self.slot(head)).assume_init_read() };
-        self.release(head + 1);
-        Ok(item)
     }
 
     /// Removes and returns up to `max` records in one synchronization
@@ -574,17 +512,24 @@ impl<T> Ring<T> {
     /// perturbation density identical to record-at-a-time consumption.
     ///
     /// # Errors
-    /// As [`Ring::pop`] when no record could be taken at all.
-    pub fn pop_batch(&self, max: usize, timeout: Option<Duration>) -> Result<Vec<T>, RingError> {
+    /// When no record could be taken at all: [`RingError::Closed`] once
+    /// the ring is closed *and* drained, [`RingError::Poisoned`] if it
+    /// was poisoned.
+    ///
+    /// # Panics
+    /// If another consumer call is in progress on another thread.
+    pub fn pop_batch(&self, max: usize) -> Result<Vec<T>, RingError> {
         let _end = EndGuard::enter(&self.consumer.0.busy, "consumer", "pop_batch");
         if max == 0 {
             return Ok(Vec::new());
         }
         self.apply_pop_stall(1);
         let mark = max.min(self.capacity / 2).max(1) as u64;
-        let (head, tail) = self.published(timeout, Some(mark))?;
+        let (head, tail) = self.published(mark)?;
         let run = (tail - head).min(max as u64);
-        // SAFETY: as in `pop`, for every position below `tail`.
+        // SAFETY: we hold the consumer end and every position in
+        // `[head, head + run)` lies below `tail`, so each slot holds a
+        // published record that is ours until `release`.
         let out = (head..head + run)
             .map(|position| unsafe { (*self.slot(position)).assume_init_read() })
             .collect();
@@ -630,7 +575,7 @@ mod tests {
             r.push(i).unwrap();
         }
         for i in 0..5 {
-            assert_eq!(r.pop(None).unwrap(), i);
+            assert_eq!(r.pop_batch(1).unwrap(), [i]);
         }
     }
 
@@ -644,14 +589,16 @@ mod tests {
     fn capacity_is_logical_not_slot_count() {
         // Capacity 3 rounds up to 4 slots but must still block at 3.
         let r = Arc::new(Ring::with_capacity(3));
-        r.push_batch([1u32, 2, 3]).unwrap();
+        for i in 1u32..=3 {
+            r.push(i).unwrap();
+        }
         let r2 = r.clone();
         let t = thread::spawn(move || r2.push(4));
         while r.stats().producer_stalls == 0 {
             thread::yield_now();
         }
         assert_eq!(r.len(), 3, "the fourth push is blocked");
-        assert_eq!(r.pop(None).unwrap(), 1);
+        assert_eq!(r.pop_batch(1).unwrap(), [1]);
         t.join().unwrap().unwrap();
         assert_eq!(r.len(), 3);
     }
@@ -666,9 +613,9 @@ mod tests {
         });
         thread::sleep(Duration::from_millis(20));
         assert_eq!(r.len(), 1, "producer is blocked");
-        assert_eq!(r.pop(None).unwrap(), 1);
+        assert_eq!(r.pop_batch(1).unwrap(), [1]);
         t.join().unwrap();
-        assert_eq!(r.pop(None).unwrap(), 2);
+        assert_eq!(r.pop_batch(1).unwrap(), [2]);
         assert!(r.stats().producer_stalls >= 1);
         assert!(r.stats().producer_stall_nanos > 0);
     }
@@ -677,19 +624,10 @@ mod tests {
     fn pop_blocks_until_push() {
         let r = Arc::new(Ring::with_capacity(2));
         let r2 = r.clone();
-        let t = thread::spawn(move || r2.pop(None).unwrap());
+        let t = thread::spawn(move || r2.pop_batch(1).unwrap());
         thread::sleep(Duration::from_millis(20));
         r.push(42u32).unwrap();
-        assert_eq!(t.join().unwrap(), 42);
-    }
-
-    #[test]
-    fn pop_timeout() {
-        let r: Ring<u8> = Ring::with_capacity(2);
-        assert_eq!(
-            r.pop(Some(Duration::from_millis(10))).unwrap_err(),
-            RingError::TimedOut
-        );
+        assert_eq!(t.join().unwrap(), [42]);
     }
 
     #[test]
@@ -699,16 +637,16 @@ mod tests {
         r.push(2).unwrap();
         r.close();
         assert_eq!(r.push(3).unwrap_err(), RingError::Closed);
-        assert_eq!(r.pop(None).unwrap(), 1);
-        assert_eq!(r.pop(None).unwrap(), 2);
-        assert_eq!(r.pop(None).unwrap_err(), RingError::Closed);
+        assert_eq!(r.pop_batch(1).unwrap(), [1]);
+        assert_eq!(r.pop_batch(1).unwrap(), [2]);
+        assert_eq!(r.pop_batch(1).unwrap_err(), RingError::Closed);
     }
 
     #[test]
     fn close_wakes_blocked_consumer() {
         let r: Arc<Ring<u8>> = Arc::new(Ring::with_capacity(2));
         let r2 = r.clone();
-        let t = thread::spawn(move || r2.pop(None));
+        let t = thread::spawn(move || r2.pop_batch(1));
         thread::sleep(Duration::from_millis(20));
         r.close();
         assert_eq!(t.join().unwrap().unwrap_err(), RingError::Closed);
@@ -723,7 +661,7 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         r.poison();
         assert_eq!(t.join().unwrap().unwrap_err(), RingError::Poisoned);
-        assert_eq!(r.pop(None).unwrap_err(), RingError::Poisoned);
+        assert_eq!(r.pop_batch(1).unwrap_err(), RingError::Poisoned);
         assert_eq!(r.len(), 0);
     }
 
@@ -733,9 +671,7 @@ mod tests {
         for i in 0..6 {
             r.push(i).unwrap();
         }
-        for _ in 0..2 {
-            r.pop(None).unwrap();
-        }
+        assert_eq!(r.pop_batch(2).unwrap(), [0, 1]);
         let s = r.stats();
         assert_eq!(s.pushed, 6);
         assert_eq!(s.popped, 2);
@@ -746,19 +682,15 @@ mod tests {
     fn wait_empty_rendezvous() {
         let r = Arc::new(Ring::with_capacity(4));
         r.push(1u32).unwrap();
-        assert_eq!(
-            r.wait_empty(Some(Duration::from_millis(10))).unwrap_err(),
-            RingError::TimedOut
-        );
         let r2 = r.clone();
-        let t = thread::spawn(move || r2.wait_empty(None));
+        let t = thread::spawn(move || r2.wait_empty());
         thread::sleep(Duration::from_millis(20));
-        assert_eq!(r.pop(None).unwrap(), 1);
+        assert_eq!(r.pop_batch(1).unwrap(), [1]);
         t.join().unwrap().unwrap();
         // Poison unblocks waiters with an error.
         r.push(2).unwrap();
         let r3 = r.clone();
-        let t = thread::spawn(move || r3.wait_empty(None));
+        let t = thread::spawn(move || r3.wait_empty());
         thread::sleep(Duration::from_millis(20));
         r.poison();
         assert_eq!(t.join().unwrap().unwrap_err(), RingError::Poisoned);
@@ -781,9 +713,11 @@ mod tests {
             let r = r.clone();
             thread::spawn(move || {
                 let mut expected = 0u64;
-                while let Ok(v) = r.pop(None) {
-                    assert_eq!(v, expected);
-                    expected += 1;
+                while let Ok(batch) = r.pop_batch(16) {
+                    for v in batch {
+                        assert_eq!(v, expected);
+                        expected += 1;
+                    }
                 }
                 expected
             })
@@ -799,11 +733,13 @@ mod tests {
     #[test]
     fn batch_roundtrip() {
         let r = Ring::with_capacity(8);
-        r.push_batch(0..6u32).unwrap();
-        assert_eq!(r.pop_batch(4, None).unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(r.pop_batch(4, None).unwrap(), vec![4, 5]);
+        for i in 0..6u32 {
+            r.push(i).unwrap();
+        }
+        assert_eq!(r.pop_batch(4).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(r.pop_batch(4).unwrap(), vec![4, 5]);
         r.close();
-        assert_eq!(r.pop_batch(4, None).unwrap_err(), RingError::Closed);
+        assert_eq!(r.pop_batch(4).unwrap_err(), RingError::Closed);
     }
 
     /// Spawns a consumer blocked in `pop_batch(max)` and returns once it
@@ -815,7 +751,7 @@ mod tests {
         let parks = r.stats().parks;
         let consumer = {
             let r = r.clone();
-            thread::spawn(move || r.pop_batch(max, None))
+            thread::spawn(move || r.pop_batch(max))
         };
         let deadline = Instant::now() + Duration::from_secs(10);
         while r.stats().parks == parks {
@@ -897,7 +833,9 @@ mod tests {
         r.kick();
         thread::sleep(Duration::from_millis(30));
         assert!(!consumer.is_finished());
-        r.push_batch(0..3).unwrap();
+        for i in 0..3 {
+            r.push(i).unwrap();
+        }
         assert_still_parked(&r, &consumer);
         r.kick();
         assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1, 2]);
@@ -907,79 +845,28 @@ mod tests {
     fn close_and_poison_wake_a_batch_consumer() {
         let r = Arc::new(Ring::with_capacity(64));
         let consumer = parked_batch_consumer(&r, 32);
-        r.push_batch(0..2).unwrap();
+        r.push(0).unwrap();
+        r.push(1).unwrap();
         assert_still_parked(&r, &consumer);
         r.close();
         assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1]);
-        assert_eq!(r.pop_batch(32, None).unwrap_err(), RingError::Closed);
+        assert_eq!(r.pop_batch(32).unwrap_err(), RingError::Closed);
 
         let r = Arc::new(Ring::with_capacity(64));
         let consumer = parked_batch_consumer(&r, 32);
-        r.push_batch(0..2).unwrap();
+        r.push(0).unwrap();
+        r.push(1).unwrap();
         assert_still_parked(&r, &consumer);
         r.poison();
         assert_eq!(consumer.join().unwrap().unwrap_err(), RingError::Poisoned);
     }
 
     #[test]
-    fn wait_empty_and_a_full_ring_wake_a_batch_consumer() {
+    fn wait_empty_wakes_a_batch_consumer() {
         let r = Arc::new(Ring::with_capacity(64));
         let consumer = parked_batch_consumer(&r, 32);
         r.push(7).unwrap();
-        r.wait_empty(Some(Duration::from_secs(10))).unwrap();
+        r.wait_empty().unwrap();
         assert_eq!(consumer.join().unwrap().unwrap(), vec![7]);
-
-        // Mark 4: three records leave it asleep, and a batch of eight
-        // more does not fit, so the blocked producer rings the bell.
-        let r = Arc::new(Ring::with_capacity(8));
-        let consumer = parked_batch_consumer(&r, 32);
-        r.push_batch(0..3).unwrap();
-        assert_still_parked(&r, &consumer);
-        let producer = {
-            let r = r.clone();
-            thread::spawn(move || r.push_batch(3..11))
-        };
-        assert_eq!(consumer.join().unwrap().unwrap(), vec![0, 1, 2]);
-        producer.join().unwrap().unwrap();
-        assert_eq!(r.pop_batch(32, None).unwrap(), (3..11).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pop_wakes_on_every_push() {
-        let r = Arc::new(Ring::with_capacity(64));
-        let consumer = {
-            let r = r.clone();
-            thread::spawn(move || (0..5).map(|_| r.pop(None).unwrap()).collect::<Vec<u32>>())
-        };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        for i in 0..5 {
-            // Push only once the consumer has parked for this record.
-            while r.stats().parks <= u64::from(i) {
-                assert!(Instant::now() < deadline, "pop never parked for {i}");
-                thread::yield_now();
-            }
-            r.push(i).unwrap();
-            while r.stats().popped <= u64::from(i) {
-                assert!(Instant::now() < deadline, "pop missed push {i}");
-                thread::sleep(Duration::from_millis(1));
-            }
-        }
-        assert_eq!(consumer.join().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn push_batch_larger_than_capacity_chunks() {
-        let r = Arc::new(Ring::with_capacity(4));
-        let r2 = r.clone();
-        let producer = thread::spawn(move || {
-            r2.push_batch(0..100u32).unwrap();
-            r2.close();
-        });
-        let mut got = Vec::new();
-        while let Ok(mut batch) = r.pop_batch(16, None) {
-            got.append(&mut batch);
-        }
-        producer.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 }

@@ -3,14 +3,14 @@
 //! The fast path of the ring never takes a lock, so blocked
 //! parties (a producer facing a full ring, a consumer facing an empty
 //! one) cannot sleep on a condvar guarding the shared state — there is
-//! none. Instead each side escalates through an adaptive backoff
-//! ([`Backoff`]: spin → yield → park) and parks on an eventcount-style
-//! [`WaitSet`]. Waking is cheap for the producer: when nobody is parked,
-//! a notify is one fence and one load — no lock, no syscall.
+//! none. Instead each side parks on an eventcount-style [`WaitSet`]:
+//! the producer after an adaptive backoff ([`Backoff`]: spin → yield →
+//! park), the consumer at once behind its wake mark. Waking is cheap
+//! for the producer: when nobody is parked, a notify is one fence and
+//! one load — no lock, no syscall.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// An eventcount: parked threads register in `waiters`, sleep under the
 /// `epoch` mutex, and are woken by bumping the epoch. The protocol that
@@ -75,42 +75,18 @@ impl WaitSet {
         )
     }
 
-    /// Parks until `ready()` holds, a notify arrives, or `deadline`
-    /// passes. Returns `false` only when the deadline expired; a `true`
-    /// return means the caller should re-evaluate its condition (the
-    /// wake may be spurious).
-    pub(crate) fn park(&self, ready: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
+    /// Parks until `ready()` holds or a notify arrives. The caller
+    /// re-evaluates its condition afterwards: the wake may be spurious.
+    pub(crate) fn park(&self, ready: impl Fn() -> bool) {
         self.parks.fetch_add(1, Ordering::Relaxed);
         self.waiters.fetch_add(1, Ordering::SeqCst);
-        let awake = self.park_registered(&ready, deadline);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        awake
-    }
-
-    fn park_registered(&self, ready: &impl Fn() -> bool, deadline: Option<Instant>) -> bool {
         let mut epoch = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
         let entry = *epoch;
-        loop {
-            if ready() || *epoch != entry {
-                return true;
-            }
-            match deadline {
-                None => {
-                    epoch = self.cv.wait(epoch).unwrap_or_else(|e| e.into_inner());
-                }
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return false;
-                    }
-                    epoch = self
-                        .cv
-                        .wait_timeout(epoch, d - now)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
-                }
-            }
+        while !ready() && *epoch == entry {
+            epoch = self.cv.wait(epoch).unwrap_or_else(|e| e.into_inner());
         }
+        drop(epoch);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -130,23 +106,16 @@ impl Backoff {
         Backoff { step: 0 }
     }
 
-    /// One wait step. Returns `false` only when `deadline` expired.
-    pub(crate) fn idle(
-        &mut self,
-        waitset: &WaitSet,
-        ready: impl Fn() -> bool,
-        deadline: Option<Instant>,
-    ) -> bool {
+    /// One wait step.
+    pub(crate) fn idle(&mut self, waitset: &WaitSet, ready: impl Fn() -> bool) {
         if self.step < SPIN_STEPS {
             self.step += 1;
             std::hint::spin_loop();
-            return true;
-        }
-        if self.step < SPIN_STEPS + YIELD_STEPS {
+        } else if self.step < SPIN_STEPS + YIELD_STEPS {
             self.step += 1;
             std::thread::yield_now();
-            return deadline.is_none_or(|d| Instant::now() < d);
+        } else {
+            waitset.park(ready);
         }
-        waitset.park(ready, deadline)
     }
 }

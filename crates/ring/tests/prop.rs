@@ -1,15 +1,15 @@
 //! Property tests: the ring is a faithful FIFO under arbitrary
-//! interleavings of pushes and pops, and never loses or duplicates
-//! records.
+//! interleavings of pushes and batched drains, and never loses or
+//! duplicates records.
 
 use std::sync::Arc;
 use std::thread;
 
 use proptest::prelude::*;
-use ring::{Ring, RingError};
+use ring::Ring;
 
 proptest! {
-    /// Sequential push/pop of any payload sequence is exactly FIFO.
+    /// Sequential push/drain of any payload sequence is exactly FIFO.
     #[test]
     fn sequential_fifo(items in proptest::collection::vec(any::<u16>(), 0..200),
                        cap in 1usize..32) {
@@ -18,31 +18,24 @@ proptest! {
         let mut popped = Vec::new();
         // Interleave: fill to capacity, then drain one, etc.
         loop {
-            let mut pushed_any = false;
             while r.len() < cap {
                 match iter.next() {
-                    Some(v) => { r.push(*v).unwrap(); pushed_any = true; }
+                    Some(v) => r.push(*v).unwrap(),
                     None => break,
                 }
             }
-            match r.pop(Some(std::time::Duration::from_millis(1))) {
-                Ok(v) => popped.push(v),
-                Err(RingError::TimedOut) => {
-                    if !pushed_any { break; }
-                }
-                Err(e) => panic!("unexpected {e}"),
+            if r.is_empty() {
+                break;
             }
-        }
-        while let Ok(v) = r.pop(Some(std::time::Duration::from_millis(1))) {
-            popped.push(v);
+            popped.extend(r.pop_batch(1).unwrap());
         }
         prop_assert_eq!(popped, items);
     }
 
     /// A concurrent producer/consumer pair delivers every record exactly
-    /// once, in order, for any capacity.
+    /// once, in order, for any capacity and batch size.
     #[test]
-    fn concurrent_exactly_once(n in 1u64..2000, cap in 1usize..16) {
+    fn concurrent_exactly_once(n in 1u64..2000, cap in 1usize..16, max in 1usize..64) {
         let r = Arc::new(Ring::with_capacity(cap));
         let producer = {
             let r = r.clone();
@@ -54,8 +47,8 @@ proptest! {
             })
         };
         let mut got = Vec::new();
-        while let Ok(v) = r.pop(None) {
-            got.push(v);
+        while let Ok(batch) = r.pop_batch(max) {
+            got.extend(batch);
         }
         producer.join().unwrap();
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
@@ -75,7 +68,7 @@ proptest! {
                 r.close();
             })
         };
-        while r.pop(None).is_ok() {}
+        while r.pop_batch(cap).is_ok() {}
         producer.join().unwrap();
         let s = r.stats();
         prop_assert!(s.high_water <= cap);

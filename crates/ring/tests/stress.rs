@@ -4,7 +4,6 @@
 //! chaos hook.
 
 use ring::{Ring, RingError};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Barrier};
@@ -26,7 +25,7 @@ fn close_and_poison_wake_every_blocked_thread() {
             let barrier = barrier.clone();
             thread::spawn(move || {
                 barrier.wait();
-                r.pop(None)
+                r.pop_batch(4)
             })
         };
         barrier.wait();
@@ -51,20 +50,20 @@ fn close_and_poison_wake_every_blocked_thread() {
     }
 }
 
-/// The chaos stall schedule is a pure function of the pop **call**
-/// count: calls 0, every, 2·every, … stall. The counter must advance
-/// once per `pop`/`pop_batch` record-take attempt regardless of
-/// outcome, so a chaos seed replays the identical schedule through the
-/// lock-free implementation.
+/// The chaos stall schedule is a pure function of the take count:
+/// indices 0, every, 2·every, … stall. The counter advances once per
+/// record taken, and once for a `pop_batch` call that takes none, so a
+/// chaos seed replays the identical schedule through the lock-free
+/// implementation.
 #[test]
 fn pop_stall_schedule_is_call_indexed_and_deterministic() {
-    // Deterministic delivery check: with a stall on every pop, FIFO
+    // Deterministic delivery check: with a stall on every take, FIFO
     // order and exactly-once delivery are unchanged.
     let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(8));
     r.set_pop_stall(1, Duration::from_micros(50));
     for i in 0..32 {
         r.push(i).unwrap();
-        assert_eq!(r.pop(None).unwrap(), i);
+        assert_eq!(r.pop_batch(1).unwrap(), [i]);
     }
 
     // Schedule check: stall every 3rd call, observable as latency on
@@ -76,24 +75,29 @@ fn pop_stall_schedule_is_call_indexed_and_deterministic() {
     for call in 0..9u64 {
         r.push(call).unwrap();
         let begin = std::time::Instant::now();
-        r.pop(None).unwrap();
+        r.pop_batch(1).unwrap();
         if begin.elapsed() >= stall {
             stalled_calls.push(call);
         }
     }
     assert_eq!(stalled_calls, vec![0, 3, 6]);
 
-    // Call-indexing includes unsuccessful pops, exactly like the old
-    // mutex ring: a timed-out pop consumes a schedule slot.
+    // Call-indexing includes unsuccessful calls, exactly like the old
+    // mutex ring: a call that finds the ring closed and drained
+    // consumes a schedule slot.
     let r: Ring<u64> = Ring::with_capacity(8);
     r.set_pop_stall(2, stall);
-    let begin = std::time::Instant::now();
-    let _ = r.pop(Some(Duration::from_millis(1))); // call 0: stalls, times out
-    assert!(begin.elapsed() >= stall);
     r.push(7).unwrap();
+    r.close();
     let begin = std::time::Instant::now();
-    assert_eq!(r.pop(None).unwrap(), 7); // call 1: no stall
+    assert_eq!(r.pop_batch(1).unwrap(), [7]); // index 0: stalls
+    assert!(begin.elapsed() >= stall);
+    let begin = std::time::Instant::now();
+    assert_eq!(r.pop_batch(1).unwrap_err(), RingError::Closed); // 1: no stall
     assert!(begin.elapsed() < stall);
+    let begin = std::time::Instant::now();
+    assert_eq!(r.pop_batch(1).unwrap_err(), RingError::Closed); // 2: stalls
+    assert!(begin.elapsed() >= stall);
 }
 
 /// Batched pops advance the same stall schedule once per record taken,
@@ -103,18 +107,20 @@ fn pop_batch_advances_stall_schedule_per_record() {
     let r: Ring<u64> = Ring::with_capacity(16);
     let stall = Duration::from_millis(25);
     r.set_pop_stall(4, stall);
-    r.push_batch(0..8u64).unwrap();
+    for i in 0..8u64 {
+        r.push(i).unwrap();
+    }
     // Batch of 4 consumes schedule slots 0..4 (slot 0 stalls).
     let begin = std::time::Instant::now();
-    assert_eq!(r.pop_batch(4, None).unwrap(), vec![0, 1, 2, 3]);
+    assert_eq!(r.pop_batch(4).unwrap(), vec![0, 1, 2, 3]);
     assert!(begin.elapsed() >= stall);
     // Next batch consumes slots 4..8 (slot 4 stalls again).
     let begin = std::time::Instant::now();
-    assert_eq!(r.pop_batch(4, None).unwrap(), vec![4, 5, 6, 7]);
+    assert_eq!(r.pop_batch(4).unwrap(), vec![4, 5, 6, 7]);
     assert!(begin.elapsed() >= stall);
 }
 
-/// Hammer `wait_empty` against concurrent push/pop traffic: it must
+/// Hammer `wait_empty` against concurrent push/drain traffic: it must
 /// return only at true empty points and never deadlock.
 #[test]
 fn wait_empty_rendezvous_under_contention() {
@@ -123,14 +129,14 @@ fn wait_empty_rendezvous_under_contention() {
         let r_cons = r.clone();
         let consumer = thread::spawn(move || {
             let mut n = 0u64;
-            while r_cons.pop(None).is_ok() {
-                n += 1;
+            while let Ok(batch) = r_cons.pop_batch(8) {
+                n += batch.len() as u64;
             }
             n
         });
         for round in 0..100u64 {
             r.push(round).unwrap();
-            r.wait_empty(None).unwrap();
+            r.wait_empty().unwrap();
             assert!(r.is_empty());
         }
         r.close();
@@ -168,9 +174,9 @@ fn injected_stall_clock_makes_stall_nanos_deterministic() {
         }
         thread::sleep(wall_sleep);
         clock.advance(40_000);
-        r.pop(None).unwrap();
+        assert_eq!(r.pop_batch(1).unwrap(), [0]);
         producer.join().unwrap();
-        assert_eq!(r.pop(None).unwrap(), 1);
+        assert_eq!(r.pop_batch(1).unwrap(), [1]);
         r.stats().producer_stall_nanos
     }
 
@@ -196,8 +202,8 @@ impl Drop for Tracked {
     }
 }
 
-/// `pop` and `pop_batch` move records out of their slots, so the ring
-/// keeps no copy of a record it delivered; records still buffered when
+/// `pop_batch` moves records out of their slots, so the ring keeps no
+/// copy of a record it delivered, whether it takes one or a run; records still buffered when
 /// the ring is poisoned or dropped are dropped with it. Either way,
 /// every record pushed is dropped exactly once, across several laps of
 /// a capacity-4 ring.
@@ -221,13 +227,17 @@ fn records_move_out_and_drop_exactly_once() {
                 r.push(make(id)).unwrap();
             }
             for _ in 0..CAP {
-                let record = r.pop(None).unwrap();
-                assert_eq!(Arc::strong_count(&record), 1, "ring kept a copy");
+                let [record] = &r.pop_batch(1).unwrap()[..] else {
+                    panic!("one record per pop_batch(1)");
+                };
+                assert_eq!(Arc::strong_count(record), 1, "ring kept a copy");
             }
         }
         for _ in 0..LAPS {
-            r.push_batch(ids.by_ref().take(CAP).map(make)).unwrap();
-            let batch = r.pop_batch(CAP, None).unwrap();
+            for id in ids.by_ref().take(CAP) {
+                r.push(make(id)).unwrap();
+            }
+            let batch = r.pop_batch(CAP).unwrap();
             assert_eq!(batch.len(), CAP);
             for record in &batch {
                 assert_eq!(Arc::strong_count(record), 1, "ring kept a copy");
@@ -237,10 +247,10 @@ fn records_move_out_and_drop_exactly_once() {
         for id in ids {
             r.push(make(id)).unwrap();
         }
-        drop(r.pop(None).unwrap());
+        drop(r.pop_batch(1).unwrap());
         if poison {
             r.poison();
-            assert_eq!(r.pop(None).unwrap_err(), RingError::Poisoned);
+            assert_eq!(r.pop_batch(1).unwrap_err(), RingError::Poisoned);
         }
         drop(r);
         for (id, count) in drops.iter().enumerate() {
@@ -265,49 +275,33 @@ fn panic_message(call: impl FnOnce() + Send + 'static) -> Option<String> {
     )
 }
 
-/// The ring has one consumer: a second thread calling `pop` or
-/// `pop_batch` while another consumer call is blocked panics instead
-/// of racing it, and the blocked call still completes.
+/// The ring has one consumer: a second thread calling `pop_batch`
+/// while another consumer call is parked panics instead of racing it,
+/// and the parked call still completes.
 #[test]
 fn second_consumer_call_panics_while_one_is_blocked() {
-    type Call = fn(&Ring<u64>);
-    let calls: [(&str, Call); 2] = [
-        ("pop", |r| {
-            let _ = r.pop(Some(Duration::ZERO));
-        }),
-        ("pop_batch", |r| {
-            let _ = r.pop_batch(4, Some(Duration::ZERO));
-        }),
-    ];
     let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(4));
     let blocked = {
         let r = r.clone();
-        // A probe below may hold the consumer end just as this thread
-        // enters `pop`; then this thread is the one that panics, and
-        // retries.
-        thread::spawn(move || loop {
-            if let Ok(result) = panic::catch_unwind(AssertUnwindSafe(|| r.pop(None))) {
-                return result;
-            }
-        })
+        thread::spawn(move || r.pop_batch(4))
     };
-    for (name, call) in calls {
-        // Until the blocked consumer is inside `pop`, a probe just times
-        // out; retry until one collides with it.
-        let message = loop {
-            thread::sleep(Duration::from_millis(10));
-            let r = r.clone();
-            if let Some(message) = panic_message(move || call(&r)) {
-                break message;
-            }
-        };
-        assert!(
-            message.contains(&format!("`{name}`")) && message.contains("exactly one consumer"),
-            "unexpected panic: {message}"
-        );
+    // A park is counted while the blocked call holds the consumer end.
+    while r.stats().parks == 0 {
+        thread::yield_now();
     }
+    let probe = r.clone();
+    let message = panic_message(move || {
+        let _ = probe.pop_batch(4);
+    })
+    .expect("second consumer must panic");
+    assert!(
+        message.contains("`pop_batch`") && message.contains("exactly one consumer"),
+        "unexpected panic: {message}"
+    );
+    // One record is below the consumer's mark of two; the kick wakes it.
     r.push(7).unwrap();
-    assert_eq!(blocked.join().unwrap().unwrap(), 7);
+    r.kick();
+    assert_eq!(blocked.join().unwrap().unwrap(), [7]);
 }
 
 /// The ring has one producer: a second thread pushing while another
@@ -315,15 +309,6 @@ fn second_consumer_call_panics_while_one_is_blocked() {
 /// completes once the consumer makes room.
 #[test]
 fn second_producer_call_panics_while_one_is_blocked() {
-    type Call = fn(&Ring<u64>);
-    let calls: [(&str, Call); 2] = [
-        ("push", |r| {
-            let _ = r.push(9);
-        }),
-        ("push_batch", |r| {
-            let _ = r.push_batch([9]);
-        }),
-    ];
     let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
     r.push(0).unwrap();
     let blocked = {
@@ -334,17 +319,18 @@ fn second_producer_call_panics_while_one_is_blocked() {
     while r.stats().producer_stalls == 0 {
         thread::yield_now();
     }
-    for (name, call) in calls {
-        let r = r.clone();
-        let message = panic_message(move || call(&r)).expect("second producer must panic");
-        assert!(
-            message.contains(&format!("`{name}`")) && message.contains("exactly one producer"),
-            "unexpected panic: {message}"
-        );
-    }
-    assert_eq!(r.pop(None).unwrap(), 0);
+    let probe = r.clone();
+    let message = panic_message(move || {
+        let _ = probe.push(9);
+    })
+    .expect("second producer must panic");
+    assert!(
+        message.contains("`push`") && message.contains("exactly one producer"),
+        "unexpected panic: {message}"
+    );
+    assert_eq!(r.pop_batch(1).unwrap(), [0]);
     blocked.join().unwrap().unwrap();
-    assert_eq!(r.pop(None).unwrap(), 1);
+    assert_eq!(r.pop_batch(1).unwrap(), [1]);
     assert_eq!(r.stats().pushed, 2);
 }
 
@@ -364,7 +350,7 @@ fn close_and_poison_from_a_third_thread_wake_both_ends() {
             let empty: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
             let consumer = {
                 let r = empty.clone();
-                thread::spawn(move || r.pop(None))
+                thread::spawn(move || r.pop_batch(1))
             };
             while full.stats().producer_stalls == 0 || empty.stats().parks == 0 {
                 thread::yield_now();
@@ -403,9 +389,10 @@ impl Rng {
     }
 }
 
-/// The doorbell under random schedules: the producer mixes `push`,
-/// `push_batch` and `kick` (with short pauses that let the consumer
-/// park), and the consumer drains with `pop_batch` of random sizes.
+/// The doorbell under random schedules: the producer mixes single
+/// pushes, bursts of pushes and `kick` (with short pauses that let the
+/// consumer park), and the consumer drains with `pop_batch` of random
+/// sizes.
 /// Every record must arrive once and in order, and no seed may hang:
 /// a lost wakeup shows up as the watchdog firing.
 #[test]
@@ -423,7 +410,7 @@ fn doorbell_random_schedules_deliver_in_order_without_hanging() {
                     let mut next = 0u64;
                     loop {
                         let max = 1 + rng.below(64) as usize;
-                        match r.pop_batch(max, None) {
+                        match r.pop_batch(max) {
                             Ok(batch) => {
                                 assert!(!batch.is_empty() && batch.len() <= max);
                                 for v in batch {
@@ -446,7 +433,9 @@ fn doorbell_random_schedules_deliver_in_order_without_hanging() {
                     }
                     5..=7 => {
                         let n = (1 + rng.below(40)).min(RECORDS - sent);
-                        r.push_batch(sent..sent + n).unwrap();
+                        for v in sent..sent + n {
+                            r.push(v).unwrap();
+                        }
                         sent += n;
                     }
                     8 => r.kick(),

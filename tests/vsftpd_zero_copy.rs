@@ -130,7 +130,7 @@ fn retr_chunks_are_windows_of_the_file_snapshot_end_to_end() {
         let _ = leader_app.step(&mut leader);
         leader_steps += 1;
         while !ring.is_empty() {
-            for record in ring.pop_batch(ring.capacity(), None).unwrap() {
+            for record in ring.pop_batch(ring.capacity()).unwrap() {
                 if let EventRecord::Syscall { record, .. } = &record {
                     if let Syscall::Write { fd, data } = &record.call {
                         conn = Some(*fd);
@@ -181,7 +181,9 @@ fn retr_chunks_are_windows_of_the_file_snapshot_end_to_end() {
     // into a ring of its own; its file read returns the leader's window
     // and it writes that back unchanged.
     let follower_ring = Arc::new(Ring::with_capacity(ring.capacity()));
-    follower_ring.push_batch(log).unwrap();
+    for record in log {
+        follower_ring.push(record).unwrap();
+    }
     let follower = VariantOs::follower(
         1,
         kernel.clone(),
