@@ -16,7 +16,7 @@
 //!
 //! Usage: `ring_bench [--quick] [--out PATH] [--check BASELINE [--min-ratio R]]`
 
-use bench_support::gate::{BenchArgs, Floor};
+use bench_support::gate::BenchArgs;
 use mve::FOLLOWER_BATCH;
 use obs::json::JsonObject;
 use ring::Ring;
@@ -130,7 +130,7 @@ fn main() {
     args.gate(
         "ring_bench",
         "lockfree_ring",
-        &[("stream_mops".into(), lockfree.stream_mops, Floor::Baseline)],
+        &[("stream_mops".into(), lockfree.stream_mops)],
     );
 }
 

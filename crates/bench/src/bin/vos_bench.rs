@@ -1,8 +1,5 @@
-//! Data-plane benchmark for the zero-copy vos rewrite: shared [`Buf`]
-//! payloads end-to-end (stream inbox → syscall record → event ring →
-//! follower comparison) vs. the seed's per-byte `VecDeque<u8>` stream
-//! with `Vec` record clones, which this binary reconstructs faithfully
-//! so the comparison survives the old code's deletion.
+//! Data-plane benchmark for vos: shared [`Buf`] payloads end-to-end
+//! (stream inbox → syscall record → event ring → follower comparison).
 //!
 //! Measures, per payload size (64 B – 64 KiB):
 //! * echo round-trip rate (kops/s) and RTT p50/p99 — client_send →
@@ -22,15 +19,13 @@
 //!   reported, not gated,
 //! * bulk throughput (MB/s) — the server streams a large payload in
 //!   size-`S` writes, the client drains concurrently — in both modes,
-//! * stream-level throughput of the new chunk-queue path vs. the
-//!   reconstructed legacy path, each paying its era's record-retention
-//!   cost (`Buf::clone` refcount bump vs. `to_vec` payload copy).
+//! * stream-level throughput of the chunk-queue path, retaining each
+//!   write in a bounded record log as the leader does (a `Buf::clone`
+//!   refcount bump).
 //!
 //! Emits machine-readable JSON (default `BENCH_vos.json`). CI runs
-//! `--quick --check BENCH_vos.json`: throughput keys gate at
-//! `--min-ratio` (default 0.8, the 20% regression rule); the
-//! `speedup_vs_legacy_*` keys gate at an absolute 2.0× floor — the
-//! acceptance bar for the rewrite, re-proven on every run.
+//! `--quick --check BENCH_vos.json`: the 4 KiB throughput keys gate at
+//! `--min-ratio` (default 0.8, the 20% regression rule).
 //!
 //! Usage: `vos_bench [--quick] [--out PATH] [--check BASELINE [--min-ratio R]]`
 
@@ -40,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bench_support::gate::{BenchArgs, Floor};
+use bench_support::gate::BenchArgs;
 use dsl::{Builtins, RuleSet};
 use mve::{EventRing, FollowerConfig, LeaderConfig, VariantOs};
 use obs::json::JsonObject;
@@ -394,104 +389,9 @@ fn bench_bulk(port: u16, mve: bool, chunk: usize, total: usize) -> f64 {
     (writes * chunk) as f64 / elapsed.as_secs_f64() / 1e6
 }
 
-/// Faithful reconstruction of the seed's stream inbox (see the pre-PR
-/// `crates/vos/src/stream.rs`): one `VecDeque<u8>`, writes extend it
-/// byte-by-byte, reads drain-and-collect into a fresh `Vec`.
-mod legacy {
-    use std::collections::VecDeque;
-    use std::sync::{Condvar, Mutex};
-    use std::time::Duration;
-
-    struct Inbox {
-        data: VecDeque<u8>,
-        closed: bool,
-    }
-
-    pub struct LegacyStream {
-        inbox: Mutex<Inbox>,
-        cv: Condvar,
-    }
-
-    impl LegacyStream {
-        pub fn new() -> Self {
-            LegacyStream {
-                inbox: Mutex::new(Inbox {
-                    data: VecDeque::new(),
-                    closed: false,
-                }),
-                cv: Condvar::new(),
-            }
-        }
-
-        pub fn write(&self, data: &[u8]) -> usize {
-            let mut inbox = self.inbox.lock().unwrap();
-            inbox.data.extend(data.iter().copied());
-            self.cv.notify_all();
-            data.len()
-        }
-
-        pub fn read(&self, max: usize, timeout: Duration) -> Vec<u8> {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut inbox = self.inbox.lock().unwrap();
-            loop {
-                if !inbox.data.is_empty() {
-                    let n = max.min(inbox.data.len());
-                    return inbox.data.drain(..n).collect();
-                }
-                if inbox.closed {
-                    return Vec::new();
-                }
-                let now = std::time::Instant::now();
-                assert!(now < deadline, "legacy read starved");
-                inbox = self.cv.wait_timeout(inbox, deadline - now).unwrap().0;
-            }
-        }
-
-        pub fn close(&self) {
-            let mut inbox = self.inbox.lock().unwrap();
-            inbox.closed = true;
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Stream-level bulk throughput on the reconstructed legacy path: every
-/// write copies the payload into the deque byte queue AND clones it into
-/// a bounded record log (what the old leader paid per logged syscall);
-/// every read copies back out into a fresh `Vec`.
-fn bench_stream_legacy(chunk: usize, total: usize) -> f64 {
-    let writes = total / chunk;
-    let stream = Arc::new(legacy::LegacyStream::new());
-    let reader = {
-        let stream = stream.clone();
-        thread::spawn(move || {
-            let mut got = 0usize;
-            while got < total {
-                let data = stream.read(chunk, Duration::from_secs(30));
-                assert!(!data.is_empty(), "legacy stream hit premature EOF");
-                got += data.len();
-            }
-        })
-    };
-    let payload = vec![0xC3u8; chunk];
-    let mut log: VecDeque<Vec<u8>> = VecDeque::with_capacity(LOG_DEPTH);
-    let begin = Instant::now();
-    for _ in 0..writes {
-        stream.write(&payload);
-        if log.len() == LOG_DEPTH {
-            log.pop_front();
-        }
-        log.push_back(payload.to_vec());
-    }
-    reader.join().expect("reader");
-    let elapsed = begin.elapsed();
-    stream.close();
-    (writes * chunk) as f64 / elapsed.as_secs_f64() / 1e6
-}
-
-/// The same stream-level workload on the new data plane: one shared
-/// allocation, O(1) `Buf` clones into the inbox and the record log,
-/// reads handed back as refcounted slices of the original storage.
+/// Stream-level bulk throughput: one shared allocation, O(1) `Buf`
+/// clones into the inbox and the record log, reads handed back as
+/// refcounted slices of the original storage.
 fn bench_stream_shared(port: u16, chunk: usize, total: usize) -> f64 {
     let writes = total / chunk;
     let kernel = VirtualKernel::new();
@@ -547,19 +447,12 @@ struct Report {
     park_price: ParkPrice,
     bulk_single: Vec<(usize, f64)>,
     bulk_mve: Vec<(usize, f64)>,
-    stream_legacy: Vec<(usize, f64)>,
     stream_shared: Vec<(usize, f64)>,
 }
 
 impl Report {
-    fn speedup(&self, size: usize) -> f64 {
-        let legacy = at(&self.stream_legacy, size).unwrap_or(f64::INFINITY);
-        at(&self.stream_shared, size).unwrap_or(0.0) / legacy
-    }
-
-    /// The gated metrics: 4 KiB throughput against the baseline, and the
-    /// speedup over the legacy stream against the absolute floor.
-    fn gate_metrics(&self) -> Vec<(String, f64, Floor)> {
+    /// The gated metrics: 4 KiB throughput against the baseline.
+    fn gate_metrics(&self) -> Vec<(String, f64)> {
         // Throughput gates use 4 KiB only: the 64 KiB measurement
         // finishes in well under a millisecond in quick mode, which is
         // too noisy to gate at a 20% floor.
@@ -569,13 +462,8 @@ impl Report {
             ("stream_shared_mbps", &self.stream_shared),
         ] {
             if let Some(v) = at(entries, 4096) {
-                gates.push((format!("{name}_4096"), v, Floor::Baseline));
+                gates.push((format!("{name}_4096"), v));
             }
-        }
-        for size in [4096usize, 65536] {
-            let speedup = self.speedup(size);
-            let floor = Floor::Absolute(SPEEDUP_FLOOR);
-            gates.push((format!("speedup_vs_legacy_{size}"), speedup, floor));
         }
         gates
     }
@@ -608,13 +496,6 @@ impl Report {
                     ("mve", size_map(&self.bulk_mve)),
                 ],
             ),
-            (
-                "stream_mbps",
-                [
-                    ("legacy", size_map(&self.stream_legacy)),
-                    ("shared", size_map(&self.stream_shared)),
-                ],
-            ),
         ] {
             let mut object = JsonObject::new();
             for (half, map) in halves {
@@ -622,6 +503,9 @@ impl Report {
             }
             results.field_raw(section, &object.finish());
         }
+        let mut stream = JsonObject::new();
+        stream.field_raw("shared", &size_map(&self.stream_shared));
+        results.field_raw("stream_mbps", &stream.finish());
         let mut handoff = JsonObject::new();
         handoff
             .field_f64("round_trips_per_s", self.handoff.round_trips_per_s)
@@ -642,27 +526,18 @@ impl Report {
             .field_f64("yield_ns", price.yield_ns);
         results.field_raw("park_price", &park_price.finish());
         let mut gate = JsonObject::new();
-        for (key, measured, _) in self.gate_metrics() {
+        for (key, measured) in self.gate_metrics() {
             gate.field_f64(&key, measured);
         }
         let mut report = JsonObject::new();
         report
             .field_str("bench", "vos_bench")
             .field_str("mode", mode)
-            .field_str(
-                "note",
-                "legacy = reconstructed pre-rewrite per-byte stream + Vec record clones; \
-                 shared = Buf chunk-queue data plane; speedups are stream-level at equal workloads",
-            )
             .field_raw("results", &results.finish())
             .field_raw("gate", &gate.finish());
         report.finish()
     }
 }
-
-/// The ≥2× floor the rewrite must clear at 4 KiB and above, re-checked
-/// on every `--check` run, independent of the committed baseline.
-const SPEEDUP_FLOOR: f64 = 2.0;
 
 fn main() {
     let args = BenchArgs::from_env("vos_bench", "BENCH_vos.json");
@@ -695,7 +570,6 @@ fn main() {
         park_price,
         bulk_single: Vec::new(),
         bulk_mve: Vec::new(),
-        stream_legacy: Vec::new(),
         stream_shared: Vec::new(),
     };
     for &size in &SIZES {
@@ -716,13 +590,8 @@ fn main() {
         report.bulk_mve.push((size, mve));
     }
     for &size in &SIZES {
-        let legacy = bench_stream_legacy(size, params.bulk_bytes);
         let shared = bench_stream_shared(next_port(), size, params.bulk_bytes);
-        eprintln!(
-            "  stream {size:>6}B: legacy {legacy:9.1} MB/s   shared {shared:9.1} MB/s   ({:.2}x)",
-            shared / legacy
-        );
-        report.stream_legacy.push((size, legacy));
+        eprintln!("  stream {size:>6}B: shared {shared:9.1} MB/s");
         report.stream_shared.push((size, shared));
     }
 
@@ -766,7 +635,6 @@ mod tests {
             },
             bulk_single: vec![(4096, 1000.0), (65536, 4000.0)],
             bulk_mve: vec![(4096, 500.0)],
-            stream_legacy: vec![(4096, 300.0), (65536, 500.0)],
             stream_shared: vec![(4096, 900.0), (65536, 2500.0)],
         };
         let json = report.emit_json("quick");
@@ -774,10 +642,8 @@ mod tests {
         assert_eq!(read("bulk_single_mbps_4096"), Some(1000.0));
         assert_eq!(read("stream_shared_mbps_4096"), Some(900.0));
         // 64 KiB throughput is deliberately ungated (too noisy in quick
-        // mode); only its speedup floor is.
+        // mode).
         assert_eq!(read("stream_shared_mbps_65536"), None);
-        assert_eq!(read("speedup_vs_legacy_4096"), Some(3.0));
-        assert_eq!(read("speedup_vs_legacy_65536"), Some(5.0));
         assert_eq!(read("missing"), None);
         // The hand-off case is reported only.
         let handoff = |key| baseline_metric(&json, "handoff_64", key);
@@ -790,15 +656,7 @@ mod tests {
         assert_eq!(price("yield_cpu_ns_per_handoff"), Some(600.0));
         assert_eq!(price("yield_ns"), Some(150.0));
         assert_eq!(read("yield_ns"), None);
-        let floors: Vec<Floor> = report.gate_metrics().iter().map(|g| g.2).collect();
-        assert_eq!(
-            floors,
-            [
-                Floor::Baseline,
-                Floor::Baseline,
-                Floor::Absolute(SPEEDUP_FLOOR),
-                Floor::Absolute(SPEEDUP_FLOOR)
-            ]
-        );
+        let keys: Vec<String> = report.gate_metrics().into_iter().map(|g| g.0).collect();
+        assert_eq!(keys, ["bulk_single_mbps_4096", "stream_shared_mbps_4096"]);
     }
 }

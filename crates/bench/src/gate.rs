@@ -19,15 +19,6 @@ pub struct BenchArgs {
     pub min_ratio: f64,
 }
 
-/// What a gated metric must stay above.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Floor {
-    /// `--min-ratio` × the baseline report's value of the same key.
-    Baseline,
-    /// A fixed value, whatever the baseline says.
-    Absolute(f64),
-}
-
 impl BenchArgs {
     /// Parses the process arguments, with `default_out` as the report
     /// path when `--out` is absent. Exits 2 on a bad command line.
@@ -70,35 +61,31 @@ impl BenchArgs {
         eprintln!("  wrote {}", self.out);
     }
 
-    /// With `--check`, compares each `(key, measured, floor)` against
-    /// its floor and exits 1 if any falls below. `scope` names the
-    /// baseline object holding the keys. Without `--check`, does
-    /// nothing.
-    pub fn gate(&self, bin: &str, scope: &str, metrics: &[(String, f64, Floor)]) {
+    /// With `--check`, compares each `(key, measured)` against
+    /// `--min-ratio` × the baseline's value of the same key and exits 1
+    /// if any falls below. `scope` names the baseline object holding
+    /// the keys. Without `--check`, does nothing.
+    pub fn gate(&self, bin: &str, scope: &str, metrics: &[(String, f64)]) {
         let Some(path) = &self.check else {
             return;
         };
         let baseline =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
         let mut failed = false;
-        for (key, measured, floor) in metrics {
-            let (floor, against) = match *floor {
-                Floor::Absolute(floor) => (floor, format!("absolute floor {floor:.2}")),
-                Floor::Baseline => {
-                    let base = baseline_metric(&baseline, scope, key)
-                        .unwrap_or_else(|| panic!("baseline {path} lacks {scope}.{key}"));
-                    let floor = base * self.min_ratio;
-                    (floor, format!("baseline {base:.2} (floor {floor:.2})"))
-                }
-            };
+        for (key, measured) in metrics {
+            let base = baseline_metric(&baseline, scope, key)
+                .unwrap_or_else(|| panic!("baseline {path} lacks {scope}.{key}"));
+            let floor = base * self.min_ratio;
             let below = *measured < floor;
             failed |= below;
             let verdict = if below { "REGRESSION" } else { "ok" };
-            eprintln!("  gate {key}: measured {measured:.2} vs {against} .. {verdict}");
+            eprintln!(
+                "  gate {key}: measured {measured:.2} vs baseline {base:.2} (floor {floor:.2}) .. {verdict}"
+            );
         }
         if failed {
             eprintln!(
-                "{bin}: a gated metric fell more than {:.0}% below its baseline, or below its absolute floor",
+                "{bin}: a gated metric fell more than {:.0}% below its baseline",
                 (1.0 - self.min_ratio) * 100.0
             );
             std::process::exit(1);
@@ -159,7 +146,5 @@ mod tests {
         let read = |key| baseline_metric(vos, "gate", key);
         assert_eq!(read("bulk_single_mbps_4096"), Some(5024.29));
         assert_eq!(read("stream_shared_mbps_4096"), Some(6858.05));
-        assert_eq!(read("speedup_vs_legacy_4096"), Some(12.90));
-        assert_eq!(read("speedup_vs_legacy_65536"), Some(299.02));
     }
 }

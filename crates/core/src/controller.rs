@@ -2,20 +2,18 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
 use dsl::RuleSet;
 use dsu::{Version, VersionRegistry};
-use mve::{LockstepMode, Notice, NoticeKind, VariantOs};
+use mve::{LockstepMode, VariantOs};
 use obs::{MetricsRegistry, Obs};
 use parking_lot::Mutex;
 use vos::VirtualKernel;
 
 use crate::error::MvedsuaError;
 use crate::package::UpdatePackage;
-use crate::runner::{run_variant, ForkJob, Shared};
+use crate::runner::{notice_hook, run_variant, ForkJob, Shared};
 use crate::stage::{Stage, Timeline, TimelineEntry, TimelineEvent};
 
 /// Tunables of an MVEDSUA session.
@@ -38,11 +36,6 @@ pub struct MvedsuaConfig {
     /// Chaos-harness perturbation: stall every Nth ring pop for the given
     /// number of nanoseconds (`(every, nanos)`); `None` disables it.
     pub ring_pop_stall: Option<(u64, u64)>,
-    /// Run the `rulecheck` static analyzer over an update's rewrite
-    /// rules at prepare time and reject Error-severity findings before
-    /// the follower is forked. Defaults on; the analyzer runs strictly
-    /// before any execution, so passing programs behave identically.
-    pub lint_rules: bool,
 }
 
 impl Default for MvedsuaConfig {
@@ -53,7 +46,6 @@ impl Default for MvedsuaConfig {
             lockstep: None,
             follower_lag: None,
             ring_pop_stall: None,
-            lint_rules: true,
         }
     }
 }
@@ -89,7 +81,6 @@ impl SessionReport {
 /// the update lifecycle of the paper's Figure 2. See the crate docs.
 pub struct Mvedsua {
     shared: Arc<Shared>,
-    monitor: Option<JoinHandle<()>>,
 }
 
 impl Mvedsua {
@@ -110,9 +101,7 @@ impl Mvedsua {
     ) -> Result<Mvedsua, MvedsuaError> {
         install_quiet_panic_hook();
         let app = registry.boot(&initial)?;
-        let timeline = Arc::new(Timeline::new(kernel.clone()));
-        timeline.attach_obs(obs.clone());
-        let (tx, rx) = unbounded();
+        let timeline = Arc::new(Timeline::new(kernel.clone(), obs.clone()));
         let shared = Arc::new(Shared {
             kernel: kernel.clone(),
             registry,
@@ -122,19 +111,17 @@ impl Mvedsua {
             fork_slot: Mutex::new(None),
             threads: Mutex::new(Vec::new()),
             rings: Mutex::new(Vec::new()),
-            promote_action: Mutex::new(None),
             active_update: Mutex::new(None),
             versions: Mutex::new(HashMap::from([(0, initial.clone())])),
             leader_version: Mutex::new(initial.clone()),
             next_variant: AtomicU32::new(1),
-            notices: Mutex::new(Some(tx.clone())),
             obs: obs.clone(),
             variant_stats: Mutex::new(Vec::new()),
         });
         timeline.record(TimelineEvent::Launched {
             version: initial.clone(),
         });
-        let mut os = VariantOs::single(0, kernel, Some(tx));
+        let mut os = VariantOs::single(0, kernel, Some(notice_hook(&shared)));
         os.set_obs(obs);
         shared.variant_stats.lock().push((0, os.stats()));
 
@@ -144,17 +131,7 @@ impl Mvedsua {
             .spawn(move || run_variant(runner_shared, app, os))
             .expect("spawn variant runner");
         shared.threads.lock().push(runner);
-
-        let monitor_shared = shared.clone();
-        let monitor = std::thread::Builder::new()
-            .name("mvedsua-monitor".to_string())
-            .spawn(move || monitor_notices(monitor_shared, rx))
-            .expect("spawn notice monitor");
-
-        Ok(Mvedsua {
-            shared,
-            monitor: Some(monitor),
-        })
+        Ok(Mvedsua { shared })
     }
 
     /// The kernel clients connect through.
@@ -267,9 +244,7 @@ impl Mvedsua {
             let from = self.active_version();
             self.shared.registry.update_spec(&from, &package.to)?;
         }
-        if self.shared.config.lint_rules {
-            self.lint_package(&package, &fwd_rules, &rev_rules)?;
-        }
+        self.lint_package(&package, &fwd_rules, &rev_rules)?;
         self.shared.timeline.record(TimelineEvent::UpdateRequested {
             to: package.to.clone(),
         });
@@ -433,9 +408,10 @@ impl Mvedsua {
         }
         let action = self
             .shared
-            .promote_action
+            .active_update
             .lock()
-            .take()
+            .as_mut()
+            .and_then(|active| active.promote.take())
             .ok_or(MvedsuaError::WrongStage {
                 operation: "promote",
                 stage: stage.to_string(),
@@ -492,7 +468,6 @@ impl Mvedsua {
                 stage: stage.to_string(),
             });
         };
-        *self.shared.promote_action.lock() = None;
         active.ring_a.poison();
         self.shared.timeline.set_stage(Stage::SingleLeader);
         self.shared.timeline.record(TimelineEvent::RolledBack);
@@ -514,11 +489,6 @@ impl Mvedsua {
                 }
                 None => break,
             }
-        }
-        // Dropping the last sender lets the monitor thread drain and exit.
-        self.shared.notices.lock().take();
-        if let Some(monitor) = self.monitor {
-            let _ = monitor.join();
         }
         SessionReport {
             entries: self.shared.timeline.entries(),
@@ -560,61 +530,6 @@ fn parse_rules(src: &str) -> Result<RuleSet, MvedsuaError> {
             diags.push(dsl::parse_diagnostic(&e));
             MvedsuaError::BadRules(diags)
         })
-    }
-}
-
-/// Translates variant role-transition notices into stage changes and
-/// leader-version tracking.
-fn monitor_notices(shared: Arc<Shared>, rx: Receiver<Notice>) {
-    let set_leader = |variant: u32| {
-        if let Some(version) = shared.versions.lock().get(&variant) {
-            *shared.leader_version.lock() = version.clone();
-        }
-    };
-    for notice in rx {
-        match notice.kind {
-            NoticeKind::Demoted => {
-                shared.timeline.record(TimelineEvent::Demoted {
-                    variant: notice.variant,
-                });
-                shared.timeline.set_stage(Stage::Switching);
-            }
-            NoticeKind::BecameLeader => {
-                shared.timeline.record(TimelineEvent::Promoted {
-                    variant: notice.variant,
-                });
-                set_leader(notice.variant);
-                shared.timeline.set_stage(Stage::UpdatedLeader);
-            }
-            NoticeKind::BecameSingle => {
-                shared.timeline.record(TimelineEvent::BecameSingle {
-                    variant: notice.variant,
-                });
-                // Staleness guard: after a rollback, the old leader's
-                // BecameSingle (from its next failed push) can arrive
-                // *after* a fresh update has already forked. Only honor
-                // the notice when no update is being monitored, or when
-                // it is the monitored follower itself taking over
-                // (leader-crash promotion / bypassed promotion).
-                let mut active = shared.active_update.lock();
-                match active.as_ref() {
-                    None => {
-                        set_leader(notice.variant);
-                        shared.timeline.set_stage(Stage::SingleLeader);
-                    }
-                    Some(a) if a.follower_id == notice.variant => {
-                        *active = None;
-                        // Cleared under the era lock, before the stage
-                        // change lets the next update fork.
-                        *shared.promote_action.lock() = None;
-                        set_leader(notice.variant);
-                        shared.timeline.set_stage(Stage::SingleLeader);
-                    }
-                    // A previous era's leader reporting in; ignore.
-                    Some(_) => {}
-                }
-            }
-        }
     }
 }
 
@@ -941,27 +856,6 @@ mod tests {
         assert!(!report.contains(|e| matches!(e, TimelineEvent::UpdateRequested { .. })));
         assert!(!report.contains(|e| matches!(e, TimelineEvent::Forked { .. })));
         assert!(!report.contains(|e| matches!(e, TimelineEvent::RolledBack)));
-    }
-
-    #[test]
-    fn rulecheck_gate_can_be_disabled() {
-        let session = boot(
-            registry(None),
-            MvedsuaConfig {
-                lint_rules: false,
-                ..MvedsuaConfig::default()
-            },
-        );
-        // Same planted rule as above: parseable, so with the gate off it
-        // sails through (the unknown event simply never matches).
-        let bad = "rule planted { on frobnicate(x) => write(x, undefined, 1) }";
-        session
-            .update_monitored(
-                UpdatePackage::new(dsu::v("2.0")).with_fwd_rules(bad),
-                Duration::from_millis(50),
-            )
-            .unwrap();
-        session.shutdown();
     }
 
     #[test]

@@ -5,12 +5,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
 use dsl::RuleSet;
 use dsu::{panic_message, DsuApp, StateTransformer, StepOutcome, Version, VersionRegistry};
 use mve::{
-    EventRing, FollowerConfig, LeaderConfig, Notice, RetireReason, RetiredSignal, Role,
-    SyscallStats, VariantId, VariantOs,
+    EventRing, FollowerConfig, LeaderConfig, Notice, NoticeHook, NoticeKind, RetireReason,
+    RetiredSignal, Role, SyscallStats, VariantId, VariantOs,
 };
 use obs::{Obs, ObsKind, TimeSource};
 use parking_lot::Mutex;
@@ -36,15 +35,19 @@ pub(crate) struct PromoteAction {
     pub config: FollowerConfig,
 }
 
-/// The update currently being monitored.
+/// The update currently being monitored. Ending the era (`*active =
+/// None`) drops its promote action with it.
 pub(crate) struct ActiveUpdate {
     pub ring_a: EventRing,
     pub ring_b: Option<EventRing>,
     pub follower_id: VariantId,
+    /// Taken by `promote()`; `None` once promotion was requested.
+    pub promote: Option<PromoteAction>,
 }
 
-/// State shared between the controller, the variant runner threads, and
-/// the notice monitor.
+/// State shared between the controller and the variant runner threads.
+/// Stage changes happen on the variant that makes them, under the lock
+/// order `active_update` → `versions`/`leader_version` → timeline.
 pub(crate) struct Shared {
     pub kernel: Arc<VirtualKernel>,
     pub registry: Arc<VersionRegistry>,
@@ -54,12 +57,10 @@ pub(crate) struct Shared {
     pub fork_slot: Mutex<Option<ForkJob>>,
     pub threads: Mutex<Vec<JoinHandle<()>>>,
     pub rings: Mutex<Vec<EventRing>>,
-    pub promote_action: Mutex<Option<PromoteAction>>,
     pub active_update: Mutex<Option<ActiveUpdate>>,
     pub versions: Mutex<HashMap<VariantId, Version>>,
     pub leader_version: Mutex<Version>,
     pub next_variant: AtomicU32,
-    pub notices: Mutex<Option<Sender<Notice>>>,
     /// Flight-recorder handle threaded into every variant; disabled (a
     /// single-branch no-op) unless the session was launched observed.
     pub obs: Obs,
@@ -69,10 +70,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub fn notices_sender(&self) -> Option<Sender<Notice>> {
-        self.notices.lock().clone()
-    }
-
     fn register_ring(&self, ring: &EventRing) {
         self.rings.lock().push(ring.clone());
     }
@@ -180,11 +177,10 @@ fn finish_failed_follower(shared: &Shared, id: VariantId) {
     match active.as_ref() {
         Some(a) if a.follower_id == id => {
             *active = None;
-            // Promote action, stage, then RolledBack, all under the era
-            // lock: a waiter woken by RolledBack must observe the
-            // restored stage, and may fork the next update at once, so a
-            // late clear would drop that update's action.
-            *shared.promote_action.lock() = None;
+            // Era (promote action included), stage, then RolledBack, all
+            // under the era lock: a waiter woken by RolledBack must
+            // observe the restored stage, and may fork the next update
+            // at once.
             shared.timeline.set_stage(Stage::SingleLeader);
             shared.timeline.record(TimelineEvent::RolledBack);
         }
@@ -262,7 +258,7 @@ fn maybe_fork(shared: &Arc<Shared>, app: &mut Box<dyn DsuApp>, os: &mut VariantO
         follower_id,
         shared.kernel.clone(),
         follower_config,
-        shared.notices_sender(),
+        Some(notice_hook(shared)),
     );
     follower_os.set_obs(shared.obs.clone());
     shared
@@ -293,24 +289,25 @@ fn maybe_fork(shared: &Arc<Shared>, app: &mut Box<dyn DsuApp>, os: &mut VariantO
             }
         }
     };
-    *shared.promote_action.lock() = Some(PromoteAction {
+    let promote = PromoteAction {
         slot: os.demote_slot(),
         config: old_leader_becomes,
-    });
+    };
     os.attach_follower(LeaderConfig {
         ring: ring_a.clone(),
         lockstep: shared.config.lockstep,
     });
     {
         // Install the new update era and its stage atomically: stage
-        // writers (here, the notice monitor, the rollback bookkeeping)
-        // all decide under this lock, so a stale notice from the
-        // previous era can never clobber the fresh OutdatedLeader stage.
+        // writers (here, `on_notice`, the rollback bookkeeping) all
+        // decide under this lock, so no variant of another era can
+        // clobber the fresh OutdatedLeader stage.
         let mut active = shared.active_update.lock();
         *active = Some(ActiveUpdate {
             ring_a: ring_a.clone(),
             ring_b,
             follower_id,
+            promote: Some(promote),
         });
         // Stage first, event second: waiters key on the Forked event
         // and must observe the new stage when they wake.
@@ -336,6 +333,62 @@ fn maybe_fork(shared: &Arc<Shared>, app: &mut Box<dyn DsuApp>, os: &mut VariantO
         })
         .expect("spawn follower thread");
     shared.threads.lock().push(handle);
+}
+
+/// The hook every variant reports its role changes through: it applies
+/// each one on the variant's own thread, before the variant's next call.
+pub(crate) fn notice_hook(shared: &Arc<Shared>) -> NoticeHook {
+    let shared = shared.clone();
+    Arc::new(move |notice| on_notice(&shared, notice))
+}
+
+/// Translates a variant's role transition into stage changes and
+/// leader-version tracking.
+fn on_notice(shared: &Shared, notice: Notice) {
+    let set_leader = |variant: VariantId| {
+        if let Some(version) = shared.versions.lock().get(&variant) {
+            *shared.leader_version.lock() = version.clone();
+        }
+    };
+    match notice.kind {
+        NoticeKind::Demoted => {
+            shared.timeline.record(TimelineEvent::Demoted {
+                variant: notice.variant,
+            });
+            shared.timeline.set_stage(Stage::Switching);
+        }
+        NoticeKind::BecameLeader => {
+            shared.timeline.record(TimelineEvent::Promoted {
+                variant: notice.variant,
+            });
+            set_leader(notice.variant);
+            shared.timeline.set_stage(Stage::UpdatedLeader);
+        }
+        NoticeKind::BecameSingle => {
+            shared.timeline.record(TimelineEvent::BecameSingle {
+                variant: notice.variant,
+            });
+            // Only a session with no update era, or the era's own
+            // follower taking over (leader-crash promotion, bypassed
+            // promotion), moves the stage; any other variant reporting
+            // in must not clobber the stage of the era being monitored.
+            let mut active = shared.active_update.lock();
+            match active.as_ref() {
+                None => {
+                    set_leader(notice.variant);
+                    shared.timeline.set_stage(Stage::SingleLeader);
+                }
+                Some(a) if a.follower_id == notice.variant => {
+                    // Ends the era, promote action included, before the
+                    // stage change lets the next update fork.
+                    *active = None;
+                    set_leader(notice.variant);
+                    shared.timeline.set_stage(Stage::SingleLeader);
+                }
+                Some(_) => {}
+            }
+        }
+    }
 }
 
 /// Runs on the follower thread: perform the dynamic update (state
@@ -405,18 +458,16 @@ mod tests {
         Arc::new(Shared {
             kernel: kernel.clone(),
             registry: Arc::new(VersionRegistry::new()),
-            timeline: Arc::new(Timeline::new(kernel)),
+            timeline: Arc::new(Timeline::new(kernel, Obs::disabled())),
             config: MvedsuaConfig::default(),
             stop: AtomicBool::new(false),
             fork_slot: Mutex::new(None),
             threads: Mutex::new(Vec::new()),
             rings: Mutex::new(Vec::new()),
-            promote_action: Mutex::new(None),
             active_update: Mutex::new(None),
             versions: Mutex::new(HashMap::new()),
             leader_version: Mutex::new(dsu::v("1.0")),
             next_variant: AtomicU32::new(1),
-            notices: Mutex::new(None),
             obs: Obs::disabled(),
             variant_stats: Mutex::new(Vec::new()),
         })
@@ -431,8 +482,8 @@ mod tests {
     }
 
     /// A waiter that sees `RolledBack` may fork the next update at once,
-    /// so the failed era's promote action must already be gone: a later
-    /// clear would drop the next era's action and fail its `promote`.
+    /// so the failed era, promote action included, must already be gone:
+    /// a leftover would hand the next era's `promote` a stale action.
     #[test]
     fn failed_follower_clears_promote_action_before_reporting_rollback() {
         let shared = shared();
@@ -441,22 +492,22 @@ mod tests {
             ring_a: ring.clone(),
             ring_b: None,
             follower_id: 7,
+            promote: Some(PromoteAction {
+                slot: Arc::new(Mutex::new(None)),
+                config: FollowerConfig {
+                    ring,
+                    rules: Arc::new(RuleSet::empty()),
+                    builtins: Arc::new(dsl::Builtins::standard()),
+                    promote_to: None,
+                    lag: None,
+                },
+            }),
         });
-        *shared.promote_action.lock() = Some(PromoteAction {
-            slot: Arc::new(Mutex::new(None)),
-            config: FollowerConfig {
-                ring,
-                rules: Arc::new(RuleSet::empty()),
-                builtins: Arc::new(dsl::Builtins::standard()),
-                promote_to: None,
-                lag: None,
-            },
-        });
-        // Holding the action's lock parks the failing follower wherever
-        // it clears the action; RolledBack must not be visible by then.
-        // The pause only gives a wrong order time to show; the right
-        // order passes however long it lasts.
-        let held = shared.promote_action.lock();
+        // Holding the era lock parks the failing follower wherever it
+        // ends the era; RolledBack must not be visible by then. The
+        // pause only gives a wrong order time to show; the right order
+        // passes however long it lasts.
+        let held = shared.active_update.lock();
         let failing = {
             let shared = shared.clone();
             std::thread::spawn(move || finish_failed_follower(&shared, 7))
@@ -464,12 +515,13 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert!(
             !rolled_back(&shared),
-            "RolledBack was reported before the promote action was cleared"
+            "RolledBack was reported before the era and its promote action were gone"
         );
+        assert!(held.as_ref().is_some_and(|a| a.promote.is_some()));
         drop(held);
         failing.join().unwrap();
         assert!(rolled_back(&shared));
-        assert!(shared.promote_action.lock().is_none());
+        assert!(shared.active_update.lock().is_none());
         assert_eq!(shared.timeline.stage(), Stage::SingleLeader);
     }
 }

@@ -130,9 +130,7 @@ pub struct Timeline {
     changed: Condvar,
     /// Mirror of timeline activity into the flight recorder's session
     /// lane (auxiliary class — lifecycle notes and stage transitions).
-    /// Disabled by default; the controller attaches a live handle when
-    /// launched with observability on.
-    obs: Mutex<Obs>,
+    obs: Obs,
 }
 
 #[derive(Debug)]
@@ -142,8 +140,9 @@ struct Inner {
 }
 
 impl Timeline {
-    /// A fresh timeline in the single-leader stage.
-    pub fn new(kernel: Arc<VirtualKernel>) -> Self {
+    /// A fresh timeline in the single-leader stage, mirrored into `obs`'s
+    /// session lane ([`Obs::disabled`] for none).
+    pub fn new(kernel: Arc<VirtualKernel>, obs: Obs) -> Self {
         Timeline {
             kernel,
             inner: Mutex::new(Inner {
@@ -151,19 +150,14 @@ impl Timeline {
                 stage: Stage::SingleLeader,
             }),
             changed: Condvar::new(),
-            obs: Mutex::new(Obs::disabled()),
+            obs,
         }
-    }
-
-    /// Routes future timeline activity into `obs`'s session lane.
-    pub fn attach_obs(&self, obs: Obs) {
-        *self.obs.lock() = obs;
     }
 
     /// Appends an event, stamped with the kernel clock.
     pub fn record(&self, event: TimelineEvent) {
         let at_nanos = self.kernel.now_nanos();
-        self.obs.lock().emit(SESSION_LANE, || ObsKind::Note {
+        self.obs.emit(SESSION_LANE, || ObsKind::Note {
             text: format!("{event:?}"),
         });
         let mut inner = self.inner.lock();
@@ -178,7 +172,7 @@ impl Timeline {
         if inner.stage == stage {
             return;
         }
-        self.obs.lock().emit(SESSION_LANE, || ObsKind::Stage {
+        self.obs.emit(SESSION_LANE, || ObsKind::Stage {
             stage: stage.name().to_string(),
         });
         inner.stage = stage;
@@ -266,7 +260,7 @@ mod tests {
     #[test]
     fn records_are_ordered_and_stamped() {
         let k = VirtualKernel::new();
-        let t = Timeline::new(k);
+        let t = Timeline::new(k, Obs::disabled());
         t.record(TimelineEvent::Launched { version: v("1.0") });
         t.record(TimelineEvent::UpdateRequested { to: v("2.0") });
         let entries = t.entries();
@@ -277,7 +271,7 @@ mod tests {
 
     #[test]
     fn stage_changes_are_recorded_once() {
-        let t = Timeline::new(VirtualKernel::new());
+        let t = Timeline::new(VirtualKernel::new(), Obs::disabled());
         assert_eq!(t.stage(), Stage::SingleLeader);
         t.set_stage(Stage::OutdatedLeader);
         t.set_stage(Stage::OutdatedLeader); // no duplicate entry
@@ -287,7 +281,7 @@ mod tests {
 
     #[test]
     fn wait_for_unblocks_on_matching_event() {
-        let t = Arc::new(Timeline::new(VirtualKernel::new()));
+        let t = Arc::new(Timeline::new(VirtualKernel::new(), Obs::disabled()));
         let t2 = t.clone();
         let waiter = thread::spawn(move || {
             t2.wait_for(Duration::from_secs(2), |entries| {
@@ -303,14 +297,14 @@ mod tests {
 
     #[test]
     fn wait_for_times_out() {
-        let t = Timeline::new(VirtualKernel::new());
+        let t = Timeline::new(VirtualKernel::new(), Obs::disabled());
         assert!(!t.wait_for(Duration::from_millis(20), |e| !e.is_empty()));
         assert!(!t.wait_for_stage(Stage::UpdatedLeader, Duration::from_millis(20)));
     }
 
     #[test]
     fn wait_for_stage_unblocks() {
-        let t = Arc::new(Timeline::new(VirtualKernel::new()));
+        let t = Arc::new(Timeline::new(VirtualKernel::new(), Obs::disabled()));
         let t2 = t.clone();
         let waiter =
             thread::spawn(move || t2.wait_for_stage(Stage::UpdatedLeader, Duration::from_secs(2)));

@@ -77,5 +77,6 @@ pub use project::{
 };
 pub use stats::SyscallStats;
 pub use variant::{
-    FollowerConfig, LeaderConfig, Notice, NoticeKind, Role, VariantId, VariantOs, FOLLOWER_BATCH,
+    FollowerConfig, LeaderConfig, Notice, NoticeHook, NoticeKind, Role, VariantId, VariantOs,
+    FOLLOWER_BATCH,
 };

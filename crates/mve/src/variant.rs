@@ -3,7 +3,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use dsl::{Builtins, Emit, Event, EventWindow, RuleSet};
 use obs::{Obs, ObsKind};
 use parking_lot::Mutex;
@@ -85,6 +84,11 @@ pub enum NoticeKind {
     /// (rollback/retirement of the peer) or closed (peer crashed).
     BecameSingle,
 }
+
+/// Receives a variant's [`Notice`]s. It runs on the variant's own thread,
+/// inside the call that makes the transition and before the variant's
+/// next call in its new role, while the variant holds no lock.
+pub type NoticeHook = Arc<dyn Fn(Notice) + Send + Sync>;
 
 struct LeaderState {
     ring: EventRing,
@@ -268,7 +272,7 @@ pub struct VariantOs {
     pid: u32,
     role: RoleState,
     stats: Arc<SyscallStats>,
-    notices: Option<Sender<Notice>>,
+    notices: Option<NoticeHook>,
     demote_slot: Arc<Mutex<Option<FollowerConfig>>>,
     /// Flight-recorder handle; [`Obs::disabled`] (one branch per
     /// dispatch) unless the coordinator attaches a recorder.
@@ -286,11 +290,7 @@ pub struct VariantOs {
 impl VariantOs {
     /// A variant starting in single-leader mode (how every MVEDSUA
     /// deployment begins, t0 in Figure 2).
-    pub fn single(
-        id: VariantId,
-        kernel: Arc<VirtualKernel>,
-        notices: Option<Sender<Notice>>,
-    ) -> Self {
+    pub fn single(id: VariantId, kernel: Arc<VirtualKernel>, notices: Option<NoticeHook>) -> Self {
         let pid = kernel.alloc_pid();
         VariantOs {
             id,
@@ -311,7 +311,7 @@ impl VariantOs {
         id: VariantId,
         kernel: Arc<VirtualKernel>,
         config: FollowerConfig,
-        notices: Option<Sender<Notice>>,
+        notices: Option<NoticeHook>,
     ) -> Self {
         let pid = kernel.alloc_pid();
         VariantOs {
@@ -383,7 +383,7 @@ impl VariantOs {
     pub fn demote_now(&mut self, config: FollowerConfig) {
         // Notify *before* pushing the marker: the follower's
         // BecameLeader notice can only follow its pop of the marker, so
-        // the coordinator observes Demoted -> BecameLeader in order.
+        // the Demoted hook has returned before BecameLeader's runs.
         self.notify(NoticeKind::Demoted);
         match &mut self.role {
             RoleState::Leader(state) => {
@@ -454,13 +454,12 @@ impl VariantOs {
     }
 
     fn notify(&self, kind: NoticeKind) {
-        send_notice(&self.notices, self.id, kind);
-    }
-}
-
-fn send_notice(notices: &Option<Sender<Notice>>, id: VariantId, kind: NoticeKind) {
-    if let Some(tx) = notices {
-        let _ = tx.send(Notice { variant: id, kind });
+        if let Some(hook) = &self.notices {
+            hook(Notice {
+                variant: self.id,
+                kind,
+            });
+        }
     }
 }
 

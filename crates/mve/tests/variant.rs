@@ -2,14 +2,14 @@
 //! rule reconciliation, promotion/demotion, rollback, and lockstep.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use dsl::{Builtins, RuleSet};
 use mve::{
-    EventRing, FollowerConfig, LeaderConfig, LockstepMode, RetireReason, RetiredSignal, Role,
-    VariantOs,
+    EventRing, FollowerConfig, LeaderConfig, LockstepMode, Notice, NoticeHook, NoticeKind,
+    RetireReason, RetiredSignal, Role, VariantOs,
 };
 use ring::Ring;
 use vos::{Buf, Os, VirtualKernel};
@@ -332,12 +332,23 @@ fn lockstep_leader_waits_for_follower() {
     assert_eq!(kernel.client_recv(client, 8).unwrap(), b"x");
 }
 
+type NoticeLog = Arc<Mutex<Vec<(u32, NoticeKind)>>>;
+
+/// A hook that appends each notice to one log shared by all variants.
+fn notice_log() -> (NoticeLog, NoticeHook) {
+    let log = NoticeLog::default();
+    let sink = log.clone();
+    let hook: NoticeHook =
+        Arc::new(move |n: Notice| sink.lock().unwrap().push((n.variant, n.kind)));
+    (log, hook)
+}
+
 #[test]
 fn notices_report_role_transitions() {
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (log, hook) = notice_log();
     let kernel = VirtualKernel::new();
     let ring_a = new_ring(8);
-    let mut leader = VariantOs::single(0, kernel.clone(), Some(tx));
+    let mut leader = VariantOs::single(0, kernel.clone(), Some(hook));
     let listener = leader.listen(5007).unwrap();
     leader.attach_follower(LeaderConfig {
         ring: ring_a.clone(),
@@ -346,9 +357,42 @@ fn notices_report_role_transitions() {
     ring_a.poison();
     let _ = kernel.connect(5007).unwrap();
     let _ = leader.accept(listener).unwrap();
-    let notice = rx.recv_timeout(Duration::from_millis(200)).unwrap();
-    assert_eq!(notice.variant, 0);
-    assert_eq!(notice.kind, mve::NoticeKind::BecameSingle);
+    // Delivered inside the call whose push hit the poisoned ring.
+    assert_eq!(*log.lock().unwrap(), [(0, NoticeKind::BecameSingle)]);
+    assert_eq!(leader.role(), Role::Single);
+}
+
+#[test]
+fn demotion_and_takeover_are_reported_in_order_on_each_variant() {
+    let (log, hook) = notice_log();
+    let kernel = VirtualKernel::new();
+    let (ring_a, ring_b) = (new_ring(8), new_ring(8));
+    let mut leader = VariantOs::single(0, kernel.clone(), Some(hook.clone()));
+    leader.attach_follower(LeaderConfig {
+        ring: ring_a.clone(),
+        lockstep: None,
+    });
+    let mut follower = VariantOs::follower(
+        1,
+        kernel.clone(),
+        FollowerConfig {
+            promote_to: Some(LeaderConfig {
+                ring: ring_b.clone(),
+                lockstep: None,
+            }),
+            ..follower_config(ring_a)
+        },
+        Some(hook),
+    );
+    leader.demote_now(follower_config(ring_b));
+    assert_eq!(*log.lock().unwrap(), [(0, NoticeKind::Demoted)]);
+    // The follower's next call consumes the marker and runs as leader.
+    let _ = follower.now();
+    assert_eq!(follower.role(), Role::Leader);
+    assert_eq!(
+        *log.lock().unwrap(),
+        [(0, NoticeKind::Demoted), (1, NoticeKind::BecameLeader)]
+    );
 }
 
 #[test]

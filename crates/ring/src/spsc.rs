@@ -83,8 +83,6 @@ struct ProducerSide {
 #[derive(Default)]
 struct ConsumerSide {
     busy: AtomicBool,
-    /// Last `tail` the consumer loaded; never ahead of the real one.
-    cached_tail: AtomicU64,
     /// The `tail` at which a publish must wake the consumer. Written
     /// before the consumer registers to park; the producer reads it
     /// only when someone is parked, and the publish that rings it sets
@@ -260,12 +258,13 @@ impl<T> Ring<T> {
                 return Ok(tail);
             }
             let producer = &self.producer.0;
-            producer.stalls.fetch_add(1, Ordering::Relaxed);
-            // A consumer parked on a mark it cannot reach would never
-            // free the room we wait for. A mark is at most half the
-            // ring, so a push reaches it before the ring fills; this
-            // kick does not rely on that.
+            // Once per blocked push: count the stall, and kick. A
+            // consumer parked on a mark it cannot reach would never free
+            // the room we wait for. A mark is at most half the ring, so
+            // a push reaches it before the ring fills; this kick does
+            // not rely on that.
             if !rang {
+                producer.stalls.fetch_add(1, Ordering::Relaxed);
                 self.ring_doorbell(tail);
                 rang = true;
             }
@@ -448,18 +447,14 @@ impl<T> Ring<T> {
     fn published(&self, mark: u64) -> Result<(u64, u64), RingError> {
         let head = self.head.0.load(Ordering::Relaxed);
         let consumer = &self.consumer.0;
-        let cached = &consumer.cached_tail;
         let mut marked = false;
         loop {
             if self.poisoned.load(Ordering::Acquire) {
                 return Err(RingError::Poisoned);
             }
-            let tail = cached.load(Ordering::Relaxed);
-            if tail > head {
-                return Ok((head, tail));
-            }
+            // One load per call unless it parks: a batch takes all that
+            // is published, up to its `max`.
             let tail = self.tail.0.load(Ordering::Acquire);
-            cached.store(tail, Ordering::Relaxed);
             if tail > head {
                 return Ok((head, tail));
             }
@@ -604,6 +599,25 @@ mod tests {
     }
 
     #[test]
+    fn a_push_blocked_through_spin_yield_and_park_counts_one_stall() {
+        let r = Arc::new(Ring::with_capacity(1));
+        r.push(1u32).unwrap();
+        let producer = {
+            let r = r.clone();
+            thread::spawn(move || r.push(2))
+        };
+        // The producer parks only after its spins and yields run out.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while r.space_waiters.counts().0 == 0 {
+            assert!(Instant::now() < deadline, "producer never parked");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(r.pop_batch(1).unwrap(), [1]);
+        producer.join().unwrap().unwrap();
+        assert_eq!(r.stats().producer_stalls, 1);
+    }
+
+    #[test]
     fn push_blocks_when_full_until_pop() {
         let r = Arc::new(Ring::with_capacity(1));
         r.push(1u32).unwrap();
@@ -728,6 +742,16 @@ mod tests {
         assert_eq!(s.pushed, N);
         assert_eq!(s.popped, N);
         assert!(s.high_water <= 64);
+    }
+
+    #[test]
+    fn a_batch_takes_everything_published_up_to_max() {
+        let r = Ring::with_capacity(8);
+        r.push(1u32).unwrap();
+        r.push(2).unwrap();
+        assert_eq!(r.pop_batch(1).unwrap(), [1]);
+        r.push(3).unwrap();
+        assert_eq!(r.pop_batch(8).unwrap(), [2, 3]);
     }
 
     #[test]

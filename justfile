@@ -108,7 +108,7 @@ bench-ring-smoke:
 bench-vos:
     cargo run --release -p mvedsua-bench --bin vos_bench
 
-# Quick data-plane bench gated against the committed baseline plus the
-# 2x-over-legacy floor at 4 KiB+ (what CI runs).
+# Quick data-plane bench gated against the committed baseline (what CI
+# runs).
 bench-vos-smoke:
     cargo run --release -p mvedsua-bench --bin vos_bench -- --quick --out /tmp/BENCH_vos.quick.json --check BENCH_vos.json
