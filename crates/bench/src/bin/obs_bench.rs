@@ -36,8 +36,13 @@ fn main() {
 
     let disabled = Obs::disabled();
     let off = measure("emit, recorder off", ops, |i| {
-        disabled.emit(black_box(0), || ObsKind::Note {
-            text: format!("never built {i}"),
+        disabled.emit(black_box(0), || ObsKind::Syscall {
+            role: "leader",
+            call: format!("never built {i}"),
+            ret: "Size(1)".to_string(),
+            semantic: true,
+            pos: Some(i),
+            raw_pos: Some(i),
         });
     });
 

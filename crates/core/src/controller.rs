@@ -85,9 +85,8 @@ pub struct Mvedsua {
 
 impl Mvedsua {
     /// Boots `initial` in single-leader mode and starts serving, with a
-    /// flight-recorder handle threaded into every layer: variant syscall
-    /// interposition, ring crossings, transformer runs, and the session
-    /// timeline (mirrored into the recorder's session lane). Pass
+    /// flight-recorder handle threaded into every variant: syscall
+    /// interposition, ring crossings and transformer runs. Pass
     /// [`Obs::disabled`] to run without a recorder, at no cost.
     ///
     /// # Errors
@@ -101,7 +100,7 @@ impl Mvedsua {
     ) -> Result<Mvedsua, MvedsuaError> {
         install_quiet_panic_hook();
         let app = registry.boot(&initial)?;
-        let timeline = Arc::new(Timeline::new(kernel.clone(), obs.clone()));
+        let timeline = Arc::new(Timeline::new(kernel.clone()));
         let shared = Arc::new(Shared {
             kernel: kernel.clone(),
             registry,
@@ -216,7 +215,6 @@ impl Mvedsua {
                 reg.counter_add("obs.events_recorded", rec.recorded());
                 reg.counter_add("obs.events_evicted", rec.evicted());
                 reg.counter_add("obs.rule_matches", rec.rule_matches());
-                reg.counter_add("obs.divergences", rec.divergences());
             }
             None => reg.gauge_set("obs.enabled", 0),
         }
@@ -634,6 +632,22 @@ mod tests {
         .unwrap()
     }
 
+    /// Launches version 1.0 of `registry(None)` with a flight recorder
+    /// on the kernel clock.
+    fn boot_observed() -> (Mvedsua, Arc<obs::FlightRecorder>) {
+        let kernel = VirtualKernel::new();
+        let recorder = obs::FlightRecorder::new(256, kernel.clone() as Arc<dyn obs::TimeSource>);
+        let session = Mvedsua::launch_observed(
+            kernel,
+            registry(None),
+            dsu::v("1.0"),
+            MvedsuaConfig::default(),
+            Obs::enabled(recorder.clone()),
+        )
+        .unwrap();
+        (session, recorder)
+    }
+
     #[test]
     fn full_lifecycle_update_promote_finalize() {
         let session = boot(registry(None), MvedsuaConfig::default());
@@ -676,16 +690,7 @@ mod tests {
 
     #[test]
     fn observed_lifecycle_records_events_and_metrics() {
-        let kernel = VirtualKernel::new();
-        let recorder = obs::FlightRecorder::new(256, kernel.clone() as Arc<dyn obs::TimeSource>);
-        let session = Mvedsua::launch_observed(
-            kernel,
-            registry(None),
-            dsu::v("1.0"),
-            MvedsuaConfig::default(),
-            Obs::enabled(recorder.clone()),
-        )
-        .unwrap();
+        let (session, recorder) = boot_observed();
         session
             .update_monitored(
                 UpdatePackage::new(dsu::v("2.0")),
@@ -702,14 +707,16 @@ mod tests {
                 .any(|e| matches!(e.event, TimelineEvent::Retired { .. }))
         }));
 
-        // Session lane mirrors the timeline: stage transitions landed.
-        let session_events = recorder.lane_all(obs::SESSION_LANE);
+        // The timeline, the session's one log, has the stage changes.
         assert!(
-            session_events
-                .iter()
-                .any(|e| matches!(&e.kind, obs::ObsKind::Stage { stage } if stage == "switching")),
-            "stage events missing: {:?}",
-            session_events
+            session.timeline().entries().iter().any(|e| matches!(
+                e.event,
+                TimelineEvent::StageChanged {
+                    stage: Stage::Switching
+                }
+            )),
+            "stage change missing: {:?}",
+            session.timeline().entries()
         );
         // The transformer run landed on the follower's lane (variant 1).
         assert!(
@@ -719,7 +726,6 @@ mod tests {
                 .any(|e| matches!(&e.kind, obs::ObsKind::Transform { ok: true, .. })),
             "transform event missing"
         );
-        // The retired old version recorded why it exited.
         assert!(recorder.recorded() > 0);
 
         let metrics = session.metrics();
@@ -786,7 +792,7 @@ mod tests {
 
     #[test]
     fn failed_transformer_rolls_back_before_new_version_runs() {
-        let session = boot(registry(None), MvedsuaConfig::default());
+        let (session, recorder) = boot_observed();
         let package =
             UpdatePackage::new(dsu::v("2.0"))
                 .with_transformer(Arc::new(dsu::FnTransformer::new("always fails", |_| {
@@ -800,7 +806,27 @@ mod tests {
             other => panic!("expected rollback, got {other}"),
         }
         assert_eq!(session.active_version(), dsu::v("1.0"));
-        session.shutdown();
+        let report = session.shutdown();
+
+        // The failed run is a canonical event on the follower's lane...
+        let follower = recorder.lane_canonical(1);
+        assert!(
+            follower.iter().any(|e| matches!(
+                &e.kind,
+                obs::ObsKind::Transform { description, ok: false, .. } if description == "always fails"
+            )),
+            "failed transform missing: {follower:?}"
+        );
+        // ...and the timeline has the failure, then the rollback.
+        let position =
+            |pred: fn(&TimelineEvent) -> bool| report.entries.iter().position(|e| pred(&e.event));
+        let failed = position(|e| matches!(e, TimelineEvent::UpdateFailed { .. }));
+        let rolled_back = position(|e| matches!(e, TimelineEvent::RolledBack));
+        assert!(
+            failed.is_some() && failed < rolled_back,
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dsl::RuleSet;
-use dsu::{panic_message, DsuApp, StateTransformer, StepOutcome, Version, VersionRegistry};
+use dsu::{panic_message, DsuApp, StepOutcome, Version, VersionRegistry};
 use mve::{
     EventRing, FollowerConfig, LeaderConfig, Notice, NoticeHook, NoticeKind, RetireReason,
     RetiredSignal, Role, SyscallStats, VariantId, VariantOs,
@@ -121,17 +121,11 @@ pub(crate) fn run_variant(shared: Arc<Shared>, mut app: Box<dyn DsuApp>, mut os:
                 if let Some(signal) = RetiredSignal::from_payload(&*payload) {
                     match &signal.0 {
                         RetireReason::Terminated => {
-                            shared.obs.emit(id, || ObsKind::Retired {
-                                reason: "terminated".to_string(),
-                            });
                             shared
                                 .timeline
                                 .record(TimelineEvent::Retired { variant: id });
                         }
                         RetireReason::Diverged(d) => {
-                            shared.obs.emit(id, || ObsKind::Retired {
-                                reason: d.to_string(),
-                            });
                             shared.timeline.record(TimelineEvent::Diverged {
                                 variant: id,
                                 description: d.to_string(),
@@ -409,25 +403,19 @@ fn follower_boot(
             .registry
             .update_spec(&from, &package.to)
             .map(|spec| spec.transformer.clone()),
-    }
-    .map(|t| {
-        if shared.obs.is_enabled() {
-            // Record the run (and its kernel-clock duration) on the
-            // follower's lane.
-            Arc::new(dsu::ObservedTransformer::new(
-                t,
-                shared.obs.clone(),
-                id,
-                shared.kernel.clone() as Arc<dyn TimeSource>,
-            )) as Arc<dyn StateTransformer>
-        } else {
-            t
-        }
-    });
+    };
     let begin = Instant::now();
     let built = transformer.and_then(|t| {
-        let transformed = t.transform(snapshot)?;
-        shared.registry.resume(&package.to, transformed)
+        // The run, with its kernel-clock duration, lands on the
+        // follower's lane.
+        let start = shared.kernel.now_nanos();
+        let transformed = t.transform(snapshot);
+        shared.obs.emit(id, || ObsKind::Transform {
+            description: t.describe().to_string(),
+            ok: transformed.is_ok(),
+            nanos: shared.kernel.now_nanos().saturating_sub(start),
+        });
+        shared.registry.resume(&package.to, transformed?)
     });
     match built {
         Ok(app) => {
@@ -458,7 +446,7 @@ mod tests {
         Arc::new(Shared {
             kernel: kernel.clone(),
             registry: Arc::new(VersionRegistry::new()),
-            timeline: Arc::new(Timeline::new(kernel, Obs::disabled())),
+            timeline: Arc::new(Timeline::new(kernel)),
             config: MvedsuaConfig::default(),
             stop: AtomicBool::new(false),
             fork_slot: Mutex::new(None),

@@ -3,7 +3,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsu::Version;
-use obs::{Obs, ObsKind, SESSION_LANE};
 use parking_lot::{Condvar, Mutex};
 use vos::VirtualKernel;
 
@@ -128,9 +127,6 @@ pub struct Timeline {
     kernel: Arc<VirtualKernel>,
     inner: Mutex<Inner>,
     changed: Condvar,
-    /// Mirror of timeline activity into the flight recorder's session
-    /// lane (auxiliary class — lifecycle notes and stage transitions).
-    obs: Obs,
 }
 
 #[derive(Debug)]
@@ -140,9 +136,8 @@ struct Inner {
 }
 
 impl Timeline {
-    /// A fresh timeline in the single-leader stage, mirrored into `obs`'s
-    /// session lane ([`Obs::disabled`] for none).
-    pub fn new(kernel: Arc<VirtualKernel>, obs: Obs) -> Self {
+    /// A fresh timeline in the single-leader stage.
+    pub fn new(kernel: Arc<VirtualKernel>) -> Self {
         Timeline {
             kernel,
             inner: Mutex::new(Inner {
@@ -150,16 +145,12 @@ impl Timeline {
                 stage: Stage::SingleLeader,
             }),
             changed: Condvar::new(),
-            obs,
         }
     }
 
     /// Appends an event, stamped with the kernel clock.
     pub fn record(&self, event: TimelineEvent) {
         let at_nanos = self.kernel.now_nanos();
-        self.obs.emit(SESSION_LANE, || ObsKind::Note {
-            text: format!("{event:?}"),
-        });
         let mut inner = self.inner.lock();
         inner.entries.push(TimelineEntry { at_nanos, event });
         self.changed.notify_all();
@@ -172,9 +163,6 @@ impl Timeline {
         if inner.stage == stage {
             return;
         }
-        self.obs.emit(SESSION_LANE, || ObsKind::Stage {
-            stage: stage.name().to_string(),
-        });
         inner.stage = stage;
         inner.entries.push(TimelineEntry {
             at_nanos,
@@ -260,7 +248,7 @@ mod tests {
     #[test]
     fn records_are_ordered_and_stamped() {
         let k = VirtualKernel::new();
-        let t = Timeline::new(k, Obs::disabled());
+        let t = Timeline::new(k);
         t.record(TimelineEvent::Launched { version: v("1.0") });
         t.record(TimelineEvent::UpdateRequested { to: v("2.0") });
         let entries = t.entries();
@@ -271,7 +259,7 @@ mod tests {
 
     #[test]
     fn stage_changes_are_recorded_once() {
-        let t = Timeline::new(VirtualKernel::new(), Obs::disabled());
+        let t = Timeline::new(VirtualKernel::new());
         assert_eq!(t.stage(), Stage::SingleLeader);
         t.set_stage(Stage::OutdatedLeader);
         t.set_stage(Stage::OutdatedLeader); // no duplicate entry
@@ -281,7 +269,7 @@ mod tests {
 
     #[test]
     fn wait_for_unblocks_on_matching_event() {
-        let t = Arc::new(Timeline::new(VirtualKernel::new(), Obs::disabled()));
+        let t = Arc::new(Timeline::new(VirtualKernel::new()));
         let t2 = t.clone();
         let waiter = thread::spawn(move || {
             t2.wait_for(Duration::from_secs(2), |entries| {
@@ -297,14 +285,14 @@ mod tests {
 
     #[test]
     fn wait_for_times_out() {
-        let t = Timeline::new(VirtualKernel::new(), Obs::disabled());
+        let t = Timeline::new(VirtualKernel::new());
         assert!(!t.wait_for(Duration::from_millis(20), |e| !e.is_empty()));
         assert!(!t.wait_for_stage(Stage::UpdatedLeader, Duration::from_millis(20)));
     }
 
     #[test]
     fn wait_for_stage_unblocks() {
-        let t = Arc::new(Timeline::new(VirtualKernel::new(), Obs::disabled()));
+        let t = Arc::new(Timeline::new(VirtualKernel::new()));
         let t2 = t.clone();
         let waiter =
             thread::spawn(move || t2.wait_for_stage(Stage::UpdatedLeader, Duration::from_secs(2)));

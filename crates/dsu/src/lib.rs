@@ -86,4 +86,4 @@ pub use fault::{FaultPlan, XformFault};
 pub use registry::{CoverageIssue, UpdateSpec, VersionEntry, VersionRegistry};
 pub use state::AppState;
 pub use version::{v, Version};
-pub use xform::{FnTransformer, IdentityTransformer, ObservedTransformer, StateTransformer};
+pub use xform::{FnTransformer, IdentityTransformer, StateTransformer};

@@ -1,7 +1,5 @@
 use std::sync::Arc;
 
-use obs::{Obs, ObsKind, TimeSource};
-
 use crate::error::UpdateError;
 use crate::state::AppState;
 
@@ -77,58 +75,6 @@ impl std::fmt::Debug for FnTransformer {
     }
 }
 
-/// Decorates a transformer with flight-recorder instrumentation: each
-/// run lands as an [`ObsKind::Transform`] event on `lane`, with the
-/// duration measured by `clock` (the vos virtual clock in harness runs,
-/// so the event payload stays replay-stable).
-pub struct ObservedTransformer {
-    inner: Arc<dyn StateTransformer>,
-    obs: Obs,
-    lane: u32,
-    clock: Arc<dyn TimeSource>,
-}
-
-impl ObservedTransformer {
-    pub fn new(
-        inner: Arc<dyn StateTransformer>,
-        obs: Obs,
-        lane: u32,
-        clock: Arc<dyn TimeSource>,
-    ) -> Self {
-        ObservedTransformer {
-            inner,
-            obs,
-            lane,
-            clock,
-        }
-    }
-}
-
-impl StateTransformer for ObservedTransformer {
-    fn transform(&self, old: AppState) -> Result<AppState, UpdateError> {
-        let begin = self.clock.now_nanos();
-        let result = self.inner.transform(old);
-        let nanos = self.clock.now_nanos().saturating_sub(begin);
-        let ok = result.is_ok();
-        self.obs.emit(self.lane, || ObsKind::Transform {
-            description: self.inner.describe().to_string(),
-            ok,
-            nanos,
-        });
-        result
-    }
-
-    fn describe(&self) -> &str {
-        self.inner.describe()
-    }
-}
-
-impl std::fmt::Debug for ObservedTransformer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ObservedTransformer({})", self.inner.describe())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,41 +115,6 @@ mod tests {
             t.transform(AppState::new("wrong".to_string())).unwrap_err(),
             UpdateError::StateTypeMismatch
         );
-    }
-
-    #[test]
-    fn observed_transformer_records_run_and_virtual_duration() {
-        let clock = Arc::new(obs::ManualClock::new());
-        let rec = obs::FlightRecorder::new(8, clock.clone() as Arc<dyn TimeSource>);
-        let slow = FnTransformer::new("slow migration", {
-            let clock = clock.clone();
-            move |old| {
-                clock.advance(1_500);
-                Ok(old)
-            }
-        });
-        let t = ObservedTransformer::new(
-            Arc::new(slow),
-            Obs::enabled(rec.clone()),
-            7,
-            clock.clone() as Arc<dyn TimeSource>,
-        );
-        assert_eq!(t.describe(), "slow migration");
-        t.transform(AppState::new(1u8)).unwrap();
-        let events = rec.lane_canonical(7);
-        assert_eq!(events.len(), 1);
-        match &events[0].kind {
-            ObsKind::Transform {
-                description,
-                ok,
-                nanos,
-            } => {
-                assert_eq!(description, "slow migration");
-                assert!(*ok);
-                assert_eq!(*nanos, 1_500);
-            }
-            other => panic!("unexpected event: {other:?}"),
-        }
     }
 
     #[test]

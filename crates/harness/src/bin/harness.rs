@@ -148,7 +148,7 @@ fn main() -> ExitCode {
             let minimized = minimize(plan, &options);
             print!("{}", failure_report(&report, &minimized));
             if let Some(text) = &report.obs_text {
-                print!("--- flight recorder (last events per lane) ---\n{text}");
+                print!("--- timeline and flight recorder (last events per lane) ---\n{text}");
             }
         }
         // Single-seed runs always export their dump; sweeps export the

@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use dsu::{FaultPlan, Version, XformFault};
 use mvedsua::{Mvedsua, MvedsuaConfig, MvedsuaError, Stage, TimelineEvent, UpdatePackage};
+use obs::json::{self, JsonObject};
 use obs::{FlightRecorder, Obs, TimeSource};
 use servers::{kvstore, memcached, redis, vsftpd};
 use vos::VirtualKernel;
@@ -66,8 +67,9 @@ pub struct RunReport {
     /// violations, per-variant last-N semantic events aligned by ring
     /// stream position). `Some` only with [`RunOptions::obs`].
     pub obs_json: Option<String>,
-    /// Human-readable dump of every lane, both event classes. Not
-    /// replay-stable (timestamps, raw sequence numbers, idle traffic).
+    /// Human-readable dump: the session timeline, then every variant
+    /// lane with both event classes. Not replay-stable (timestamps, raw
+    /// sequence numbers, idle traffic).
     pub obs_text: Option<String>,
     /// Aggregated metrics (`name value` lines, sorted). Not
     /// replay-stable (wall-derived durations).
@@ -574,21 +576,17 @@ impl<'a> Run<'a> {
         ));
         let (obs_json, obs_text) = match obs.recorder() {
             Some(rec) => {
-                let forensics = rec.forensics(OBS_LAST_N);
-                let violations = self
-                    .violations
-                    .iter()
-                    .map(|v| format!("\"{}\"", obs::json::escape(v)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let json = format!(
-                    "{{\"seed\":\"{:#018x}\",\"backend\":\"{}\",\"violations\":[{}],\"forensics\":{}}}",
-                    self.plan.seed,
-                    self.plan.backend.name(),
-                    violations,
-                    forensics.to_json()
-                );
-                (Some(json), Some(rec.render_text(OBS_LAST_N)))
+                let mut dump = JsonObject::new();
+                dump.field_str("seed", &format!("{:#018x}", self.plan.seed))
+                    .field_str("backend", self.plan.backend.name())
+                    .field_raw(
+                        "violations",
+                        &json::array(self.violations.iter().map(|v| json::string(v))),
+                    )
+                    .field_raw("forensics", &rec.forensics(OBS_LAST_N).to_json());
+                // The session's own log first, then each variant's lane.
+                let text = report.render() + &rec.render_text(OBS_LAST_N);
+                (Some(dump.finish()), Some(text))
             }
             None => (None, None),
         };

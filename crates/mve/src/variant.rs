@@ -353,7 +353,6 @@ impl VariantOs {
         // The fork opens a new ring era; positions restart so they
         // align with the follower's replay count.
         self.sem_era = Some(0);
-        self.obs.emit(self.id, || ObsKind::Role { role: "leader" });
     }
 
     /// The slot through which the coordinator requests demotion. The
@@ -408,8 +407,6 @@ impl VariantOs {
             pos: demote_pos,
         });
         self.sem_era = Some(0);
-        self.obs
-            .emit(self.id, || ObsKind::Role { role: "follower" });
         self.role = RoleState::Follower(FollowerState::new(config));
     }
 
@@ -598,7 +595,6 @@ impl VariantOs {
                     });
                     if to_single {
                         self.role = RoleState::Single;
-                        self.obs.emit(self.id, || ObsKind::Role { role: "single" });
                         self.notify(NoticeKind::BecameSingle);
                     }
                     return ret;
@@ -647,11 +643,9 @@ impl VariantOs {
                                         lockstep: config.lockstep,
                                         seq: 0,
                                     });
-                                    self.obs.emit(self.id, || ObsKind::Role { role: "leader" });
                                     self.notify(NoticeKind::BecameLeader);
                                 }
                                 None => {
-                                    self.obs.emit(self.id, || ObsKind::Role { role: "single" });
                                     self.notify(NoticeKind::BecameSingle);
                                 }
                             }
@@ -659,7 +653,6 @@ impl VariantOs {
                         }
                         FollowerVerdict::Single => {
                             self.role = RoleState::Single;
-                            self.obs.emit(self.id, || ObsKind::Role { role: "single" });
                             self.notify(NoticeKind::BecameSingle);
                             continue;
                         }

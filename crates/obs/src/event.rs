@@ -1,19 +1,21 @@
 //! The event taxonomy captured by the flight recorder.
 //!
-//! Each [`ObsEvent`] belongs to a *lane* (one per variant, plus a
-//! session lane for controller-level events) and carries an [`ObsKind`]
-//! payload. Kinds are split into a **canonical** class — a pure function
-//! of the scenario plan, included in replay-stable JSON exports — and an
-//! **auxiliary** class that depends on real-time interleaving (idle
-//! polls, role-flip timing) and is kept for human forensics only. See
-//! the crate docs for the full determinism contract.
+//! Each [`ObsEvent`] belongs to a *lane* (one per variant) and carries
+//! an [`ObsKind`] payload describing that variant's stream. Session-level
+//! facts (stage changes, role changes, retirements) live in the core
+//! timeline, not here. Kinds are split into a **canonical** class — a
+//! pure function of the scenario plan, included in replay-stable JSON
+//! exports — and an **auxiliary** class that depends on real-time
+//! interleaving (idle polls, rule windows over idle traffic) and is kept
+//! for human forensics only. See the crate docs for the full determinism
+//! contract.
 
 use crate::json::JsonObject;
 
 /// One recorded observation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEvent {
-    /// Which per-variant (or session) buffer this event belongs to.
+    /// Which per-variant buffer this event belongs to.
     pub lane: u32,
     /// Monotonic per-lane event index, assigned at record time. Counts
     /// all events in the lane (both classes), so gaps in a filtered
@@ -76,13 +78,6 @@ pub enum ObsKind {
         /// timing-dependent); surfaced through metrics instead.
         nanos: u64,
     },
-    /// A variant changed role (single/leader/follower). Auxiliary: the
-    /// exact event index at which a flip lands depends on scheduling.
-    Role { role: &'static str },
-    /// The session stage machine moved (session lane).
-    Stage { stage: String },
-    /// A fault-injection action fired (session lane).
-    Fault { description: String },
     /// The follower detected a divergence from the leader's stream.
     Divergence {
         /// Semantic stream position of the mismatching record.
@@ -91,17 +86,9 @@ pub enum ObsKind {
         attempted: String,
         detail: String,
     },
-    /// A variant retired (terminated or after a recorded divergence).
-    /// Auxiliary: *when* a follower observes its poisoned ring and
-    /// retires depends on scheduling, so the event's presence in a
-    /// bounded dump is not replay-stable. The divergence cause itself
-    /// is captured by the canonical [`ObsKind::Divergence`] event.
-    Retired { reason: String },
     /// A variant's thread died with a panic that was not a typed
     /// retirement signal.
     Crashed { message: String },
-    /// Free-form annotation (session lane), e.g. update requests.
-    Note { text: String },
 }
 
 impl ObsKind {
@@ -114,12 +101,7 @@ impl ObsKind {
             | ObsKind::Transform { .. }
             | ObsKind::Divergence { .. }
             | ObsKind::Crashed { .. } => true,
-            ObsKind::Role { .. }
-            | ObsKind::RuleMatch { .. }
-            | ObsKind::Stage { .. }
-            | ObsKind::Fault { .. }
-            | ObsKind::Retired { .. }
-            | ObsKind::Note { .. } => false,
+            ObsKind::RuleMatch { .. } => false,
         }
     }
 
@@ -130,13 +112,8 @@ impl ObsKind {
             ObsKind::Control { .. } => "control",
             ObsKind::RuleMatch { .. } => "rule",
             ObsKind::Transform { .. } => "transform",
-            ObsKind::Role { .. } => "role",
-            ObsKind::Stage { .. } => "stage",
-            ObsKind::Fault { .. } => "fault",
             ObsKind::Divergence { .. } => "divergence",
-            ObsKind::Retired { .. } => "retired",
             ObsKind::Crashed { .. } => "crashed",
-            ObsKind::Note { .. } => "note",
         }
     }
 
@@ -188,8 +165,8 @@ impl ObsKind {
             ObsKind::Crashed { message } => {
                 out.field_str("message", message);
             }
-            // Auxiliary kinds never reach canonical rendering.
-            _ => {}
+            // The auxiliary kind never reaches canonical rendering.
+            ObsKind::RuleMatch { .. } => {}
         }
     }
 
@@ -233,9 +210,6 @@ impl ObsKind {
                 let status = if *ok { "ok" } else { "FAILED" };
                 format!("transform '{description}' {status} ({nanos} ns)")
             }
-            ObsKind::Role { role } => format!("role -> {role}"),
-            ObsKind::Stage { stage } => format!("stage -> {stage}"),
-            ObsKind::Fault { description } => format!("fault injected: {description}"),
             ObsKind::Divergence {
                 pos,
                 expected,
@@ -244,9 +218,7 @@ impl ObsKind {
             } => format!(
                 "DIVERGENCE @pos {pos}: expected {expected}, attempted {attempted} ({detail})"
             ),
-            ObsKind::Retired { reason } => format!("retired: {reason}"),
             ObsKind::Crashed { message } => format!("crashed: {message}"),
-            ObsKind::Note { text } => text.clone(),
         }
     }
 }
@@ -303,9 +275,11 @@ mod tests {
             detail: String::new(),
         }
         .canonical());
-        assert!(!ObsKind::Role { role: "leader" }.canonical());
-        assert!(!ObsKind::Stage {
-            stage: "Switching".into()
+        assert!(!ObsKind::RuleMatch {
+            rule: "r".into(),
+            consumed: 1,
+            emitted: 1,
+            pos: 1,
         }
         .canonical());
     }

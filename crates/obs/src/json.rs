@@ -25,6 +25,11 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A JSON string literal: `s` escaped and quoted.
+pub fn string(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
 /// Incremental JSON object writer with deterministic (insertion) field
 /// order and no whitespace.
 #[derive(Debug, Default)]
@@ -50,10 +55,7 @@ impl JsonObject {
     }
 
     pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.sep();
-        self.buf
-            .push_str(&format!("\"{}\":\"{}\"", escape(key), escape(value)));
-        self
+        self.field_raw(key, &string(value))
     }
 
     pub fn field_u64(&mut self, key: &str, value: u64) -> &mut Self {
@@ -112,6 +114,7 @@ mod tests {
     fn escapes_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(string("a\"b"), "\"a\\\"b\"");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! MVEDSUA's value proposition rests on *seeing* what the leader and the
 //! follower did when they disagree (paper §4–§5): which syscalls each
-//! variant issued, where in the ring stream they were, which rewrite
-//! rules fired, and what the stage machine was doing at the time. This
-//! crate provides that layer without perturbing the system under
-//! observation:
+//! variant issued, where in the ring stream they were, and which rewrite
+//! rules fired; what the stage machine did is the core session
+//! timeline's record. This crate provides that layer without perturbing
+//! the system under observation:
 //!
 //! * [`Obs`] — a cheap, cloneable handle threaded through every layer.
 //!   When disabled (the default) an emit is a single branch on an
@@ -25,7 +25,7 @@
 //! nothing but `parking_lot`), so `vos`, `ring`, `mve`, and everything
 //! above them can all use it: `vos` implements [`TimeSource`] for its
 //! kernel clock, `ring` routes producer-stall timing through it, and
-//! `mve`/`core` emit the lifecycle events.
+//! `mve`/`core` emit each variant's stream events.
 //!
 //! # Determinism contract
 //!
@@ -37,10 +37,8 @@
 //!   bounded buffer, so eviction pressure from scheduling noise can
 //!   never change which semantic events survive.
 //! * **Auxiliary** events depend on wall-clock interleaving (idle epoll
-//!   polls, clock reads, role-flip timing, rule windows over idle
-//!   traffic, and retirements — when a follower observes its poisoned
-//!   ring is a scheduling accident). They are recorded for human
-//!   forensics but excluded from canonical exports.
+//!   polls, clock reads, rule windows over idle traffic). They are
+//!   recorded for human forensics but excluded from canonical exports.
 //!
 //! [`Forensics::to_json`] renders only the semantic class, with
 //! per-variant semantic stream positions instead of raw ring sequence
@@ -54,5 +52,5 @@ mod time;
 
 pub use event::{ObsEvent, ObsKind};
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry};
-pub use recorder::{DivergencePoint, FlightRecorder, Forensics, Obs, VariantDump, SESSION_LANE};
-pub use time::{ManualClock, TimeSource, WallClock};
+pub use recorder::{DivergencePoint, FlightRecorder, Forensics, Obs, VariantDump};
+pub use time::{ManualClock, TimeSource};

@@ -11,12 +11,8 @@ use crate::event::{ObsEvent, ObsKind};
 use crate::json::{self, JsonObject};
 use crate::time::TimeSource;
 
-/// Lane id for controller/session-level events (stage transitions,
-/// fault injections, update notes). Variant lanes use the variant id.
-pub const SESSION_LANE: u32 = u32::MAX;
-
 /// Per-lane storage. Semantic (canonical) and auxiliary events are
-/// bounded independently: auxiliary traffic (idle polls, role flips)
+/// bounded independently: auxiliary traffic (idle polls, rule windows)
 /// varies run-to-run, and sharing one buffer would let that noise evict
 /// different semantic events on each replay — breaking byte-identity of
 /// canonical dumps. The shared `next_index` keeps a single interleaved
@@ -42,7 +38,6 @@ pub struct FlightRecorder {
     recorded: AtomicU64,
     evicted: AtomicU64,
     rule_matches: AtomicU64,
-    divergences: AtomicU64,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -66,7 +61,6 @@ impl FlightRecorder {
             recorded: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             rule_matches: AtomicU64::new(0),
-            divergences: AtomicU64::new(0),
         })
     }
 
@@ -77,14 +71,8 @@ impl FlightRecorder {
     /// Append one event to `lane`, evicting the oldest event of the
     /// same class if the lane is full.
     pub fn record(&self, lane: u32, kind: ObsKind) {
-        match &kind {
-            ObsKind::RuleMatch { .. } => {
-                self.rule_matches.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsKind::Divergence { .. } => {
-                self.divergences.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
+        if let ObsKind::RuleMatch { .. } = kind {
+            self.rule_matches.fetch_add(1, Ordering::Relaxed);
         }
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let at_nanos = self.time.now_nanos();
@@ -124,10 +112,6 @@ impl FlightRecorder {
         self.rule_matches.load(Ordering::Relaxed)
     }
 
-    pub fn divergences(&self) -> u64 {
-        self.divergences.load(Ordering::Relaxed)
-    }
-
     /// Snapshot the surviving canonical events of one lane, oldest
     /// first. Test/diagnostic helper.
     pub fn lane_canonical(&self, lane: u32) -> Vec<ObsEvent> {
@@ -158,9 +142,6 @@ impl FlightRecorder {
         let mut divergence: Option<DivergencePoint> = None;
         let mut variants = Vec::new();
         for (&lane, buf) in lanes.iter() {
-            if lane == SESSION_LANE {
-                continue;
-            }
             let events: Vec<ObsEvent> = buf.sem.iter().rev().take(last_n).rev().cloned().collect();
             if divergence.is_none() {
                 for ev in &events {
@@ -197,12 +178,7 @@ impl FlightRecorder {
         let lanes = self.lanes.lock();
         let mut out = String::new();
         for (&lane, buf) in lanes.iter() {
-            let label = if lane == SESSION_LANE {
-                "session".to_string()
-            } else {
-                format!("variant {lane}")
-            };
-            out.push_str(&format!("=== lane: {label} ===\n"));
+            out.push_str(&format!("=== lane: variant {lane} ===\n"));
             let mut all: Vec<&ObsEvent> = buf.sem.iter().chain(buf.aux.iter()).collect();
             all.sort_by_key(|e| e.index);
             let skip = all.len().saturating_sub(last_n);
@@ -270,7 +246,7 @@ impl Forensics {
             vo.field_u64("variant", v.lane as u64);
             let events = v.events.iter().map(|ev| {
                 let mut eo = JsonObject::new();
-                ev.kind.canonical_json_into(&mut eo);
+                ev.kind.canonical_json(&mut eo);
                 if let (Some(d), Some(p)) = (&self.divergence, ev.kind.pos()) {
                     if p == d.pos && v.lane != d.lane {
                         eo.field_bool("at_divergence", true);
@@ -283,13 +259,6 @@ impl Forensics {
         });
         obj.field_raw("variants", &json::array(variants));
         obj.finish()
-    }
-}
-
-impl ObsKind {
-    /// Forwarder so `Forensics` can reuse the canonical field renderer.
-    fn canonical_json_into(&self, out: &mut JsonObject) {
-        self.canonical_json(out);
     }
 }
 
@@ -420,11 +389,10 @@ mod tests {
                 detail: "payload mismatch".into(),
             },
         );
-        rec.record(SESSION_LANE, ObsKind::Note { text: "x".into() });
         let f = rec.forensics(8);
         let d = f.divergence.as_ref().expect("divergence found");
         assert_eq!((d.lane, d.pos), (1, 2));
-        assert_eq!(f.variants.len(), 2, "session lane excluded");
+        assert_eq!(f.variants.len(), 2);
         let json = f.to_json();
         assert!(
             json.contains("\"divergence\":{\"variant\":1,\"pos\":2"),

@@ -2,11 +2,10 @@
 //!
 //! Every timestamp in the observability layer flows through a
 //! [`TimeSource`] trait object so the caller decides what "now" means:
-//! the vos virtual clock in deterministic harness runs, a wall clock in
-//! ad-hoc debugging, or a [`ManualClock`] in tests.
+//! the vos virtual clock in deterministic harness runs, or a
+//! [`ManualClock`] in tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A monotonic nanosecond clock.
 ///
@@ -16,35 +15,6 @@ use std::time::Instant;
 pub trait TimeSource: Send + Sync {
     /// Nanoseconds since this source's epoch.
     fn now_nanos(&self) -> u64;
-}
-
-/// Wall-clock time source: nanoseconds since construction.
-///
-/// Only for interactive debugging — never used in harness runs, where
-/// determinism requires the vos virtual clock.
-#[derive(Debug)]
-pub struct WallClock {
-    origin: Instant,
-}
-
-impl WallClock {
-    pub fn new() -> Self {
-        Self {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeSource for WallClock {
-    fn now_nanos(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
 }
 
 /// A clock that only moves when told to. Used by tests to prove that a
@@ -91,13 +61,5 @@ mod tests {
         assert_eq!(clock.now_nanos(), 1_000);
         clock.advance(1);
         assert_eq!(clock.now_nanos(), 1_001);
-    }
-
-    #[test]
-    fn wall_clock_is_monotonic() {
-        let clock = WallClock::new();
-        let a = clock.now_nanos();
-        let b = clock.now_nanos();
-        assert!(b >= a);
     }
 }

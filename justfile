@@ -39,9 +39,10 @@ chaos-traces dir:
     for s in $(seq 0 199); do "${CARGO_TARGET_DIR:-target}/release/harness" --seed $s > {{dir}}/seed-$s.txt 2>/dev/null || true; done
     "${CARGO_TARGET_DIR:-target}/release/harness" --scenarios > {{dir}}/scenarios.txt 2>/dev/null || true
 
-# Chaos traces of REV against the working tree: extracts REV under
-# target/, writes the traces of both trees as `chaos-traces` does and
-# compares them with one `diff -r` (exit 1 on a difference). The body is
+# Chaos traces and forensics dumps of REV against the working tree:
+# extracts REV under target/, writes the traces of both trees as
+# `chaos-traces` does plus each seed's `--obs-out` dump, and compares
+# them with one `diff -r` (exit 1 on a difference). The body is
 # scripts/chaos-traces-vs.sh, which runs without `just` as well.
 chaos-traces-vs rev:
     scripts/chaos-traces-vs.sh {{rev}}

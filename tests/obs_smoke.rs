@@ -120,4 +120,9 @@ fn planted_bug_failure_exports_violations_in_the_dump() {
     assert!(json.contains("reply mismatch"), "{json}");
     let text = report.obs_text.expect("text dump");
     assert!(text.contains("=== lane:"), "{text}");
+    // The session timeline heads the text dump.
+    assert!(
+        text.contains("Launched") && text.contains("final stage"),
+        "{text}"
+    );
 }
