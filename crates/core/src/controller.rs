@@ -473,8 +473,9 @@ impl Mvedsua {
     }
 
     /// Stops everything and returns the session report. Idempotent with
-    /// respect to already-dead variants.
-    pub fn shutdown(self) -> SessionReport {
+    /// respect to already-dead variants. [`Mvedsua::metrics`] still reads
+    /// the stopped session.
+    pub fn shutdown(&self) -> SessionReport {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.fork_slot.lock().take();
         self.shared.timeline.record(TimelineEvent::SessionShutdown);

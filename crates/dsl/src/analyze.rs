@@ -18,18 +18,21 @@
 //!   pattern sequence subsumes a later rule's makes the later rule
 //!   unreachable (`RC05xx`).
 //!
-//! The abstract evaluator mirrors the runtime exactly where it folds:
-//! `&&`/`||` short-circuit before the right-hand side is touched, so
-//! `false && 1/0 == 0` is as error-free here as it is at replay time.
+//! The abstract evaluator has no operator semantics of its own: it folds
+//! known operands by calling the runtime's operator functions, so a
+//! folded value or error is the one replay would see. Only where an
+//! operand is unknown does it check kinds. `&&`/`||` short-circuit
+//! before the right-hand side is touched, so `false && 1/0 == 0` is as
+//! error-free here as it is at replay time.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::ast::{BinOp, Expr, LetLhs, PatArg, Pattern, Program, RuleDef, Template, UnOp};
 use crate::diag::{Diagnostic, Diagnostics, Span};
 use crate::error::DslError;
-use crate::eval::Builtins;
+use crate::eval::{apply_binary, apply_unary, index_value, Builtins};
 use crate::parser::parse_program;
-use crate::value::Value;
+use crate::value::{Kind, Value};
 
 // ---------------------------------------------------------------------
 // Event signatures
@@ -46,13 +49,22 @@ pub enum ArgKind {
 }
 
 impl ArgKind {
-    fn name(self) -> &'static str {
+    /// The value kind this declares, if constrained.
+    fn kind(self) -> Option<Kind> {
         match self {
-            ArgKind::Int => "int",
-            ArgKind::Str => "str",
-            ArgKind::List => "list",
-            ArgKind::Any => "any",
+            ArgKind::Int => Some(Kind::Int),
+            ArgKind::Str => Some(Kind::Str),
+            ArgKind::List => Some(Kind::List),
+            ArgKind::Any => None,
         }
+    }
+
+    fn name(self) -> &'static str {
+        self.kind().map_or("any", Kind::name)
+    }
+
+    fn admits(self, actual: Kind) -> bool {
+        self.kind().is_none_or(|k| k == actual)
     }
 }
 
@@ -152,41 +164,6 @@ pub fn analyze_program(program: &Program, ctx: &AnalysisContext<'_>) -> Diagnost
 // Abstract domain
 // ---------------------------------------------------------------------
 
-/// Runtime value kinds, the coarse layer of the abstract domain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    Int,
-    Str,
-    Bool,
-    List,
-    Tuple,
-    Nil,
-}
-
-impl Kind {
-    fn name(self) -> &'static str {
-        match self {
-            Kind::Int => "int",
-            Kind::Str => "str",
-            Kind::Bool => "bool",
-            Kind::List => "list",
-            Kind::Tuple => "tuple",
-            Kind::Nil => "nil",
-        }
-    }
-}
-
-fn kind_of(v: &Value) -> Kind {
-    match v {
-        Value::Int(_) => Kind::Int,
-        Value::Str(_) => Kind::Str,
-        Value::Bool(_) => Kind::Bool,
-        Value::List(_) => Kind::List,
-        Value::Tuple(_) => Kind::Tuple,
-        Value::Nil => Kind::Nil,
-    }
-}
-
 /// Abstract value: a known constant, a known kind, or anything.
 #[derive(Clone, Debug, PartialEq)]
 enum Abs {
@@ -198,7 +175,7 @@ enum Abs {
 impl Abs {
     fn kind(&self) -> Option<Kind> {
         match self {
-            Abs::Known(v) => Some(kind_of(v)),
+            Abs::Known(v) => Some(v.kind()),
             Abs::Kind(k) => Some(*k),
             Abs::Any => None,
         }
@@ -218,24 +195,11 @@ impl Abs {
             _ => None,
         }
     }
-
-    fn from_arg_kind(k: ArgKind) -> Abs {
-        match k {
-            ArgKind::Int => Abs::Kind(Kind::Int),
-            ArgKind::Str => Abs::Kind(Kind::Str),
-            ArgKind::List => Abs::Kind(Kind::List),
-            ArgKind::Any => Abs::Any,
-        }
-    }
 }
 
-fn arg_kind_matches(declared: ArgKind, actual: Kind) -> bool {
-    match declared {
-        ArgKind::Any => true,
-        ArgKind::Int => actual == Kind::Int,
-        ArgKind::Str => actual == Kind::Str,
-        ArgKind::List => actual == Kind::List,
-    }
+/// The values of `vals` when every one is known.
+fn all_known(vals: &[Abs]) -> Option<Vec<Value>> {
+    vals.iter().map(|v| v.known().cloned()).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -254,6 +218,8 @@ struct Scope {
     used: HashSet<String>,
     /// Names bound by guard `let`s (not visible in templates).
     let_bound: HashSet<String>,
+    /// True while checking templates.
+    in_template: bool,
 }
 
 impl Scope {
@@ -262,6 +228,7 @@ impl Scope {
             vars: HashMap::new(),
             used: HashSet::new(),
             let_bound: HashSet::new(),
+            in_template: false,
         }
     }
 }
@@ -370,9 +337,8 @@ impl<'a> Analyzer<'a> {
                         if *count == 1 {
                             binder_sites.push((name.clone(), pat.span));
                         }
-                        sig.and_then(|s| s.args.get(i).copied())
-                            .map(Abs::from_arg_kind)
-                            .unwrap_or(Abs::Any)
+                        sig.and_then(|s| s.args.get(i)?.kind())
+                            .map_or(Abs::Any, Abs::Kind)
                     }
                 };
                 if let PatArg::Bind(name) = arg {
@@ -410,24 +376,20 @@ impl<'a> Analyzer<'a> {
                     .in_rule(&rule.name);
                     self.push(d);
                 }
-                None => {
-                    if let Some(k) = verdict.kind() {
-                        if k != Kind::Bool {
-                            let d = Diagnostic::error(
-                                "RC0401",
-                                format!("guard evaluates to {}, expected bool", k.name()),
-                            )
-                            .at(rule.span)
-                            .in_rule(&rule.name);
-                            self.push(d);
-                        }
-                    }
-                }
+                None => match verdict.kind() {
+                    Some(k) if k != Kind::Bool => self.rule_error(
+                        "RC0401",
+                        format!("guard evaluates to {}, expected bool", k.name()),
+                        rule,
+                    ),
+                    _ => {}
+                },
             }
         }
 
         // Templates see the match environment only — guard `let`s are
         // not visible there (mirrors the engine).
+        scope.in_template = true;
         for t in &rule.templates {
             self.check_template(rule, t, &mut scope);
         }
@@ -501,7 +463,7 @@ impl<'a> Analyzer<'a> {
         for (i, arg) in pat.args.iter().enumerate() {
             if let PatArg::Lit(v) = arg {
                 let declared = sig.args[i];
-                if !arg_kind_matches(declared, kind_of(v)) {
+                if !declared.admits(v.kind()) {
                     let d = Diagnostic::error(
                         "RC0203",
                         format!(
@@ -557,10 +519,10 @@ impl<'a> Analyzer<'a> {
             None
         };
         for (i, arg) in t.args.iter().enumerate() {
-            let v = self.abs_template_expr(arg, rule, scope);
+            let v = self.abs_expr(arg, rule, scope);
             if let (Some(sig), Some(k)) = (sig, v.kind()) {
                 let declared = sig.args[i];
-                if !arg_kind_matches(declared, k) {
+                if !declared.admits(k) {
                     let d = Diagnostic::warning(
                         "RC0204",
                         format!(
@@ -604,11 +566,18 @@ impl<'a> Analyzer<'a> {
 
     // -- abstract evaluation ------------------------------------------
 
-    /// Template arguments: guard `let`s are out of scope, and a
-    /// reference to one gets a dedicated message.
-    fn abs_template_expr(&mut self, e: &Expr, rule: &RuleDef, scope: &mut Scope) -> Abs {
-        if let Expr::Var(name, span) = e {
-            if scope.let_bound.contains(name) {
+    /// An error about the rule as a whole, at its header.
+    fn rule_error(&mut self, code: &'static str, message: String, rule: &RuleDef) {
+        let d = Diagnostic::error(code, message)
+            .at(rule.span)
+            .in_rule(&rule.name);
+        self.push(d);
+    }
+
+    fn abs_expr(&mut self, e: &Expr, rule: &RuleDef, scope: &mut Scope) -> Abs {
+        match e {
+            Expr::Lit(v) => Abs::Known(v.clone()),
+            Expr::Var(name, span) if scope.in_template && scope.let_bound.contains(name) => {
                 let d = Diagnostic::error(
                     "RC0101",
                     format!(
@@ -620,40 +589,8 @@ impl<'a> Analyzer<'a> {
                 .in_rule(&rule.name);
                 self.push(d);
                 scope.used.insert(name.clone());
-                return Abs::Any;
+                Abs::Any
             }
-        }
-        match e {
-            Expr::Var(..) | Expr::Lit(_) => self.abs_expr(e, rule, scope),
-            Expr::Unary(op, inner) => {
-                let v = self.abs_template_expr(inner, rule, scope);
-                self.abs_unary(*op, v, rule)
-            }
-            Expr::Binary(op, l, r) => {
-                self.abs_binary_with(*op, l, r, rule, scope, &mut |a: &mut Self, e, s| {
-                    a.abs_template_expr(e, rule, s)
-                })
-            }
-            Expr::Call(..) | Expr::Index(..) | Expr::Tuple(..) | Expr::List(..) => {
-                // Recurse through the generic path, but template-scope
-                // each subexpression by temporarily hiding guard lets.
-                let hidden: Vec<(String, Abs)> = scope
-                    .let_bound
-                    .iter()
-                    .filter_map(|n| scope.vars.remove_entry(n))
-                    .collect();
-                let v = self.abs_expr(e, rule, scope);
-                for (n, a) in hidden {
-                    scope.vars.insert(n, a);
-                }
-                v
-            }
-        }
-    }
-
-    fn abs_expr(&mut self, e: &Expr, rule: &RuleDef, scope: &mut Scope) -> Abs {
-        match e {
-            Expr::Lit(v) => Abs::Known(v.clone()),
             Expr::Var(name, span) => match scope.vars.get(name) {
                 Some(v) => {
                     let v = v.clone();
@@ -670,12 +607,24 @@ impl<'a> Analyzer<'a> {
             },
             Expr::Unary(op, inner) => {
                 let v = self.abs_expr(inner, rule, scope);
-                self.abs_unary(*op, v, rule)
+                if let Some(v) = v.known() {
+                    return self.fold(apply_unary(*op, v), rule);
+                }
+                let (want, what) = match op {
+                    UnOp::Not => (Kind::Bool, "`!`"),
+                    UnOp::Neg => (Kind::Int, "`-`"),
+                };
+                self.expect_kind(&v, want, what, rule);
+                Abs::Kind(want)
             }
             Expr::Binary(op, l, r) => {
-                self.abs_binary_with(*op, l, r, rule, scope, &mut |a: &mut Self, e, s| {
-                    a.abs_expr(e, rule, s)
-                })
+                let lv = self.abs_expr(l, rule, scope);
+                // Like the runtime, a deciding lhs never touches the rhs.
+                if matches!(op, BinOp::And | BinOp::Or) && lv.truth() == Some(*op == BinOp::Or) {
+                    return lv;
+                }
+                let rv = self.abs_expr(r, rule, scope);
+                self.abs_binary(*op, &lv, &rv, rule)
             }
             Expr::Call(name, args, span) => {
                 let sig = match self.ctx.builtins {
@@ -712,13 +661,10 @@ impl<'a> Analyzer<'a> {
                 let vals: Vec<Abs> = args.iter().map(|a| self.abs_expr(a, rule, scope)).collect();
                 // Fold pure stdlib calls over fully known arguments by
                 // running the real implementation.
-                if let (Some(sig), Some(b)) = (sig, self.ctx.builtins) {
-                    if sig.pure
-                        && sig.arity == Some(args.len())
-                        && vals.iter().all(|v| v.known().is_some())
-                    {
-                        let known: Vec<Value> =
-                            vals.iter().map(|v| v.known().unwrap().clone()).collect();
+                if let (Some(sig), Some(b), Some(known)) =
+                    (sig, self.ctx.builtins, all_known(&vals))
+                {
+                    if sig.pure && sig.arity == Some(args.len()) {
                         if let Some(f) = b.get(name) {
                             match f(&known) {
                                 Ok(v) => return Abs::Known(v),
@@ -739,19 +685,12 @@ impl<'a> Analyzer<'a> {
                 Abs::Any
             }
             Expr::Index(base, index) => {
-                let _ = self.abs_expr(base, rule, scope);
+                let b = self.abs_expr(base, rule, scope);
                 let i = self.abs_expr(index, rule, scope);
-                if let Some(k) = i.kind() {
-                    if k != Kind::Int {
-                        let d = Diagnostic::error(
-                            "RC0401",
-                            format!("index must be int, got {}", k.name()),
-                        )
-                        .at(rule.span)
-                        .in_rule(&rule.name);
-                        self.push(d);
-                    }
+                if let (Some(b), Some(i)) = (b.known(), i.known()) {
+                    return self.fold(index_value(b, i), rule);
                 }
+                self.expect_kind(&i, Kind::Int, "`[]`", rule);
                 Abs::Any
             }
             Expr::Tuple(items) => {
@@ -759,274 +698,95 @@ impl<'a> Analyzer<'a> {
                     .iter()
                     .map(|i| self.abs_expr(i, rule, scope))
                     .collect();
-                if vals.iter().all(|v| v.known().is_some()) {
-                    Abs::Known(Value::Tuple(
-                        vals.iter().map(|v| v.known().unwrap().clone()).collect(),
-                    ))
-                } else {
-                    Abs::Kind(Kind::Tuple)
-                }
+                all_known(&vals).map_or(Abs::Kind(Kind::Tuple), |v| Abs::Known(Value::Tuple(v)))
             }
             Expr::List(items) => {
                 let vals: Vec<Abs> = items
                     .iter()
                     .map(|i| self.abs_expr(i, rule, scope))
                     .collect();
-                if vals.iter().all(|v| v.known().is_some()) {
-                    Abs::Known(Value::List(
-                        vals.iter().map(|v| v.known().unwrap().clone()).collect(),
-                    ))
-                } else {
-                    Abs::Kind(Kind::List)
-                }
+                all_known(&vals).map_or(Abs::Kind(Kind::List), |v| Abs::Known(Value::List(v)))
             }
         }
     }
 
-    fn abs_unary(&mut self, op: UnOp, v: Abs, rule: &RuleDef) -> Abs {
-        match op {
-            UnOp::Not => match v {
-                Abs::Known(Value::Bool(b)) => Abs::Known(Value::Bool(!b)),
-                other => {
-                    self.expect_kind(&other, Kind::Bool, "`!`", rule);
-                    Abs::Kind(Kind::Bool)
-                }
-            },
-            UnOp::Neg => match v {
-                Abs::Known(Value::Int(n)) => Abs::Known(Value::Int(n.wrapping_neg())),
-                other => {
-                    self.expect_kind(&other, Kind::Int, "`-`", rule);
-                    Abs::Kind(Kind::Int)
-                }
-            },
+    /// A folded operator: its value, or RC0401 with the runtime's error.
+    fn fold(&mut self, result: Result<Value, DslError>, rule: &RuleDef) -> Abs {
+        match result {
+            Ok(v) => Abs::Known(v),
+            Err(e) => {
+                self.rule_error("RC0401", e.message().to_string(), rule);
+                Abs::Any
+            }
         }
     }
 
     fn expect_kind(&mut self, v: &Abs, want: Kind, what: &str, rule: &RuleDef) {
-        if let Some(k) = v.kind() {
-            if k != want {
-                let d = Diagnostic::error(
-                    "RC0401",
-                    format!(
-                        "operand of {what} must be {}, got {}",
-                        want.name(),
-                        k.name()
-                    ),
-                )
-                .at(rule.span)
-                .in_rule(&rule.name);
-                self.push(d);
-            }
+        match v.kind() {
+            Some(k) if k != want => self.rule_error(
+                "RC0401",
+                format!(
+                    "operand of {what} must be {}, got {}",
+                    want.name(),
+                    k.name()
+                ),
+                rule,
+            ),
+            _ => {}
         }
     }
 
-    /// Binary operators; `eval` recurses with the caller's scoping
-    /// discipline (guard vs template).
-    fn abs_binary_with(
-        &mut self,
-        op: BinOp,
-        l: &Expr,
-        r: &Expr,
-        rule: &RuleDef,
-        scope: &mut Scope,
-        eval: &mut dyn FnMut(&mut Self, &Expr, &mut Scope) -> Abs,
-    ) -> Abs {
-        // Short-circuit logicals exactly like the runtime: a known-false
-        // `&&` lhs (or known-true `||` lhs) never touches the rhs.
-        match op {
-            BinOp::And => {
-                let lv = eval(self, l, scope);
-                return match lv.truth() {
-                    Some(false) => Abs::Known(Value::Bool(false)),
-                    Some(true) => {
-                        let rv = eval(self, r, scope);
-                        self.expect_kind(&rv, Kind::Bool, "`&&`", rule);
-                        match rv.truth() {
-                            Some(b) => Abs::Known(Value::Bool(b)),
-                            None => Abs::Kind(Kind::Bool),
-                        }
-                    }
-                    None => {
-                        self.expect_kind(&lv, Kind::Bool, "`&&`", rule);
-                        let rv = eval(self, r, scope);
-                        self.expect_kind(&rv, Kind::Bool, "`&&`", rule);
-                        Abs::Kind(Kind::Bool)
-                    }
-                };
-            }
-            BinOp::Or => {
-                let lv = eval(self, l, scope);
-                return match lv.truth() {
-                    Some(true) => Abs::Known(Value::Bool(true)),
-                    Some(false) => {
-                        let rv = eval(self, r, scope);
-                        self.expect_kind(&rv, Kind::Bool, "`||`", rule);
-                        match rv.truth() {
-                            Some(b) => Abs::Known(Value::Bool(b)),
-                            None => Abs::Kind(Kind::Bool),
-                        }
-                    }
-                    None => {
-                        self.expect_kind(&lv, Kind::Bool, "`||`", rule);
-                        let rv = eval(self, r, scope);
-                        self.expect_kind(&rv, Kind::Bool, "`||`", rule);
-                        Abs::Kind(Kind::Bool)
-                    }
-                };
-            }
-            _ => {}
+    /// A binary operator whose lhs did not decide it alone. Known
+    /// operands fold through the runtime's [`apply_binary`]; otherwise
+    /// only the operand kinds the runtime rejects are checked.
+    fn abs_binary(&mut self, op: BinOp, l: &Abs, r: &Abs, rule: &RuleDef) -> Abs {
+        if matches!(op, BinOp::Div | BinOp::Rem) && r.known() == Some(&Value::Int(0)) {
+            let what = if op == BinOp::Div {
+                "division"
+            } else {
+                "remainder"
+            };
+            self.rule_error("RC0402", format!("{what} by zero"), rule);
+            return Abs::Any;
         }
-        let lv = eval(self, l, scope);
-        let rv = eval(self, r, scope);
-        match op {
-            BinOp::Eq | BinOp::Ne => match (lv.known(), rv.known()) {
-                (Some(a), Some(b)) => {
-                    let eq = a == b;
-                    Abs::Known(Value::Bool(if op == BinOp::Eq { eq } else { !eq }))
-                }
-                _ => Abs::Kind(Kind::Bool),
-            },
+        if let (Some(a), Some(b)) = (l.known(), r.known()) {
+            return self.fold(apply_binary(op, a, b), rule);
+        }
+        let (want, what) = match op {
+            BinOp::Eq | BinOp::Ne => return Abs::Kind(Kind::Bool),
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                match (lv.kind(), rv.kind()) {
+                match (l.kind(), r.kind()) {
                     (Some(a), Some(b))
                         if !matches!((a, b), (Kind::Int, Kind::Int) | (Kind::Str, Kind::Str)) =>
                     {
-                        let d = Diagnostic::error(
-                            "RC0401",
-                            format!("cannot order {} against {}", a.name(), b.name()),
-                        )
-                        .at(rule.span)
-                        .in_rule(&rule.name);
-                        self.push(d);
-                        return Abs::Kind(Kind::Bool);
+                        let msg = format!("cannot order {} against {}", a.name(), b.name());
+                        self.rule_error("RC0401", msg, rule);
                     }
                     _ => {}
                 }
-                if let (Some(a), Some(b)) = (lv.known(), rv.known()) {
-                    let ord = match (a, b) {
-                        (Value::Int(x), Value::Int(y)) => x.cmp(y),
-                        (Value::Str(x), Value::Str(y)) => x.cmp(y),
-                        _ => return Abs::Kind(Kind::Bool),
-                    };
-                    let out = match op {
-                        BinOp::Lt => ord.is_lt(),
-                        BinOp::Le => ord.is_le(),
-                        BinOp::Gt => ord.is_gt(),
-                        _ => ord.is_ge(),
-                    };
-                    return Abs::Known(Value::Bool(out));
-                }
-                Abs::Kind(Kind::Bool)
+                return Abs::Kind(Kind::Bool);
             }
-            BinOp::Add => self.abs_add(lv, rv, rule),
-            BinOp::Sub | BinOp::Mul => {
-                self.expect_kind(&lv, Kind::Int, "arithmetic", rule);
-                self.expect_kind(&rv, Kind::Int, "arithmetic", rule);
-                if let (Some(Value::Int(a)), Some(Value::Int(b))) = (lv.known(), rv.known()) {
-                    let folded = if op == BinOp::Sub {
-                        a.checked_sub(*b)
-                    } else {
-                        a.checked_mul(*b)
-                    };
-                    match folded {
-                        Some(n) => return Abs::Known(Value::Int(n)),
-                        None => {
-                            let d = Diagnostic::error(
-                                "RC0401",
-                                "integer overflow in constant expression".to_string(),
-                            )
-                            .at(rule.span)
-                            .in_rule(&rule.name);
-                            self.push(d);
-                            return Abs::Any;
-                        }
+            BinOp::Add => {
+                return match (l.kind(), r.kind()) {
+                    (Some(Kind::Str), _) | (_, Some(Kind::Str)) => Abs::Kind(Kind::Str),
+                    (Some(a), Some(b)) if a == b && matches!(a, Kind::Int | Kind::List) => {
+                        Abs::Kind(a)
                     }
-                }
-                Abs::Kind(Kind::Int)
-            }
-            BinOp::Div | BinOp::Rem => {
-                self.expect_kind(&lv, Kind::Int, "arithmetic", rule);
-                self.expect_kind(&rv, Kind::Int, "arithmetic", rule);
-                if let Some(Value::Int(0)) = rv.known() {
-                    let what = if op == BinOp::Div {
-                        "division"
-                    } else {
-                        "remainder"
-                    };
-                    let d = Diagnostic::error("RC0402", format!("{what} by zero"))
-                        .at(rule.span)
-                        .in_rule(&rule.name);
-                    self.push(d);
-                    return Abs::Any;
-                }
-                if let (Some(Value::Int(a)), Some(Value::Int(b))) = (lv.known(), rv.known()) {
-                    if *b != 0 {
-                        let n = if op == BinOp::Div { a / b } else { a % b };
-                        return Abs::Known(Value::Int(n));
-                    }
-                }
-                Abs::Kind(Kind::Int)
-            }
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
-        }
-    }
-
-    fn abs_add(&mut self, lv: Abs, rv: Abs, rule: &RuleDef) -> Abs {
-        // Mirrors runtime `+`: int+int, list+list, string coercion when
-        // either side is a string.
-        if let (Some(a), Some(b)) = (lv.known(), rv.known()) {
-            return match (a, b) {
-                (Value::Int(x), Value::Int(y)) => match x.checked_add(*y) {
-                    Some(n) => Abs::Known(Value::Int(n)),
-                    None => {
-                        let d = Diagnostic::error(
-                            "RC0401",
-                            "integer overflow in constant expression".to_string(),
-                        )
-                        .at(rule.span)
-                        .in_rule(&rule.name);
-                        self.push(d);
+                    (Some(a), Some(b)) => {
+                        let msg = format!("cannot add {} and {}", a.name(), b.name());
+                        self.rule_error("RC0401", msg, rule);
                         Abs::Any
                     }
-                },
-                (Value::List(x), Value::List(y)) => {
-                    let mut out = x.clone();
-                    out.extend(y.iter().cloned());
-                    Abs::Known(Value::List(out))
-                }
-                (Value::Str(_), _) | (_, Value::Str(_)) => Abs::Known(Value::Str(format!(
-                    "{}{}",
-                    a.to_display_string(),
-                    b.to_display_string()
-                ))),
-                _ => {
-                    let d = Diagnostic::error(
-                        "RC0401",
-                        format!("cannot add {} and {}", a.type_name(), b.type_name()),
-                    )
-                    .at(rule.span)
-                    .in_rule(&rule.name);
-                    self.push(d);
-                    Abs::Any
-                }
-            };
-        }
-        match (lv.kind(), rv.kind()) {
-            (Some(Kind::Str), _) | (_, Some(Kind::Str)) => Abs::Kind(Kind::Str),
-            (Some(Kind::Int), Some(Kind::Int)) => Abs::Kind(Kind::Int),
-            (Some(Kind::List), Some(Kind::List)) => Abs::Kind(Kind::List),
-            (Some(a), Some(b)) => {
-                let d = Diagnostic::error(
-                    "RC0401",
-                    format!("cannot add {} and {}", a.name(), b.name()),
-                )
-                .at(rule.span)
-                .in_rule(&rule.name);
-                self.push(d);
-                Abs::Any
+                    _ => Abs::Any,
+                };
             }
-            _ => Abs::Any,
-        }
+            BinOp::And => (Kind::Bool, "`&&`"),
+            BinOp::Or => (Kind::Bool, "`||`"),
+            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => (Kind::Int, "arithmetic"),
+        };
+        self.expect_kind(l, want, what, rule);
+        self.expect_kind(r, want, what, rule);
+        Abs::Kind(want)
     }
 }
 
@@ -1268,6 +1028,21 @@ mod tests {
         let d = only(&ds, "RC0402");
         assert_eq!(d.severity, Severity::Error);
         assert_eq!(d.span.unwrap(), Span::new(1, 6));
+    }
+
+    #[test]
+    fn rc0401_constant_overflow_is_an_error_not_a_panic() {
+        for guard in [
+            "(0 - 9223372036854775807 - 1) / -1 == 0",
+            "(0 - 9223372036854775807 - 1) % -1 == 0",
+            "-(0 - 9223372036854775807 - 1) == 0",
+        ] {
+            let ds = check(&format!(
+                "rule r {{ on read(_, _, _) when {guard} => nothing }}"
+            ));
+            let d = only(&ds, "RC0401");
+            assert!(d.message.contains("overflow"), "{guard}: {ds}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`Diagnostic`] is one finding: a stable code (`RC0101`), a
 //! severity, a human message, an optional source span and an optional
-//! owning rule. [`Diagnostics`] is an ordered collection with text and
-//! JSON renderings; only `Error`-severity findings make a program
+//! owning rule. [`Diagnostics`] is an ordered collection with a text
+//! rendering; only `Error`-severity findings make a program
 //! undeployable.
 
 use std::fmt;
@@ -118,24 +118,6 @@ impl Diagnostic {
         }
         out
     }
-
-    /// One JSON object (hand-rolled; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\":\"{}\"", self.code));
-        out.push_str(&format!(",\"severity\":\"{}\"", self.severity.label()));
-        out.push_str(&format!(",\"message\":{}", json_string(&self.message)));
-        match &self.span {
-            Some(s) => out.push_str(&format!(",\"line\":{},\"col\":{}", s.line, s.col)),
-            None => out.push_str(",\"line\":null,\"col\":null"),
-        }
-        match &self.rule {
-            Some(r) => out.push_str(&format!(",\"rule\":{}", json_string(r))),
-            None => out.push_str(",\"rule\":null"),
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -203,19 +185,6 @@ impl Diagnostics {
         out
     }
 
-    /// A JSON array of diagnostic objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&d.to_json());
-        }
-        out.push(']');
-        out
-    }
-
     /// The findings, most severe first (stable within a severity).
     pub fn sorted_by_severity(&self) -> Vec<&Diagnostic> {
         let mut v: Vec<&Diagnostic> = self.items.iter().collect();
@@ -238,25 +207,6 @@ impl IntoIterator for Diagnostics {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,17 +220,6 @@ mod tests {
             d.render(),
             "error[RC0101]: unknown variable `x` (rule `r1`, 3:12)"
         );
-    }
-
-    #[test]
-    fn json_escapes_and_nulls() {
-        let d = Diagnostic::warning("RC0102", "binder \"n\" unused");
-        let j = d.to_json();
-        assert!(j.contains("\"code\":\"RC0102\""));
-        assert!(j.contains("\"severity\":\"warning\""));
-        assert!(j.contains("\\\"n\\\""));
-        assert!(j.contains("\"line\":null"));
-        assert!(j.contains("\"rule\":null"));
     }
 
     #[test]

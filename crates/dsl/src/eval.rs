@@ -311,167 +311,119 @@ impl Env {
 /// Evaluates an expression.
 ///
 /// # Errors
-/// Type errors, unknown variables/functions, division by zero, and
-/// builtin failures all surface as [`DslError`].
+/// Type errors, unknown variables/functions, division by zero, integer
+/// overflow, and builtin failures all surface as [`DslError`].
 pub fn eval_expr(expr: &Expr, env: &Env, builtins: &Builtins) -> Result<Value, DslError> {
+    let eval_all = |items: &[Expr]| -> Result<Vec<Value>, DslError> {
+        items.iter().map(|e| eval_expr(e, env, builtins)).collect()
+    };
     match expr {
         Expr::Lit(v) => Ok(v.clone()),
         Expr::Var(name, span) => env
             .get(name)
             .cloned()
             .ok_or_else(|| DslError::at(format!("unknown variable `{name}`"), span.line, span.col)),
-        Expr::Unary(op, inner) => {
-            let v = eval_expr(inner, env, builtins)?;
-            match op {
-                UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                UnOp::Neg => Ok(Value::Int(-v.as_int()?)),
+        Expr::Unary(op, inner) => apply_unary(*op, &eval_expr(inner, env, builtins)?),
+        Expr::Binary(op, lhs, rhs) => {
+            let l = eval_expr(lhs, env, builtins)?;
+            // `false && _` and `true || _` never evaluate their rhs.
+            if matches!(op, BinOp::And | BinOp::Or) && l.as_bool()? == (*op == BinOp::Or) {
+                return Ok(l);
             }
+            apply_binary(*op, &l, &eval_expr(rhs, env, builtins)?)
         }
-        Expr::Binary(op, lhs, rhs) => eval_binary(*op, lhs, rhs, env, builtins),
         Expr::Call(name, args, span) => {
             let f = builtins.get(name).ok_or_else(|| {
                 DslError::at(format!("unknown function `{name}`"), span.line, span.col)
             })?;
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_expr(a, env, builtins)?);
-            }
-            f(&vals).map_err(DslError::new)
+            f(&eval_all(args)?).map_err(DslError::new)
         }
-        Expr::Index(base, index) => {
-            let b = eval_expr(base, env, builtins)?;
-            let i = eval_expr(index, env, builtins)?.as_int()?;
-            Ok(index_value(&b, i))
-        }
-        Expr::Tuple(items) => {
-            let mut vals = Vec::with_capacity(items.len());
-            for item in items {
-                vals.push(eval_expr(item, env, builtins)?);
-            }
-            Ok(Value::Tuple(vals))
-        }
-        Expr::List(items) => {
-            let mut vals = Vec::with_capacity(items.len());
-            for item in items {
-                vals.push(eval_expr(item, env, builtins)?);
-            }
-            Ok(Value::List(vals))
-        }
+        Expr::Index(base, index) => index_value(
+            &eval_expr(base, env, builtins)?,
+            &eval_expr(index, env, builtins)?,
+        ),
+        Expr::Tuple(items) => Ok(Value::Tuple(eval_all(items)?)),
+        Expr::List(items) => Ok(Value::List(eval_all(items)?)),
     }
 }
 
-fn index_value(base: &Value, i: i64) -> Value {
-    if i < 0 {
-        return Value::Nil;
-    }
-    let i = i as usize;
-    match base {
+/// `base[index]`: `nil` when the index is out of range or `base` is not
+/// a sequence.
+pub(crate) fn index_value(base: &Value, index: &Value) -> Result<Value, DslError> {
+    let Ok(i) = usize::try_from(index.as_int()?) else {
+        return Ok(Value::Nil);
+    };
+    Ok(match base {
         Value::List(items) | Value::Tuple(items) => items.get(i).cloned().unwrap_or(Value::Nil),
         Value::Str(s) => s
             .get(i..i + 1)
             .map(|c| Value::Str(c.to_string()))
             .unwrap_or(Value::Nil),
         _ => Value::Nil,
-    }
+    })
 }
 
-fn eval_binary(
-    op: BinOp,
-    lhs: &Expr,
-    rhs: &Expr,
-    env: &Env,
-    builtins: &Builtins,
-) -> Result<Value, DslError> {
-    // Short-circuit logicals first.
-    match op {
-        BinOp::And => {
-            let l = eval_expr(lhs, env, builtins)?.as_bool()?;
-            if !l {
-                return Ok(Value::Bool(false));
-            }
-            return Ok(Value::Bool(eval_expr(rhs, env, builtins)?.as_bool()?));
-        }
-        BinOp::Or => {
-            let l = eval_expr(lhs, env, builtins)?.as_bool()?;
-            if l {
-                return Ok(Value::Bool(true));
-            }
-            return Ok(Value::Bool(eval_expr(rhs, env, builtins)?.as_bool()?));
-        }
-        _ => {}
-    }
-    let l = eval_expr(lhs, env, builtins)?;
-    let r = eval_expr(rhs, env, builtins)?;
-    match op {
-        BinOp::Eq => Ok(Value::Bool(l == r)),
-        BinOp::Ne => Ok(Value::Bool(l != r)),
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ord = match (&l, &r) {
-                (Value::Int(a), Value::Int(b)) => a.cmp(b),
-                (Value::Str(a), Value::Str(b)) => a.cmp(b),
-                _ => {
-                    return Err(DslError::new(format!(
-                        "cannot order {} against {}",
-                        l.type_name(),
-                        r.type_name()
-                    )))
-                }
-            };
-            Ok(Value::Bool(match op {
-                BinOp::Lt => ord.is_lt(),
-                BinOp::Le => ord.is_le(),
-                BinOp::Gt => ord.is_gt(),
-                BinOp::Ge => ord.is_ge(),
-                _ => unreachable!(),
-            }))
-        }
-        BinOp::Add => match (&l, &r) {
-            (Value::Int(a), Value::Int(b)) => a
-                .checked_add(*b)
-                .map(Value::Int)
-                .ok_or_else(|| DslError::new("integer overflow in `+`")),
-            (Value::List(a), Value::List(b)) => {
-                let mut out = a.clone();
-                out.extend(b.iter().cloned());
-                Ok(Value::List(out))
-            }
-            (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::Str(format!(
-                "{}{}",
-                l.to_display_string(),
-                r.to_display_string()
-            ))),
-            _ => Err(DslError::new(format!(
-                "cannot add {} and {}",
-                l.type_name(),
-                r.type_name()
-            ))),
-        },
-        BinOp::Sub => Ok(Value::Int(
-            l.as_int()?
-                .checked_sub(r.as_int()?)
+/// The value of a unary operator. The analyzer folds constants with this
+/// same function.
+pub(crate) fn apply_unary(op: UnOp, v: &Value) -> Result<Value, DslError> {
+    Ok(match op {
+        UnOp::Not => Value::Bool(!v.as_bool()?),
+        UnOp::Neg => Value::Int(
+            v.as_int()?
+                .checked_neg()
                 .ok_or_else(|| DslError::new("integer overflow in `-`"))?,
-        )),
-        BinOp::Mul => Ok(Value::Int(
-            l.as_int()?
-                .checked_mul(r.as_int()?)
-                .ok_or_else(|| DslError::new("integer overflow in `*`"))?,
-        )),
-        BinOp::Div => {
-            let d = r.as_int()?;
-            if d == 0 {
-                return Err(DslError::new("division by zero"));
+        ),
+    })
+}
+
+/// The value of a binary operator over both operands. The evaluator
+/// skips the rhs of `&&` and `||` when the lhs decides. The analyzer
+/// folds constants with this same function.
+pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, DslError> {
+    let int = |f: fn(i64, i64) -> Option<i64>| {
+        f(l.as_int()?, r.as_int()?)
+            .map(Value::Int)
+            .ok_or_else(|| DslError::new(format!("integer overflow in `{op}`")))
+    };
+    let ord = || match (l, r) {
+        (Value::Int(a), Value::Int(b)) => Ok(a.cmp(b)),
+        (Value::Str(a), Value::Str(b)) => Ok(a.cmp(b)),
+        _ => Err(DslError::new(format!(
+            "cannot order {} against {}",
+            l.type_name(),
+            r.type_name()
+        ))),
+    };
+    Ok(match op {
+        BinOp::And => Value::Bool(l.as_bool()? && r.as_bool()?),
+        BinOp::Or => Value::Bool(l.as_bool()? || r.as_bool()?),
+        BinOp::Eq => Value::Bool(l == r),
+        BinOp::Ne => Value::Bool(l != r),
+        BinOp::Lt => Value::Bool(ord()?.is_lt()),
+        BinOp::Le => Value::Bool(ord()?.is_le()),
+        BinOp::Gt => Value::Bool(ord()?.is_gt()),
+        BinOp::Ge => Value::Bool(ord()?.is_ge()),
+        BinOp::Add => match (l, r) {
+            (Value::Int(_), Value::Int(_)) => int(i64::checked_add)?,
+            (Value::List(a), Value::List(b)) => Value::List([a.as_slice(), b].concat()),
+            (Value::Str(_), _) | (_, Value::Str(_)) => {
+                Value::Str(l.to_display_string() + &r.to_display_string())
             }
-            Ok(Value::Int(l.as_int()? / d))
-        }
-        BinOp::Rem => {
-            let d = r.as_int()?;
-            if d == 0 {
-                return Err(DslError::new("remainder by zero"));
+            _ => {
+                return Err(DslError::new(format!(
+                    "cannot add {} and {}",
+                    l.type_name(),
+                    r.type_name()
+                )))
             }
-            Ok(Value::Int(l.as_int()? % d))
-        }
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
-    }
+        },
+        BinOp::Sub => int(i64::checked_sub)?,
+        BinOp::Mul => int(i64::checked_mul)?,
+        BinOp::Div if r.as_int()? == 0 => return Err(DslError::new("division by zero")),
+        BinOp::Rem if r.as_int()? == 0 => return Err(DslError::new("remainder by zero")),
+        BinOp::Div => int(i64::checked_div)?,
+        BinOp::Rem => int(i64::checked_rem)?,
+    })
 }
 
 /// Evaluates a block: runs its `let`s in order, then the value
@@ -680,8 +632,18 @@ mod tests {
     fn overflow_is_reported() {
         let mut env = Env::new();
         env.set("big", Value::Int(i64::MAX));
-        assert!(eval_guard("big + 1 == 0", &env).is_err());
-        assert!(eval_guard("big * 2 == 0", &env).is_err());
+        env.set("min", Value::Int(i64::MIN));
+        for guard in [
+            "big + 1 == 0",
+            "big * 2 == 0",
+            "min - 1 == 0",
+            "min / -1 == 0",
+            "min % -1 == 0",
+            "-min == 0",
+        ] {
+            let err = eval_guard(guard, &env).unwrap_err();
+            assert!(err.message().contains("overflow"), "{guard}: {err}");
+        }
     }
 
     #[test]

@@ -22,17 +22,48 @@ pub enum Value {
     Tuple(Vec<Value>),
 }
 
+/// The type of a [`Value`] without its contents; the analyzer's coarse
+/// abstract domain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Nil,
+    Bool,
+    Int,
+    Str,
+    List,
+    Tuple,
+}
+
+impl Kind {
+    /// The type's name in error messages, the runtime's and the
+    /// analyzer's alike.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Kind::Nil => "nil",
+            Kind::Bool => "bool",
+            Kind::Int => "int",
+            Kind::Str => "string",
+            Kind::List => "list",
+            Kind::Tuple => "tuple",
+        }
+    }
+}
+
 impl Value {
+    pub(crate) fn kind(&self) -> Kind {
+        match self {
+            Value::Nil => Kind::Nil,
+            Value::Bool(_) => Kind::Bool,
+            Value::Int(_) => Kind::Int,
+            Value::Str(_) => Kind::Str,
+            Value::List(_) => Kind::List,
+            Value::Tuple(_) => Kind::Tuple,
+        }
+    }
+
     /// A short name for the value's type, used in error messages.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Nil => "nil",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Str(_) => "string",
-            Value::List(_) => "list",
-            Value::Tuple(_) => "tuple",
-        }
+        self.kind().name()
     }
 
     /// Extracts a boolean, failing on any other type (guards must be

@@ -1,6 +1,7 @@
 //! Property tests for the DSL pipeline: total (never panics) on
-//! arbitrary input, identity semantics for empty rule sets, and
-//! faithfulness of pass-through rules.
+//! arbitrary input, identity semantics for empty rule sets,
+//! faithfulness of pass-through rules, and an analyzer whose constant
+//! folding agrees with the runtime.
 
 use dsl::{tokenize, Builtins, Event, RuleSet, Value};
 use proptest::prelude::*;
@@ -98,8 +99,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use dsl::{
-    parse_program, print_program, Block, Expr, LetLhs, PatArg, Pattern, Program, RuleDef, Span,
-    Template,
+    analyze_program, parse_program, print_program, AnalysisContext, Block, Diagnostics, DslError,
+    Expr, LetLhs, PatArg, Pattern, Program, RuleDef, Span, Template, UnOp,
 };
 
 fn arb_ident() -> impl Strategy<Value = String> {
@@ -137,11 +138,55 @@ fn arb_lit() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        arb_lit().prop_map(Expr::Lit),
-        arb_ident().prop_map(|name| Expr::Var(name, Span::none())),
-    ];
+/// The standard library's functions with their declared arities.
+const STD_FNS: [(&str, usize); 14] = [
+    ("len", 1),
+    ("str", 1),
+    ("int", 1),
+    ("substr", 3),
+    ("starts_with", 2),
+    ("ends_with", 2),
+    ("contains", 2),
+    ("split", 2),
+    ("join", 2),
+    ("trim", 1),
+    ("upper", 1),
+    ("lower", 1),
+    ("replace", 3),
+    ("nth", 2),
+];
+
+/// A function name outside the standard library.
+fn arb_fn_name() -> impl Strategy<Value = String> {
+    arb_ident().prop_filter("standard name", |s| {
+        !STD_FNS.iter().any(|(name, _)| name == s)
+    })
+}
+
+/// Ints at the edges of `i64`. `-1` and `i64::MIN` are built by
+/// subtraction, as source writes them: a negative literal prints as
+/// unary minus.
+fn arb_edge_int() -> impl Strategy<Value = Expr> {
+    fn int(n: i64) -> Expr {
+        Expr::Lit(Value::Int(n))
+    }
+    fn sub(l: Expr, r: Expr) -> Expr {
+        Expr::Binary(dsl::BinOp::Sub, Box::new(l), Box::new(r))
+    }
+    prop_oneof![
+        Just(int(0)),
+        Just(int(1)),
+        Just(sub(int(0), int(1))),
+        Just(int(i64::MAX)),
+        Just(sub(sub(int(0), int(i64::MAX)), int(1))),
+    ]
+}
+
+/// Expressions over `leaf`: every operator, index, tuple and list, and
+/// calls to unknown functions and to the standard library. Standard
+/// calls take their declared arity: RC0302 rejects any other count,
+/// though the runtime ignores extra arguments.
+fn arb_expr_over(leaf: BoxedStrategy<Expr>) -> BoxedStrategy<Expr> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone(), arb_binop()).prop_map(|(l, r, op)| Expr::Binary(
@@ -149,16 +194,43 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                 Box::new(l),
                 Box::new(r)
             )),
-            inner
-                .clone()
-                .prop_map(|e| Expr::Unary(dsl::UnOp::Not, Box::new(e))),
-            (arb_ident(), proptest::collection::vec(inner.clone(), 0..3))
+            (inner.clone(), prop_oneof![Just(UnOp::Not), Just(UnOp::Neg)])
+                .prop_map(|(e, op)| Expr::Unary(op, Box::new(e))),
+            (
+                arb_fn_name(),
+                proptest::collection::vec(inner.clone(), 0..3)
+            )
                 .prop_map(|(name, args)| Expr::Call(name, args, Span::none())),
+            (
+                0..STD_FNS.len(),
+                proptest::collection::vec(inner.clone(), 3)
+            )
+                .prop_map(|(i, mut args)| {
+                    let (name, arity) = STD_FNS[i];
+                    args.truncate(arity);
+                    Expr::Call(name.to_string(), args, Span::none())
+                }),
             (inner.clone(), inner.clone()).prop_map(|(b, i)| Expr::Index(Box::new(b), Box::new(i))),
             proptest::collection::vec(inner.clone(), 2..4).prop_map(Expr::Tuple),
             proptest::collection::vec(inner, 0..3).prop_map(Expr::List),
         ]
     })
+}
+
+fn arb_expr() -> BoxedStrategy<Expr> {
+    arb_expr_over(
+        prop_oneof![
+            arb_lit().prop_map(Expr::Lit),
+            arb_edge_int(),
+            arb_ident().prop_map(|name| Expr::Var(name, Span::none())),
+        ]
+        .boxed(),
+    )
+}
+
+/// Expressions without variables.
+fn arb_closed_expr() -> BoxedStrategy<Expr> {
+    arb_expr_over(prop_oneof![arb_lit().prop_map(Expr::Lit), arb_edge_int()].boxed())
 }
 
 fn arb_binop() -> impl Strategy<Value = dsl::BinOp> {
@@ -307,5 +379,87 @@ proptest! {
         let second = parse_program(&printed)
             .unwrap_or_else(|e| panic!("reprinted program failed to parse: {e}\n{printed}"));
         prop_assert_eq!(first, second, "{}", printed);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Differential: the analyzer's constant folding against the runtime.
+// ---------------------------------------------------------------------
+
+/// `rule r { on now(_) when guard => templates }`.
+fn one_rule(guard: Option<Expr>, templates: Vec<Template>) -> Program {
+    Program {
+        rules: vec![RuleDef {
+            name: "r".into(),
+            patterns: vec![Pattern {
+                event: "now".into(),
+                args: vec![PatArg::Wildcard],
+                span: Span::none(),
+            }],
+            guard: guard.map(|value| Block {
+                lets: Vec::new(),
+                value,
+            }),
+            templates,
+            span: Span::none(),
+        }],
+    }
+}
+
+/// The runtime's value of `e`, evaluated as a template argument.
+fn run(e: &Expr) -> Result<Value, DslError> {
+    let template = Template {
+        event: "now".into(),
+        args: vec![e.clone()],
+        span: Span::none(),
+    };
+    let rules = RuleSet::from_program(one_rule(None, vec![template]))?;
+    let out = rules.apply(
+        &[Event::new("now", vec![Value::Int(0)])],
+        &Builtins::standard(),
+    )?;
+    Ok(out.emitted[0].args[0].clone())
+}
+
+/// The analyzer's findings on the guard `e == expect`. It is always true
+/// (RC0404) exactly when the analyzer folds `e` to `expect`, and always
+/// false (RC0403) when it folds `e` to another value.
+fn analyze(e: &Expr, expect: Value) -> (Diagnostics, String) {
+    let guard = Expr::Binary(
+        dsl::BinOp::Eq,
+        Box::new(e.clone()),
+        Box::new(Expr::Lit(expect)),
+    );
+    let program = one_rule(Some(guard), Vec::new());
+    let builtins = Builtins::standard();
+    let ds = analyze_program(&program, &AnalysisContext::new().with_builtins(&builtins));
+    (ds, print_program(&program))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Over closed expressions the analyzer folds `e` to `v` exactly
+    /// when the runtime evaluates it to `Ok(v)`, and reports an error
+    /// exactly when the runtime fails. Neither side panics.
+    #[test]
+    fn analyzer_folds_like_the_runtime(e in arb_closed_expr()) {
+        let has = |ds: &Diagnostics, code: &str| ds.iter().any(|d| d.code == code);
+        match run(&e) {
+            Ok(v) => {
+                let (ds, src) = analyze(&e, v.clone());
+                prop_assert!(
+                    has(&ds, "RC0404") && !ds.has_errors(),
+                    "the runtime evaluates to {v}; the analyzer does not fold to it:\n{src}\n{ds}"
+                );
+            }
+            Err(err) => {
+                let (ds, src) = analyze(&e, Value::Nil);
+                prop_assert!(
+                    ds.has_errors() && !has(&ds, "RC0403") && !has(&ds, "RC0404"),
+                    "the runtime fails ({err}); the analyzer does not report it:\n{src}\n{ds}"
+                );
+            }
+        }
     }
 }

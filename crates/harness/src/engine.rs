@@ -547,11 +547,11 @@ impl<'a> Run<'a> {
     fn finish(mut self, limit: usize) -> RunReport {
         let session = self.session.take().expect("session alive");
         let obs = session.obs();
-        let metrics_text = obs.is_enabled().then(|| session.metrics().render_text());
-        // Shutdown joins every variant thread, so by the time forensics
-        // are collected below, all events that will ever be emitted have
-        // been recorded.
+        // Shutdown joins every variant thread, so by the time metrics and
+        // forensics are collected below, all events that will ever be
+        // emitted have been recorded.
         let report = session.shutdown();
+        let metrics_text = obs.is_enabled().then(|| session.metrics().render_text());
         let mut stage = Stage::SingleLeader;
         for entry in &report.entries {
             if let TimelineEvent::StageChanged { stage: next } = entry.event {

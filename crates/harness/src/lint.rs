@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use dsl::{AnalysisContext, Builtins, Diagnostics, Severity};
+use dsl::{AnalysisContext, Builtins, Diagnostic, Diagnostics, Severity};
+use obs::json::{self, JsonObject};
 use servers::{kvstore, redis, vsftpd};
 
 /// One named rule program to lint, with the builtins it runs against.
@@ -124,14 +125,33 @@ impl LintReport {
 
     /// Machine-readable report: one JSON object per target.
     pub fn to_json(&self) -> String {
-        obs::json::array(self.results.iter().map(|(name, ds)| {
-            let mut target = obs::json::JsonObject::new();
+        json::array(self.results.iter().map(|(name, ds)| {
+            let mut target = JsonObject::new();
             target
                 .field_str("target", name)
-                .field_raw("diagnostics", &ds.to_json());
+                .field_raw("diagnostics", &json::array(ds.iter().map(diagnostic_json)));
             target.finish()
         }))
     }
+}
+
+/// One diagnostic as a JSON object; an absent span or rule is `null`.
+fn diagnostic_json(d: &Diagnostic) -> String {
+    let mut o = JsonObject::new();
+    o.field_str("code", d.code)
+        .field_str("severity", d.severity.label())
+        .field_str("message", &d.message);
+    match d.span {
+        Some(s) => o
+            .field_u64("line", s.line.into())
+            .field_u64("col", s.col.into()),
+        None => o.field_raw("line", "null").field_raw("col", "null"),
+    };
+    match &d.rule {
+        Some(r) => o.field_str("rule", r),
+        None => o.field_raw("rule", "null"),
+    };
+    o.finish()
 }
 
 #[cfg(test)]
@@ -149,6 +169,21 @@ mod tests {
             0,
             "{}",
             report.render_text()
+        );
+    }
+
+    #[test]
+    fn json_escapes_and_nulls() {
+        let d = Diagnostic::warning("RC0102", "binder \"n\" unused");
+        assert_eq!(
+            diagnostic_json(&d),
+            r#"{"code":"RC0102","severity":"warning","message":"binder \"n\" unused","line":null,"col":null,"rule":null}"#
+        );
+        let d = d.at(dsl::Span::new(3, 12)).in_rule("r\n1");
+        assert!(
+            diagnostic_json(&d).ends_with(r#""line":3,"col":12,"rule":"r\n1"}"#),
+            "{}",
+            diagnostic_json(&d)
         );
     }
 

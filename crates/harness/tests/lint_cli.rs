@@ -49,6 +49,15 @@ fn planted_unreachable_fixture_fails_with_json() {
 }
 
 #[test]
+fn planted_overflow_fixture_fails_with_exit_1_not_a_panic() {
+    let path = fixture("bad_overflow.rules");
+    let out = harness_lint(&[path.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("RC0401"), "{stdout}");
+}
+
+#[test]
 fn clean_fixture_exits_zero() {
     let path = fixture("good_wording.rules");
     let out = harness_lint(&[path.to_str().unwrap()]);

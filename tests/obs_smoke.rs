@@ -125,4 +125,16 @@ fn planted_bug_failure_exports_violations_in_the_dump() {
         text.contains("Launched") && text.contains("final stage"),
         "{text}"
     );
+    // The metrics are taken after shutdown, so they count every entry
+    // the timeline shows, `SessionShutdown` included.
+    let timeline_entries = text
+        .lines()
+        .take_while(|l| !l.starts_with("final stage"))
+        .filter(|l| l.starts_with('['))
+        .count();
+    let metrics = report.metrics_text.expect("metrics");
+    assert!(
+        metrics.contains(&format!("session.timeline_entries {timeline_entries}\n")),
+        "{timeline_entries} timeline entries in the dump:\n{text}\n{metrics}"
+    );
 }
