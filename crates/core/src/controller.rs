@@ -17,7 +17,7 @@ use crate::runner::{notice_hook, run_variant, ForkJob, Shared};
 use crate::stage::{Stage, Timeline, TimelineEntry, TimelineEvent};
 
 /// Tunables of an MVEDSUA session.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct MvedsuaConfig {
     /// Ring-buffer capacity in records (the paper's default is 256; its
     /// Figure 7 sweeps 2^10, 2^20, 2^24).
@@ -31,11 +31,8 @@ pub struct MvedsuaConfig {
     /// baselines instead of Varan's decoupled design.
     pub lockstep: Option<LockstepMode>,
     /// Chaos-harness perturbation: deterministic follower lag applied to
-    /// the new-version follower while it drains the leader's ring.
+    /// each follower while it drains its leader's ring.
     pub follower_lag: Option<mve::LagPlan>,
-    /// Chaos-harness perturbation: stall every Nth ring pop for the given
-    /// number of nanoseconds (`(every, nanos)`); `None` disables it.
-    pub ring_pop_stall: Option<(u64, u64)>,
 }
 
 impl Default for MvedsuaConfig {
@@ -45,7 +42,6 @@ impl Default for MvedsuaConfig {
             monitor_after_promote: true,
             lockstep: None,
             follower_lag: None,
-            ring_pop_stall: None,
         }
     }
 }
@@ -466,7 +462,7 @@ impl Mvedsua {
                 stage: stage.to_string(),
             });
         };
-        active.ring_a.poison();
+        active.roll_back();
         self.shared.timeline.set_stage(Stage::SingleLeader);
         self.shared.timeline.record(TimelineEvent::RolledBack);
         Ok(())

@@ -3,7 +3,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dsl::RuleSet;
 use dsu::{panic_message, DsuApp, StepOutcome, Version, VersionRegistry};
@@ -11,7 +11,7 @@ use mve::{
     EventRing, FollowerConfig, LeaderConfig, Notice, NoticeHook, NoticeKind, RetireReason,
     RetiredSignal, Role, SyscallStats, VariantId, VariantOs,
 };
-use obs::{Obs, ObsKind, TimeSource};
+use obs::{Obs, ObsKind};
 use parking_lot::Mutex;
 use vos::VirtualKernel;
 
@@ -43,6 +43,18 @@ pub(crate) struct ActiveUpdate {
     pub follower_id: VariantId,
     /// Taken by `promote()`; `None` once promotion was requested.
     pub promote: Option<PromoteAction>,
+}
+
+impl ActiveUpdate {
+    /// Rolls the era back: the follower loses its ring, and a leader
+    /// that already demoted, and so follows ring B, which no one will
+    /// lead now, finds it closed and takes over alone again.
+    pub fn roll_back(self) {
+        self.ring_a.poison();
+        if let Some(ring_b) = self.ring_b {
+            ring_b.close();
+        }
+    }
 }
 
 /// State shared between the controller and the variant runner threads.
@@ -170,7 +182,7 @@ fn finish_failed_follower(shared: &Shared, id: VariantId) {
     let mut active = shared.active_update.lock();
     match active.as_ref() {
         Some(a) if a.follower_id == id => {
-            *active = None;
+            active.take().expect("matched above").roll_back();
             // Era (promote action included), stage, then RolledBack, all
             // under the era lock: a waiter woken by RolledBack must
             // observe the restored stage, and may fork the next update
@@ -218,19 +230,9 @@ fn maybe_fork(shared: &Arc<Shared>, app: &mut Box<dyn DsuApp>, os: &mut VariantO
 
     let from_version = app.version().clone();
     let ring_a: EventRing = Arc::new(ring::Ring::with_capacity(shared.config.ring_capacity));
-    if let Some((every, nanos)) = shared.config.ring_pop_stall {
-        ring_a.set_pop_stall(every, Duration::from_nanos(nanos));
-    }
-    // Stall timing on the kernel clock: under a virtual-only clock the
-    // producer-stall metric is replay-stable instead of wall-dependent.
-    ring_a.set_stall_time_source(shared.kernel.clone() as Arc<dyn TimeSource>);
     shared.register_ring(&ring_a);
     let ring_b: Option<EventRing> = if shared.config.monitor_after_promote {
         let rb: EventRing = Arc::new(ring::Ring::with_capacity(shared.config.ring_capacity));
-        if let Some((every, nanos)) = shared.config.ring_pop_stall {
-            rb.set_pop_stall(every, Duration::from_nanos(nanos));
-        }
-        rb.set_stall_time_source(shared.kernel.clone() as Arc<dyn TimeSource>);
         shared.register_ring(&rb);
         Some(rb)
     } else {
@@ -246,7 +248,7 @@ fn maybe_fork(shared: &Arc<Shared>, app: &mut Box<dyn DsuApp>, os: &mut VariantO
             ring: rb.clone(),
             lockstep: shared.config.lockstep,
         }),
-        lag: shared.config.follower_lag,
+        lag: shared.config.follower_lag.clone(),
     };
     let mut follower_os = VariantOs::follower(
         follower_id,
@@ -269,7 +271,7 @@ fn maybe_fork(shared: &Arc<Shared>, app: &mut Box<dyn DsuApp>, os: &mut VariantO
             rules: job.rev_rules.clone(),
             builtins: job.package.builtins.clone(),
             promote_to: None,
-            lag: shared.config.follower_lag,
+            lag: shared.config.follower_lag.clone(),
         },
         None => {
             let dead: EventRing = Arc::new(ring::Ring::with_capacity(1));
@@ -349,7 +351,13 @@ fn on_notice(shared: &Shared, notice: Notice) {
             shared.timeline.record(TimelineEvent::Demoted {
                 variant: notice.variant,
             });
-            shared.timeline.set_stage(Stage::Switching);
+            // A leader that demotes into an era already rolled back finds
+            // ring B closed and reports BecameSingle next: the session
+            // never switches.
+            let active = shared.active_update.lock();
+            if active.is_some() {
+                shared.timeline.set_stage(Stage::Switching);
+            }
         }
         NoticeKind::BecameLeader => {
             shared.timeline.record(TimelineEvent::Promoted {
@@ -500,7 +508,7 @@ mod tests {
             let shared = shared.clone();
             std::thread::spawn(move || finish_failed_follower(&shared, 7))
         };
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(
             !rolled_back(&shared),
             "RolledBack was reported before the era and its promote action were gone"
@@ -511,5 +519,30 @@ mod tests {
         assert!(rolled_back(&shared));
         assert!(shared.active_update.lock().is_none());
         assert_eq!(shared.timeline.stage(), Stage::SingleLeader);
+    }
+
+    /// A leader that takes its demotion request after its era rolled
+    /// back demotes into ring B: the rollback closed it, so the leader
+    /// takes over alone, and the session never switches.
+    #[test]
+    fn a_demotion_after_rollback_finds_ring_b_closed_and_keeps_the_stage() {
+        let shared = shared();
+        let ring_b: EventRing = Arc::new(ring::Ring::with_capacity(1));
+        *shared.active_update.lock() = Some(ActiveUpdate {
+            ring_a: Arc::new(ring::Ring::with_capacity(1)),
+            ring_b: Some(ring_b.clone()),
+            follower_id: 7,
+            promote: None,
+        });
+        finish_failed_follower(&shared, 7);
+        on_notice(
+            &shared,
+            Notice {
+                variant: 0,
+                kind: NoticeKind::Demoted,
+            },
+        );
+        assert_eq!(shared.timeline.stage(), Stage::SingleLeader);
+        assert_eq!(ring_b.pop_batch(1).unwrap_err(), ring::RingError::Closed);
     }
 }

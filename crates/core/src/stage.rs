@@ -194,13 +194,10 @@ impl Timeline {
     /// Blocks until `pred` holds over the entry list (checked after each
     /// append) or `timeout` elapses. Returns whether the predicate held.
     ///
-    /// The deadline is measured on the **kernel clock**: under a
-    /// virtual-only clock ([`vos::Clock::new_virtual`]) time passes only
-    /// when the driver advances it, so the timeout is deterministic. The
-    /// condvar is still re-armed on short real-time slices so clock
-    /// advances made by other threads are observed promptly, and a
-    /// generous real-time failsafe prevents a stalled driver from
-    /// hanging the test suite forever.
+    /// The deadline is measured on the **kernel clock**, so a test that
+    /// advances it ([`vos::Clock::advance`]) fast-forwards the timeout.
+    /// The condvar is re-armed on short real-time slices so clock
+    /// advances made by other threads are observed promptly.
     pub fn wait_for(
         &self,
         timeout: Duration,
@@ -225,13 +222,12 @@ impl Timeline {
             .kernel
             .now_nanos()
             .saturating_add(timeout.as_nanos().min(u64::MAX as u128) as u64);
-        let failsafe = std::time::Instant::now() + timeout.max(Duration::from_secs(5)) * 4;
         let mut inner = self.inner.lock();
         loop {
             if pred(&inner) {
                 return true;
             }
-            if self.kernel.now_nanos() >= deadline_nanos || std::time::Instant::now() >= failsafe {
+            if self.kernel.now_nanos() >= deadline_nanos {
                 return false;
             }
             let _ = self.changed.wait_for(&mut inner, SLICE);

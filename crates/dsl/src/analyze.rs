@@ -218,8 +218,6 @@ struct Scope {
     used: HashSet<String>,
     /// Names bound by guard `let`s (not visible in templates).
     let_bound: HashSet<String>,
-    /// True while checking templates.
-    in_template: bool,
 }
 
 impl Scope {
@@ -228,7 +226,6 @@ impl Scope {
             vars: HashMap::new(),
             used: HashSet::new(),
             let_bound: HashSet::new(),
-            in_template: false,
         }
     }
 }
@@ -348,6 +345,9 @@ impl<'a> Analyzer<'a> {
             }
         }
 
+        // The match environment: a guard `let` may shadow a binder, but
+        // templates see the binder's value.
+        let binders = scope.vars.clone();
         if let Some(guard) = &rule.guard {
             for (lhs, rhs) in &guard.lets {
                 let v = self.abs_expr(rhs, rule, &mut scope);
@@ -389,7 +389,7 @@ impl<'a> Analyzer<'a> {
 
         // Templates see the match environment only — guard `let`s are
         // not visible there (mirrors the engine).
-        scope.in_template = true;
+        scope.vars = binders;
         for t in &rule.templates {
             self.check_template(rule, t, &mut scope);
         }
@@ -577,25 +577,27 @@ impl<'a> Analyzer<'a> {
     fn abs_expr(&mut self, e: &Expr, rule: &RuleDef, scope: &mut Scope) -> Abs {
         match e {
             Expr::Lit(v) => Abs::Known(v.clone()),
-            Expr::Var(name, span) if scope.in_template && scope.let_bound.contains(name) => {
-                let d = Diagnostic::error(
-                    "RC0101",
-                    format!(
-                        "variable `{name}` is bound by a guard `let` and is not \
-                         visible in templates; only pattern binders are"
-                    ),
-                )
-                .at(*span)
-                .in_rule(&rule.name);
-                self.push(d);
-                scope.used.insert(name.clone());
-                Abs::Any
-            }
             Expr::Var(name, span) => match scope.vars.get(name) {
                 Some(v) => {
                     let v = v.clone();
                     scope.used.insert(name.clone());
                     v
+                }
+                // Only in a template: the guard's names are in scope
+                // throughout the guard.
+                None if scope.let_bound.contains(name) => {
+                    let d = Diagnostic::error(
+                        "RC0101",
+                        format!(
+                            "variable `{name}` is bound by a guard `let` and is not \
+                             visible in templates; only pattern binders are"
+                        ),
+                    )
+                    .at(*span)
+                    .in_rule(&rule.name);
+                    self.push(d);
+                    scope.used.insert(name.clone());
+                    Abs::Any
                 }
                 None => {
                     let d = Diagnostic::error("RC0101", format!("unknown variable `{name}`"))
@@ -909,6 +911,15 @@ mod tests {
         let d = only(&ds, "RC0101");
         assert!(d.message.contains("guard `let`"), "{}", d.message);
         assert_eq!(d.span.unwrap(), Span::new(1, 75));
+    }
+
+    #[test]
+    fn a_template_name_shadowed_by_a_guard_let_is_the_binder() {
+        // The engine instantiates templates in the match environment.
+        let ds = check(
+            "rule shadow { on read(fd, s, n) when { let n = len(s); n > 0 } => write(fd, s, n) }",
+        );
+        assert!(ds.is_empty(), "{ds}");
     }
 
     #[test]

@@ -134,13 +134,14 @@ impl<'a> Run<'a> {
                 .write_file("/motd.txt", MOTD)
                 .expect("seed motd");
         }
+        // Both sampled consumer stalls slow the follower as it replays.
+        let stalls: Vec<(u64, u64)> = [plan.perturb.ring_pop_stall, plan.perturb.follower_lag]
+            .into_iter()
+            .flatten()
+            .collect();
         let config = MvedsuaConfig {
             ring_capacity: plan.perturb.ring_capacity,
-            follower_lag: plan
-                .perturb
-                .follower_lag
-                .map(|(every, nanos)| mve::LagPlan { every, nanos }),
-            ring_pop_stall: plan.perturb.ring_pop_stall,
+            follower_lag: (!stalls.is_empty()).then_some(mve::LagPlan { stalls }),
             ..MvedsuaConfig::default()
         };
         let initial = plan.backend.chain()[0].clone();

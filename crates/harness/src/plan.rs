@@ -106,14 +106,17 @@ pub enum Step {
 }
 
 /// Environmental perturbations, applied through the deterministic hooks
-/// in `vos`, `ring`, and `mve`. They stretch timings without changing
-/// semantics — a run must produce the same canonical trace with or
-/// without them.
+/// in `vos` (the `epoll_wait` delay) and `mve` (the follower's
+/// `LagPlan`, which takes both consumer stalls). They stretch timings
+/// without changing semantics — a run must produce the same canonical
+/// trace with or without them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Perturbations {
     /// Delay every Nth `epoll_wait` by the given nanoseconds.
     pub epoll_delay: Option<(u64, u64)>,
-    /// Stall every Nth ring pop by the given nanoseconds.
+    /// A short consumer stall: sleep before every Nth consumed record.
+    /// Drawn apart from `follower_lag` and rendered as `pop=`, so each
+    /// seed keeps its plan and header.
     pub ring_pop_stall: Option<(u64, u64)>,
     /// Follower lag: sleep before every Nth consumed record.
     pub follower_lag: Option<(u64, u64)>,

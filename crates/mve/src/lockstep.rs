@@ -29,29 +29,34 @@ impl LockstepMode {
 }
 
 /// Deterministic follower-lag perturbation for the chaos harness: the
-/// follower sleeps before every `every`-th record it consumes from the
-/// ring, modelling a follower that falls behind (longer backlogs, later
+/// follower sleeps before some of the records it consumes from the ring,
+/// modelling a follower that falls behind (longer backlogs, later
 /// divergence detection, fuller rings) without changing what it
 /// consumes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LagPlan {
-    /// Lag before every `every`-th consumed record; 0 disables the plan.
-    pub every: u64,
-    /// Length of each injected lag, in nanoseconds.
-    pub nanos: u64,
+    /// `(every, nanos)` pairs: lag `nanos` before every `every`-th
+    /// consumed record. An `every` of 0 never lags.
+    pub stalls: Vec<(u64, u64)>,
 }
 
 impl LagPlan {
-    /// Whether the `count`-th consumed record (1-based) should lag.
-    pub fn applies_at(&self, count: u64) -> bool {
-        self.every > 0 && self.nanos > 0 && count.is_multiple_of(self.every)
+    /// Nanoseconds to lag before the `count`-th consumed record
+    /// (1-based): the sum over the stalls whose `every` divides `count`.
+    pub fn lag_nanos(&self, count: u64) -> u64 {
+        self.stalls
+            .iter()
+            .filter(|&&(every, _)| every > 0 && count.is_multiple_of(every))
+            .map(|&(_, nanos)| nanos)
+            .sum()
     }
 
     /// Sleeps the scheduled lag for the `count`-th consumed record
     /// (1-based), if any.
     pub fn maybe_sleep(&self, count: u64) {
-        if self.applies_at(count) {
-            std::thread::sleep(std::time::Duration::from_nanos(self.nanos));
+        let nanos = self.lag_nanos(count);
+        if nanos > 0 {
+            std::thread::sleep(std::time::Duration::from_nanos(nanos));
         }
     }
 }
@@ -64,5 +69,16 @@ mod tests {
     fn rounds_match_the_modeled_systems() {
         assert_eq!(LockstepMode::Muc.rounds(), 1);
         assert_eq!(LockstepMode::Mx.rounds(), 2);
+    }
+
+    #[test]
+    fn lag_is_the_sum_of_the_stalls_whose_period_divides_the_count() {
+        let plan = LagPlan {
+            stalls: vec![(4, 100), (6, 30), (0, 7)],
+        };
+        let lags: Vec<u64> = (1..=12).map(|n| plan.lag_nanos(n)).collect();
+        assert_eq!(lags, [0, 0, 0, 100, 0, 30, 0, 100, 0, 0, 0, 130]);
+        let none = LagPlan { stalls: Vec::new() };
+        assert!((1..=64).all(|n| none.lag_nanos(n) == 0));
     }
 }

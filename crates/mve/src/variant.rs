@@ -350,6 +350,9 @@ impl VariantOs {
             lockstep: config.lockstep,
             seq: 0,
         });
+        // A demotion requested in an era that rolled back before this
+        // leader took it belongs to that era's rings.
+        self.demote_slot.lock().take();
         // The fork opens a new ring era; positions restart so they
         // align with the follower's replay count.
         self.sem_era = Some(0);
@@ -769,7 +772,7 @@ impl VariantOs {
                 EventRecord::Syscall { seq, record } => {
                     debug_assert!(!state.promote_pending, "leader pushed records after Demote");
                     state.consumed += 1;
-                    if let Some(lag) = state.lag {
+                    if let Some(lag) = &state.lag {
                         lag.maybe_sleep(state.consumed);
                     }
                     state.carried.push(Carried {

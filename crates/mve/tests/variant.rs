@@ -239,6 +239,8 @@ fn poisoning_rolls_back_leader_to_single_and_kills_follower() {
     let client = kernel.connect(5004).unwrap();
     let conn = leader.accept(listener).unwrap();
     kernel.client_send(client, b"abc").unwrap();
+    // Promotion is requested, but the leader has not taken it yet.
+    *leader.demote_slot().lock() = Some(follower_config(new_ring(2)));
 
     // Rollback: coordinator poisons the ring.
     ring_a.poison();
@@ -247,6 +249,13 @@ fn poisoning_rolls_back_leader_to_single_and_kills_follower() {
     let data = leader.read_timeout(conn, 64, 100).unwrap();
     assert_eq!(data, b"abc");
     assert_eq!(leader.role(), Role::Single);
+
+    // The rolled-back era's demotion request dies with it.
+    leader.attach_follower(LeaderConfig {
+        ring: new_ring(2),
+        lockstep: None,
+    });
+    assert!(leader.take_demote_request().is_none());
 
     // A follower attached to the poisoned ring dies with Terminated.
     let mut follower = VariantOs::follower(1, kernel, follower_config(ring_a), None);

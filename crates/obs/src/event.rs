@@ -22,8 +22,8 @@ pub struct ObsEvent {
     /// view reveal how much auxiliary traffic was interleaved.
     pub index: u64,
     /// Timestamp from the recorder's [`TimeSource`](crate::TimeSource).
-    /// Deterministic runs use a frozen or virtual clock, so this is
-    /// replay-stable by construction.
+    /// The kernel clock follows wall time, so canonical dumps leave it
+    /// out.
     pub at_nanos: u64,
     pub kind: ObsKind,
 }

@@ -13,9 +13,10 @@
 //!   closure is not called), so the recorder-off configuration is free.
 //! * [`FlightRecorder`] — fixed-capacity per-variant rings of structured
 //!   [`ObsEvent`]s, timestamped by an injectable [`TimeSource`] (the vos
-//!   virtual clock in harness runs — never the wall clock), with
-//!   last-N-event [`Forensics`] dumps aligned by semantic ring stream
-//!   position and rendered as canonical (replay-stable) JSON.
+//!   kernel clock in harness runs), with last-N-event [`Forensics`]
+//!   dumps aligned by semantic ring stream position and rendered as
+//!   canonical JSON, which leaves timestamps out and so is
+//!   replay-stable.
 //! * [`MetricsRegistry`] — named counters, gauges, and histograms
 //!   aggregated on demand from the ad-hoc counters the substrates
 //!   already keep (`mve` syscall stats, `ring` stats, the session
@@ -24,8 +25,8 @@
 //! The crate sits at the bottom of the dependency graph (it depends on
 //! nothing but `parking_lot`), so `vos`, `ring`, `mve`, and everything
 //! above them can all use it: `vos` implements [`TimeSource`] for its
-//! kernel clock, `ring` routes producer-stall timing through it, and
-//! `mve`/`core` emit each variant's stream events.
+//! kernel clock, `ring` reports its stats into the [`MetricsRegistry`],
+//! and `mve`/`core` emit each variant's stream events.
 //!
 //! # Determinism contract
 //!

@@ -1,9 +1,8 @@
-//! Injectable time sources for the recorder and for ring stall timing.
+//! Injectable time sources for the recorder.
 //!
 //! Every timestamp in the observability layer flows through a
 //! [`TimeSource`] trait object so the caller decides what "now" means:
-//! the vos virtual clock in deterministic harness runs, or a
-//! [`ManualClock`] in tests.
+//! the vos kernel clock in harness runs, or a [`ManualClock`] in tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -11,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// `vos::Clock` and `vos::VirtualKernel` implement this (in the `vos`
 /// crate, to keep the dependency arrow pointing at `obs`), so any layer
-/// holding a kernel handle can hand it to the recorder or the ring.
+/// holding a kernel handle can hand it to the recorder.
 pub trait TimeSource: Send + Sync {
     /// Nanoseconds since this source's epoch.
     fn now_nanos(&self) -> u64;

@@ -80,7 +80,8 @@ pub struct RingStats {
     pub high_water: usize,
     /// Times a `push` had to block on a full ring.
     pub producer_stalls: u64,
-    /// Cumulative nanoseconds producers spent blocked.
+    /// Cumulative wall-clock nanoseconds producers spent blocked.
+    /// Timing-dependent like `parks`.
     pub producer_stall_nanos: u64,
     /// Times the consumer parked on an empty ring. Depends on timing,
     /// so it stays out of replay-stable output.

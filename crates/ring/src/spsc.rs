@@ -26,10 +26,7 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
+use std::time::Instant;
 
 use crate::wait::{Backoff, WaitSet};
 use crate::{RingError, RingStats};
@@ -79,7 +76,7 @@ struct ProducerSide {
     kicked: AtomicU64,
 }
 
-/// State only the consumer writes, plus the chaos stall config.
+/// State only the consumer writes.
 #[derive(Default)]
 struct ConsumerSide {
     busy: AtomicBool,
@@ -88,13 +85,6 @@ struct ConsumerSide {
     /// only when someone is parked, and the publish that rings it sets
     /// it to `u64::MAX`, so the doorbell rings once per mark.
     wake_at: AtomicU64,
-    /// Monotone stall schedule index: one per record taken, or one per
-    /// `pop_batch` call that takes none.
-    pops: AtomicU64,
-    /// Stall at every Nth schedule index; 0 disables the perturbation.
-    pop_stall_every: AtomicU64,
-    /// Length of each injected consumer stall, in nanoseconds.
-    pop_stall_nanos: AtomicU64,
 }
 
 /// A bounded, blocking, FIFO ring buffer with one producer and one
@@ -122,17 +112,12 @@ pub struct Ring<T> {
     space_waiters: WaitSet,
     producer: CachePadded<ProducerSide>,
     consumer: CachePadded<ConsumerSide>,
-    /// Clock for measuring producer stall time. `None` (the default)
-    /// means wall clock; the harness injects the vos virtual clock so
-    /// `producer_stall_nanos` is replay-stable across runs of the same
-    /// chaos seed. Read only on the cold full-ring path.
-    stall_clock: Mutex<Option<Arc<dyn obs::TimeSource>>>,
 }
 
 // SAFETY: records are written on the producer's thread and moved out
 // on the consumer's; the busy flags and the head/tail handoff give every
 // slot one accessor at a time, so `T: Send` is enough. Every other field
-// is an atomic, a `WaitSet` or a `Mutex`.
+// is an atomic or a `WaitSet`.
 unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
@@ -162,29 +147,7 @@ impl<T> Ring<T> {
             space_waiters: WaitSet::new(),
             producer: CachePadded::default(),
             consumer: CachePadded::default(),
-            stall_clock: Mutex::new(None),
         }
-    }
-
-    /// Route producer stall timing through `source` instead of the wall
-    /// clock. With a virtual or manual clock, `producer_stall_nanos`
-    /// becomes a pure function of clock advances — deterministic across
-    /// replays of the same schedule — instead of of scheduler timing.
-    pub fn set_stall_time_source(&self, source: Arc<dyn obs::TimeSource>) {
-        *self.stall_clock.lock() = Some(source);
-    }
-
-    /// Perturbation hook for the chaos harness: the consumer sleeps for
-    /// `stall` at every `every`-th record it takes (a `pop_batch` call
-    /// that takes none counts as one), modelling a descheduled or
-    /// lagging consumer. `every == 0` disables it. Only timing shifts;
-    /// FIFO order and delivery are untouched.
-    pub fn set_pop_stall(&self, every: u64, stall: Duration) {
-        let consumer = &self.consumer.0;
-        consumer
-            .pop_stall_nanos
-            .store(stall.as_nanos() as u64, Ordering::Relaxed);
-        consumer.pop_stall_every.store(every, Ordering::Relaxed);
     }
 
     /// The fixed capacity.
@@ -268,14 +231,7 @@ impl<T> Ring<T> {
                 self.ring_doorbell(tail);
                 rang = true;
             }
-            // Stall time on the injected clock if any, else wall time.
-            let (clock, epoch) = (self.stall_clock.lock().clone(), Instant::now());
-            let now = || {
-                clock
-                    .as_ref()
-                    .map_or_else(|| epoch.elapsed().as_nanos() as u64, |c| c.now_nanos())
-            };
-            let begin = now();
+            let begin = Instant::now();
             // Park until the consumer frees a slot (or the ring dies);
             // the ready closure keeps this immune to lost wakeups.
             let ready = || {
@@ -286,7 +242,7 @@ impl<T> Ring<T> {
             backoff.idle(&self.space_waiters, ready);
             producer
                 .stall_nanos
-                .fetch_add(now().saturating_sub(begin), Ordering::Relaxed);
+                .fetch_add(begin.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 
@@ -410,35 +366,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Advances the chaos stall schedule by `count` indices in one
-    /// counter update and sleeps once per scheduled index in the
-    /// window, so batched draining consumes exactly the indices that
-    /// record-at-a-time draining would.
-    fn apply_pop_stall(&self, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let consumer = &self.consumer.0;
-        let every = consumer.pop_stall_every.load(Ordering::Relaxed);
-        if every == 0 {
-            // The call counter only matters while the perturbation is
-            // armed, and the chaos harness arms it before the first take
-            // — skip the counter update on the unperturbed hot path.
-            return;
-        }
-        let start = consumer.pops.fetch_add(count, Ordering::Relaxed);
-        let stall = Duration::from_nanos(consumer.pop_stall_nanos.load(Ordering::Relaxed));
-        if stall.is_zero() {
-            return;
-        }
-        // First multiple of `every` at or after `start`.
-        let mut index = start.div_ceil(every) * every;
-        while index < start + count {
-            std::thread::sleep(stall);
-            index += every;
-        }
-    }
-
     /// Blocks until a record is published past `head` and returns
     /// `(head, tail)`. Called with the consumer end held, so `head`
     /// cannot move underneath. On an empty ring it parks at once and
@@ -503,8 +430,6 @@ impl<T> Ring<T> {
     /// [`Ring::kick`], `close`, `poison`, `wait_empty` and a producer
     /// blocked on a full ring wake it early. So a consumer that keeps up
     /// costs one wakeup per mark rather than one per record.
-    /// The chaos stall schedule still advances once per record, keeping
-    /// perturbation density identical to record-at-a-time consumption.
     ///
     /// # Errors
     /// When no record could be taken at all: [`RingError::Closed`] once
@@ -518,7 +443,6 @@ impl<T> Ring<T> {
         if max == 0 {
             return Ok(Vec::new());
         }
-        self.apply_pop_stall(1);
         let mark = max.min(self.capacity / 2).max(1) as u64;
         let (head, tail) = self.published(mark)?;
         let run = (tail - head).min(max as u64);
@@ -529,9 +453,6 @@ impl<T> Ring<T> {
             .map(|position| unsafe { (*self.slot(position)).assume_init_read() })
             .collect();
         self.release(head + run);
-        // One schedule slot per record, like record-at-a-time draining
-        // (the first was consumed on entry).
-        self.apply_pop_stall(run - 1);
         Ok(out)
     }
 }
@@ -561,7 +482,9 @@ impl<T> std::fmt::Debug for Ring<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order() {

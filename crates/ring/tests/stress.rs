@@ -1,7 +1,6 @@
 //! Concurrency stress tests for the ring's edge semantics: close/poison
 //! wakeup ordering, the one-producer/one-consumer contract, move-out
-//! ownership of records, and the determinism of the `set_pop_stall`
-//! chaos hook.
+//! ownership of records, and the doorbell under random schedules.
 
 use ring::{Ring, RingError};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -50,76 +49,6 @@ fn close_and_poison_wake_every_blocked_thread() {
     }
 }
 
-/// The chaos stall schedule is a pure function of the take count:
-/// indices 0, every, 2·every, … stall. The counter advances once per
-/// record taken, and once for a `pop_batch` call that takes none, so a
-/// chaos seed replays the identical schedule through the lock-free
-/// implementation.
-#[test]
-fn pop_stall_schedule_is_call_indexed_and_deterministic() {
-    // Deterministic delivery check: with a stall on every take, FIFO
-    // order and exactly-once delivery are unchanged.
-    let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(8));
-    r.set_pop_stall(1, Duration::from_micros(50));
-    for i in 0..32 {
-        r.push(i).unwrap();
-        assert_eq!(r.pop_batch(1).unwrap(), [i]);
-    }
-
-    // Schedule check: stall every 3rd call, observable as latency on
-    // call indices 0, 3, 6, … and (crucially) *not* on the others.
-    let r: Ring<u64> = Ring::with_capacity(8);
-    let stall = Duration::from_millis(30);
-    r.set_pop_stall(3, stall);
-    let mut stalled_calls = Vec::new();
-    for call in 0..9u64 {
-        r.push(call).unwrap();
-        let begin = std::time::Instant::now();
-        r.pop_batch(1).unwrap();
-        if begin.elapsed() >= stall {
-            stalled_calls.push(call);
-        }
-    }
-    assert_eq!(stalled_calls, vec![0, 3, 6]);
-
-    // Call-indexing includes unsuccessful calls, exactly like the old
-    // mutex ring: a call that finds the ring closed and drained
-    // consumes a schedule slot.
-    let r: Ring<u64> = Ring::with_capacity(8);
-    r.set_pop_stall(2, stall);
-    r.push(7).unwrap();
-    r.close();
-    let begin = std::time::Instant::now();
-    assert_eq!(r.pop_batch(1).unwrap(), [7]); // index 0: stalls
-    assert!(begin.elapsed() >= stall);
-    let begin = std::time::Instant::now();
-    assert_eq!(r.pop_batch(1).unwrap_err(), RingError::Closed); // 1: no stall
-    assert!(begin.elapsed() < stall);
-    let begin = std::time::Instant::now();
-    assert_eq!(r.pop_batch(1).unwrap_err(), RingError::Closed); // 2: stalls
-    assert!(begin.elapsed() >= stall);
-}
-
-/// Batched pops advance the same stall schedule once per record taken,
-/// keeping perturbation density identical to record-at-a-time draining.
-#[test]
-fn pop_batch_advances_stall_schedule_per_record() {
-    let r: Ring<u64> = Ring::with_capacity(16);
-    let stall = Duration::from_millis(25);
-    r.set_pop_stall(4, stall);
-    for i in 0..8u64 {
-        r.push(i).unwrap();
-    }
-    // Batch of 4 consumes schedule slots 0..4 (slot 0 stalls).
-    let begin = std::time::Instant::now();
-    assert_eq!(r.pop_batch(4).unwrap(), vec![0, 1, 2, 3]);
-    assert!(begin.elapsed() >= stall);
-    // Next batch consumes slots 4..8 (slot 4 stalls again).
-    let begin = std::time::Instant::now();
-    assert_eq!(r.pop_batch(4).unwrap(), vec![4, 5, 6, 7]);
-    assert!(begin.elapsed() >= stall);
-}
-
 /// Hammer `wait_empty` against concurrent push/drain traffic: it must
 /// return only at true empty points and never deadlock.
 #[test]
@@ -142,51 +71,6 @@ fn wait_empty_rendezvous_under_contention() {
         r.close();
         assert_eq!(consumer.join().unwrap(), 100);
     }
-}
-
-/// With an injected time source, `producer_stall_nanos` is a pure
-/// function of how far that clock advanced while the producer was
-/// blocked — real scheduling time must not leak in. Two runs of the
-/// same schedule (with wildly different wall-clock sleeps) measure the
-/// identical stall duration, which is what makes `RingStats`
-/// replay-stable under the chaos harness.
-#[test]
-fn injected_stall_clock_makes_stall_nanos_deterministic() {
-    fn run(wall_sleep: Duration) -> u64 {
-        let clock = Arc::new(obs::ManualClock::new());
-        let r: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1));
-        r.set_stall_time_source(clock.clone() as Arc<dyn obs::TimeSource>);
-        r.push(0).unwrap();
-        let stalled = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let producer = {
-            let r = r.clone();
-            let stalled = stalled.clone();
-            thread::spawn(move || {
-                stalled.store(true, Ordering::SeqCst);
-                r.push(1).unwrap();
-            })
-        };
-        // Wait until the producer has actually blocked on the full
-        // ring, then hold it there for a run-dependent amount of real
-        // time while the virtual clock advances by exactly 40_000 ns.
-        while !stalled.load(Ordering::SeqCst) || r.stats().producer_stalls == 0 {
-            thread::yield_now();
-        }
-        thread::sleep(wall_sleep);
-        clock.advance(40_000);
-        assert_eq!(r.pop_batch(1).unwrap(), [0]);
-        producer.join().unwrap();
-        assert_eq!(r.pop_batch(1).unwrap(), [1]);
-        r.stats().producer_stall_nanos
-    }
-
-    let fast = run(Duration::from_millis(1));
-    let slow = run(Duration::from_millis(60));
-    // Spurious wakeups may split the wait into several zero-length
-    // stalls, but the *measured nanoseconds* come only from the manual
-    // clock: exactly the 40_000 ns it was advanced by, in both runs.
-    assert_eq!(fast, 40_000);
-    assert_eq!(slow, fast);
 }
 
 /// A payload that counts its drops, per record id.

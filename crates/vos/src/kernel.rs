@@ -84,7 +84,8 @@ pub struct VirtualKernel {
     next_pid: AtomicU32,
     clock: Clock,
     fs: MemFs,
-    /// Monotone `epoll_wait` call counter (drives the delay schedule).
+    /// `epoll_wait` calls made while the delay is armed (drives the
+    /// delay schedule).
     epoll_calls: AtomicU64,
     /// Delay every Nth `epoll_wait` call; 0 disables the perturbation.
     epoll_delay_every: AtomicU64,
@@ -95,23 +96,12 @@ pub struct VirtualKernel {
 impl VirtualKernel {
     /// Boots an empty kernel.
     pub fn new() -> Arc<Self> {
-        Self::with_clock(Clock::new())
-    }
-
-    /// Boots an empty kernel whose clock only moves via
-    /// [`Clock::advance`] — the chaos harness uses this so timestamps
-    /// are a pure function of the driven schedule.
-    pub fn new_virtual() -> Arc<Self> {
-        Self::with_clock(Clock::new_virtual())
-    }
-
-    fn with_clock(clock: Clock) -> Arc<Self> {
         Arc::new(VirtualKernel {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             listeners: Mutex::new(HashMap::new()),
             next_fd: AtomicU64::new(3),
             next_pid: AtomicU32::new(100),
-            clock,
+            clock: Clock::new(),
             fs: MemFs::new(),
             epoll_calls: AtomicU64::new(0),
             epoll_delay_every: AtomicU64::new(0),
@@ -121,7 +111,8 @@ impl VirtualKernel {
 
     /// Perturbation hook: every `every`-th `epoll_wait` call stalls for
     /// `delay` before scanning readiness, shifting wakeup alignment the
-    /// way a loaded host kernel would. `every == 0` disables it.
+    /// way a loaded host kernel would; calls are counted from the first
+    /// one made while armed. `every == 0` disables it.
     /// Semantics are preserved — a stalled wait still honours its
     /// deadline and readiness set.
     pub fn set_epoll_delay(&self, every: u64, delay: Duration) {
@@ -423,9 +414,16 @@ impl VirtualKernel {
         // (the delay counts against its timeout) or one whose first scan
         // found nothing.
         let mut deadline = None;
-        let call_index = self.epoll_calls.fetch_add(1, Ordering::Relaxed);
+        // The call counter only matters while the delay is armed, and the
+        // chaos harness arms it before launch: an unperturbed wait skips
+        // the shared counter.
         let every = self.epoll_delay_every.load(Ordering::Relaxed);
-        if every > 0 && call_index.is_multiple_of(every) {
+        if every > 0
+            && self
+                .epoll_calls
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(every)
+        {
             let delay = Duration::from_nanos(self.epoll_delay_nanos.load(Ordering::Relaxed));
             if !delay.is_zero() {
                 deadline = Some(Instant::now() + timeout);
@@ -538,7 +536,7 @@ impl PayloadRef<'_> {
 }
 
 /// An `Arc<VirtualKernel>` coerces to `Arc<dyn obs::TimeSource>`, so
-/// layers that hold a kernel handle (the ring's stall timer, the
+/// layers that hold a kernel handle (the flight recorder, the
 /// controller's metrics) can time against the kernel clock directly.
 impl obs::TimeSource for VirtualKernel {
     fn now_nanos(&self) -> u64 {
@@ -677,6 +675,27 @@ mod tests {
         let _c = k.connect(80).unwrap();
         assert_eq!(t.join().unwrap(), vec![l]);
         assert!(k.epoll_wakeups(ep).unwrap() >= 1);
+    }
+
+    #[test]
+    fn epoll_delay_counts_only_the_calls_made_while_armed() {
+        let k = VirtualKernel::new();
+        let l = k.listen(80).unwrap();
+        let ep = k.epoll_create().unwrap();
+        k.epoll_ctl(ep, CtlOp::Add, l).unwrap();
+        let _c = k.connect(80).unwrap();
+        // An unarmed wait leaves the schedule alone.
+        assert_eq!(k.epoll_wait(ep, 8, Duration::ZERO).unwrap(), [l]);
+        let delay = Duration::from_millis(30);
+        k.set_epoll_delay(2, delay);
+        let delayed: Vec<u32> = (0..5)
+            .filter(|_| {
+                let begin = Instant::now();
+                assert_eq!(k.epoll_wait(ep, 8, Duration::ZERO).unwrap(), [l]);
+                begin.elapsed() >= delay
+            })
+            .collect();
+        assert_eq!(delayed, [0, 2, 4]);
     }
 
     #[test]

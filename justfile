@@ -71,8 +71,22 @@ bench-obs:
 lint-rules:
     cargo run --release -p mvedsua-harness -- lint --corpus tests/fixtures/rules/good_wording.rules
 
+# The planted-bad rule fixtures must each make `harness lint` exit with
+# 1 (a panic exits 101, so a crashing linter does not count).
+lint-rules-bad:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for f in tests/fixtures/rules/bad_*.rules; do
+        status=0
+        cargo run --release -p mvedsua-harness -- lint "$f" || status=$?
+        if [ "$status" -ne 1 ]; then
+            echo "expected $f to fail the lint with exit 1, got $status" >&2
+            exit 1
+        fi
+    done
+
 # Mirror of the CI pipeline: lint, tier-1 verify, workspace and
-# lifebench tests, chaos smoke, bench smoke.
+# lifebench tests, rule lint, chaos and obs smoke, bench smoke.
 ci:
     cargo fmt --all -- --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -80,7 +94,9 @@ ci:
     just test-all
     just test-lifebench
     just lint-rules
+    just lint-rules-bad
     just chaos-smoke
+    just obs-smoke
     just bench-ring-smoke
     just bench-vos-smoke
 

@@ -22,7 +22,10 @@ base=target/chaos-traces-vs/base
 out=target/chaos-traces-vs/out
 rm -rf "$base/tree"
 mkdir -p "$base/tree"
-git archive "$rev" | tar -x -C "$base/tree"
+# `-m` stamps the files with the extraction time: with REV's commit
+# time they could look older than a build of an earlier REV left in
+# "$base/target", and cargo would reuse that stale build.
+git archive "$rev" | tar -x -m -C "$base/tree"
 cargo build --release --offline -p mvedsua-harness \
     --manifest-path "$base/tree/Cargo.toml" --target-dir "$base/target"
 cargo build --release --offline -p mvedsua-harness

@@ -21,7 +21,10 @@ base=target/lifebench-pairs/base
 out=target/lifebench-pairs/out
 rm -rf "$base/tree"
 mkdir -p "$base/tree" "$out"
-git archive "$rev" | tar -x -C "$base/tree"
+# `-m` stamps the files with the extraction time: with REV's commit
+# time they could look older than a build of an earlier REV left in
+# "$base/target", and cargo would reuse that stale build.
+git archive "$rev" | tar -x -m -C "$base/tree"
 cargo build --release --offline --manifest-path "$base/tree/lifebench/Cargo.toml" \
     --target-dir "$base/target"
 cargo build --release --offline --manifest-path lifebench/Cargo.toml

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use dsu::{DsuControl, FaultPlan, ServeExit, UpdateRequest, XformFault};
-use mvedsua::{Mvedsua, MvedsuaConfig, Stage, TimelineEvent};
+use mvedsua::{Mvedsua, MvedsuaConfig, MvedsuaError, Stage, TimelineEvent};
 use servers::{kvstore, memcached, redis};
 use workload::LineClient;
 
@@ -165,6 +165,47 @@ fn corrupt_field_diverges_when_the_bad_default_is_read() {
     }));
     assert_eq!(session.active_version(), dsu::v(kvstore::V1));
     session.shutdown();
+}
+
+#[test]
+fn a_divergence_after_promote_rolls_back_and_the_old_version_serves() {
+    // The follower lags, so the divergence lands after `promote`, while
+    // the old leader has demoted and waits on the reverse ring.
+    let port = 7609;
+    let session = Mvedsua::launch_observed(
+        vos::VirtualKernel::new(),
+        kvstore::registry(port),
+        dsu::v(kvstore::V1),
+        MvedsuaConfig {
+            follower_lag: Some(mve::LagPlan {
+                stalls: vec![(1, 20_000_000)],
+            }),
+            ..MvedsuaConfig::default()
+        },
+        obs::Obs::disabled(),
+    )
+    .unwrap();
+    let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
+    assert_eq!(ask(&mut c, "PUT balance 1000"), "OK");
+    session
+        .update_monitored(
+            kvstore::update_package(FaultPlan::with_xform(XformFault::CorruptField)),
+            Duration::from_millis(50),
+        )
+        .unwrap();
+    assert_eq!(ask(&mut c, "GET balance"), "VAL 1000");
+    session.promote().unwrap();
+    assert!(session.timeline().wait_for(Duration::from_secs(10), |es| {
+        es.iter()
+            .any(|e| matches!(e.event, TimelineEvent::RolledBack))
+    }));
+    assert!(session
+        .timeline()
+        .wait_for_stage(Stage::SingleLeader, Duration::from_secs(5)));
+    assert_eq!(ask(&mut c, "GET balance"), "VAL 1000");
+    assert_eq!(session.active_version(), dsu::v(kvstore::V1));
+    let report = session.shutdown();
+    assert!(!report.contains(|e| matches!(e, TimelineEvent::Promoted { .. })));
 }
 
 #[test]
@@ -362,6 +403,31 @@ fn hammer_pairs(
     false
 }
 
+/// Promotes the monitored update and waits until the new version leads.
+/// False if a divergence rolled the update back first: the new version
+/// is monitored until it takes over, so the follower may still diverge
+/// on the records it replays after `promote`, or before it, in which
+/// case `promote` finds nothing to promote.
+fn promote_and_take_over(session: &Mvedsua) -> bool {
+    let base = session.timeline().len();
+    match session.promote() {
+        Ok(()) => {}
+        Err(MvedsuaError::WrongStage { .. }) => return false,
+        Err(e) => panic!("promote: {e}"),
+    }
+    assert!(session.timeline().wait_for(Duration::from_secs(10), |es| {
+        es[base..].iter().any(|e| {
+            matches!(
+                e.event,
+                TimelineEvent::StageChanged {
+                    stage: Stage::UpdatedLeader
+                } | TimelineEvent::RolledBack
+            )
+        })
+    }));
+    session.stage() == Stage::UpdatedLeader
+}
+
 #[test]
 fn skipped_ephemeral_reset_diverges_and_retry_succeeds() {
     let port = 7607;
@@ -401,38 +467,27 @@ fn skipped_ephemeral_reset_diverges_and_retry_succeeds() {
             ),
             Duration::from_millis(50),
         );
-        match result {
-            Err(_) => {
-                diverged_at_least_once = true;
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-            Ok(()) => {
-                // Monitored: now stress dispatch order. A divergence here
-                // rolls back; retry like the paper did.
-                if hammer_pairs(&session, &mut c1, &mut c2, 20) {
-                    diverged_at_least_once = true;
-                    assert!(session
-                        .timeline()
-                        .wait_for_stage(Stage::SingleLeader, Duration::from_secs(5)));
-                    if attempts >= 20 {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                    continue;
-                }
-                // Survived the stress: promote, commit, finish.
-                session.promote().unwrap();
-                assert!(session
-                    .timeline()
-                    .wait_for_stage(Stage::UpdatedLeader, Duration::from_secs(10)));
-                session.finalize().unwrap();
-                assert!(session
-                    .timeline()
-                    .wait_for_stage(Stage::SingleLeader, Duration::from_secs(10)));
-                break;
-            }
+        // Monitored: now stress dispatch order, then promote. A divergence
+        // before the new version takes over rolls back; retry like the
+        // paper did.
+        let took_over = result.is_ok()
+            && !hammer_pairs(&session, &mut c1, &mut c2, 20)
+            && promote_and_take_over(&session);
+        if took_over {
+            session.finalize().unwrap();
+            assert!(session
+                .timeline()
+                .wait_for_stage(Stage::SingleLeader, Duration::from_secs(10)));
+            break;
         }
+        diverged_at_least_once = true;
+        assert!(session
+            .timeline()
+            .wait_for_stage(Stage::SingleLeader, Duration::from_secs(5)));
+        if attempts >= 20 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
     }
     assert!(attempts >= 1);
     // With the reset skipped and adversarial traffic, the divergence
