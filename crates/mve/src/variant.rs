@@ -533,112 +533,52 @@ impl VariantOs {
     /// dictates.
     fn dispatch(&mut self, call: Syscall) -> SysRet {
         loop {
-            match self.role() {
-                Role::Single => {
+            let (ret, role, raw_pos, to_single) = match &mut self.role {
+                RoleState::Single => {
                     let ret = execute_call(&self.kernel, self.pid, &call);
-                    self.stats.track(&call, &ret);
-                    let (semantic, pos) = self.tag_semantic(&call, &ret);
-                    self.obs.emit(self.id, || ObsKind::Syscall {
-                        role: "single",
-                        call: call.to_string(),
-                        ret: render_ret(&ret),
-                        semantic,
-                        pos,
-                        raw_pos: None,
-                    });
-                    return ret;
+                    (ret, "single", None, false)
                 }
-                Role::Leader => {
-                    if let RoleState::Leader(state) = &self.role {
-                        if may_block_untimed(&call) {
-                            state.ring.kick();
-                        }
+                RoleState::Leader(state) => {
+                    if may_block_untimed(&call) {
+                        state.ring.kick();
                     }
                     let ret = execute_call(&self.kernel, self.pid, &call);
-                    self.stats.track(&call, &ret);
-                    let (semantic, pos) = self.tag_semantic(&call, &ret);
-                    let mut to_single = false;
-                    let mut raw_pos = None;
-                    if let RoleState::Leader(state) = &mut self.role {
-                        state.seq += 1;
-                        raw_pos = Some(state.seq);
-                        let record = EventRecord::Syscall {
-                            seq: state.seq,
-                            record: SyscallRecord {
-                                call: call.clone(),
-                                ret: ret.clone(),
-                            },
-                        };
-                        match state.ring.push(record) {
-                            Ok(()) => {
-                                if came_back_idle(&ret) {
-                                    state.ring.kick();
-                                }
-                                if let Some(mode) = state.lockstep {
-                                    for _ in 0..mode.rounds() {
-                                        if state.ring.wait_empty().is_err() {
-                                            to_single = true;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            // Rollback: the follower is gone; revert to
-                            // single-leader mode and keep serving.
-                            Err(RingError::Poisoned) | Err(RingError::Closed) => to_single = true,
-                        }
-                    }
-                    self.obs.emit(self.id, || ObsKind::Syscall {
-                        role: "leader",
-                        call: call.to_string(),
-                        ret: render_ret(&ret),
-                        semantic,
-                        pos,
-                        raw_pos,
-                    });
-                    if to_single {
-                        self.role = RoleState::Single;
-                        self.notify(NoticeKind::BecameSingle);
-                    }
-                    return ret;
-                }
-                Role::Follower => {
-                    let sem_pos = self.sem_era.unwrap_or(0);
-                    let verdict = match &mut self.role {
-                        RoleState::Follower(state) => {
-                            Self::follower_step(self.id, state, &call, &self.obs, sem_pos)
-                        }
-                        _ => unreachable!("role checked above"),
+                    state.seq += 1;
+                    let record = EventRecord::Syscall {
+                        seq: state.seq,
+                        record: SyscallRecord {
+                            call: call.clone(),
+                            ret: ret.clone(),
+                        },
                     };
-                    match verdict {
-                        FollowerVerdict::Ret { ret, seq } => {
-                            self.stats.track(&call, &ret);
-                            let (semantic, pos) = self.tag_semantic(&call, &ret);
-                            self.obs.emit(self.id, || ObsKind::Syscall {
-                                role: "follower",
-                                call: call.to_string(),
-                                ret: render_ret(&ret),
-                                semantic,
-                                pos,
-                                raw_pos: Some(seq),
-                            });
-                            return ret;
+                    let to_single = match state.ring.push(record) {
+                        Ok(()) => {
+                            if came_back_idle(&ret) {
+                                state.ring.kick();
+                            }
+                            let rounds = state.lockstep.map_or(0, LockstepMode::rounds);
+                            (0..rounds).any(|_| state.ring.wait_empty().is_err())
                         }
+                        // Rollback: the follower is gone; revert to
+                        // single-leader mode and keep serving.
+                        Err(RingError::Poisoned) | Err(RingError::Closed) => true,
+                    };
+                    (ret, "leader", Some(state.seq), to_single)
+                }
+                RoleState::Follower(state) => {
+                    let sem_pos = self.sem_era.unwrap_or(0);
+                    match Self::follower_step(self.id, state, &call, &self.obs, sem_pos) {
+                        FollowerVerdict::Ret { ret, seq } => (ret, "follower", Some(seq), false),
                         FollowerVerdict::Promote => {
+                            let promote_to = state.promote_to.take();
                             // Mirror of demote-push: the position is the
                             // count of semantic records replayed in the
                             // era that the Demote marker ends.
-                            let demote_pos = self.sem_era.unwrap_or(0);
                             self.obs.emit(self.id, || ObsKind::Control {
                                 what: "demote-pop",
-                                pos: demote_pos,
+                                pos: sem_pos,
                             });
                             self.sem_era = Some(0);
-                            let promote_to =
-                                match std::mem::replace(&mut self.role, RoleState::Single) {
-                                    RoleState::Follower(st) => st.promote_to,
-                                    _ => unreachable!(),
-                                };
                             match promote_to {
                                 Some(config) => {
                                     self.role = RoleState::Leader(LeaderState {
@@ -649,6 +589,7 @@ impl VariantOs {
                                     self.notify(NoticeKind::BecameLeader);
                                 }
                                 None => {
+                                    self.role = RoleState::Single;
                                     self.notify(NoticeKind::BecameSingle);
                                 }
                             }
@@ -661,7 +602,22 @@ impl VariantOs {
                         }
                     }
                 }
+            };
+            self.stats.track(&call, &ret);
+            let (semantic, pos) = self.tag_semantic(&call, &ret);
+            self.obs.emit(self.id, || ObsKind::Syscall {
+                role,
+                call: call.to_string(),
+                ret: render_ret(&ret),
+                semantic,
+                pos,
+                raw_pos,
+            });
+            if to_single {
+                self.role = RoleState::Single;
+                self.notify(NoticeKind::BecameSingle);
             }
+            return ret;
         }
     }
 

@@ -35,23 +35,12 @@ struct Listener {
     waiters: Arc<WaitSet>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Resource {
     Listener(Arc<Listener>),
     Stream(Arc<StreamEnd>),
     Epoll(Arc<EpollState>),
     File(Arc<Mutex<FileHandle>>),
-}
-
-impl Clone for Resource {
-    fn clone(&self) -> Self {
-        match self {
-            Resource::Listener(l) => Resource::Listener(l.clone()),
-            Resource::Stream(s) => Resource::Stream(s.clone()),
-            Resource::Epoll(e) => Resource::Epoll(e.clone()),
-            Resource::File(f) => Resource::File(f.clone()),
-        }
-    }
 }
 
 /// One fd-table slot: the resource plus the wait-set that epoll
@@ -191,13 +180,6 @@ impl VirtualKernel {
         Ok(self.epoll(ep)?.wakeups())
     }
 
-    /// Threads currently parked in `epoll_wait` on instance `ep`
-    /// (diagnostics: lets tests rendezvous with a parked waiter instead
-    /// of sleeping).
-    pub fn epoll_waiters(&self, ep: Fd) -> OsResult<usize> {
-        Ok(self.epoll(ep)?.notifier().parked())
-    }
-
     /// Bytes buffered toward the reader of `fd` (diagnostics).
     pub fn pending_bytes(&self, fd: Fd) -> OsResult<usize> {
         match self.resource(fd)? {
@@ -206,12 +188,14 @@ impl VirtualKernel {
         }
     }
 
-    /// Readers currently parked in a blocking `read` on `fd`
-    /// (diagnostics: lets tests rendezvous with a blocked reader
-    /// instead of sleeping).
-    pub fn waiting_readers(&self, fd: Fd) -> OsResult<usize> {
+    /// Threads currently parked in a blocking call on `fd`: readers of a
+    /// stream, or `epoll_wait`ers on an epoll instance (diagnostics: lets
+    /// tests rendezvous with a parked thread instead of sleeping). A wait
+    /// that ends inside its spin never counts.
+    pub fn parked(&self, fd: Fd) -> OsResult<usize> {
         match self.resource(fd)? {
-            Resource::Stream(s) => Ok(s.waiting_readers()),
+            Resource::Stream(s) => Ok(s.parked()),
+            Resource::Epoll(e) => Ok(e.notifier().parked()),
             _ => Err(Errno::Inval),
         }
     }
@@ -427,7 +411,7 @@ impl VirtualKernel {
             let delay = Duration::from_nanos(self.epoll_delay_nanos.load(Ordering::Relaxed));
             if !delay.is_zero() {
                 deadline = Some(Instant::now() + timeout);
-                let seen = state.notifier().current();
+                let seen = state.notifier().changes();
                 state.notifier().wait_change(seen, delay);
             }
         }
@@ -438,10 +422,10 @@ impl VirtualKernel {
         }
         let deadline = deadline.unwrap_or_else(|| Instant::now() + timeout);
         loop {
-            // Read the generation before the rescan: an event landing
-            // between the rescan and the park has bumped past `seen`, so
+            // Read the count before the rescan: an event landing between
+            // the rescan and the park has bumped past `seen`, so
             // `wait_change` returns at once — no lost-wakeup window.
-            let seen = state.notifier().current();
+            let seen = state.notifier().changes();
             let ready = self.scan_ready(&state, max);
             if !ready.is_empty() {
                 return Ok(ready);
@@ -450,7 +434,7 @@ impl VirtualKernel {
             if now >= deadline {
                 return Ok(Vec::new());
             }
-            if state.notifier().wait_change(seen, deadline - now) != seen {
+            if state.notifier().wait_change(seen, deadline - now) {
                 state.note_wakeup();
             }
         }
@@ -552,7 +536,7 @@ mod tests {
     /// after 10 s, so a wait that never parks fails instead of hanging.
     fn await_epoll_waiter(k: &VirtualKernel, ep: Fd) {
         let give_up = Instant::now() + Duration::from_secs(10);
-        while k.epoll_waiters(ep).unwrap() == 0 {
+        while k.parked(ep).unwrap() == 0 {
             assert!(Instant::now() < give_up, "epoll_wait never parked");
             std::thread::yield_now();
         }
@@ -585,9 +569,9 @@ mod tests {
             assert_eq!(k.client_recv(c, 64).unwrap(), &i.to_le_bytes()[..]);
         }
         server.join().unwrap();
-        assert_eq!(k.epoll_waiters(ep).unwrap(), 0);
-        assert_eq!(k.waiting_readers(s).unwrap(), 0);
-        assert_eq!(k.waiting_readers(c).unwrap(), 0);
+        assert_eq!(k.parked(ep).unwrap(), 0);
+        assert_eq!(k.parked(s).unwrap(), 0);
+        assert_eq!(k.parked(c).unwrap(), 0);
     }
 
     #[test]
@@ -713,7 +697,7 @@ mod tests {
         let k2 = k.clone();
         let t =
             std::thread::spawn(move || k2.epoll_wait(ep_b, 8, Duration::from_millis(50)).unwrap());
-        while k.epoll_waiters(ep_b).unwrap() == 0 && !t.is_finished() {
+        while k.parked(ep_b).unwrap() == 0 && !t.is_finished() {
             std::thread::yield_now();
         }
         for _ in 0..10 {
@@ -745,6 +729,8 @@ mod tests {
         k.client_send(c, b"x").unwrap();
         k.epoll_ctl(ep, CtlOp::Add, s).unwrap();
         assert_eq!(t.join().unwrap(), vec![s]);
+        // Woken by the Add, not found by the rescan at the deadline.
+        assert_eq!(k.epoll_wakeups(ep).unwrap(), 1);
     }
 
     #[test]
@@ -758,7 +744,7 @@ mod tests {
             assert!(k.epoll_wait(ep, 8, Duration::ZERO).unwrap().is_empty());
         }
         assert_eq!(k.wait_registrations(l).unwrap(), 1);
-        assert_eq!(k.epoll_waiters(ep).unwrap(), 0);
+        assert_eq!(k.parked(ep).unwrap(), 0);
     }
 
     #[test]
@@ -775,7 +761,7 @@ mod tests {
         let k2 = k.clone();
         let t =
             std::thread::spawn(move || k2.epoll_wait(ep, 8, Duration::from_millis(50)).unwrap());
-        while k.epoll_waiters(ep).unwrap() == 0 && !t.is_finished() {
+        while k.parked(ep).unwrap() == 0 && !t.is_finished() {
             std::thread::yield_now();
         }
         for _ in 0..10 {

@@ -13,16 +13,15 @@
 //! like real kernel objects outlive a crashed process: client connections
 //! keep working while the MVE layer kills and replaces server variants.
 //!
-//! Blocking calls poll for up to 10 µs, about what a park and its wake
-//! cost in wall time, yielding between polls (a waiter whose recent
-//! polls kept running out skips the next few); then they park on
-//! condvars, and a wake-up costs a futex syscall only when a thread is
-//! parked: a write notifies the peer's inbox only when a reader waits
-//! on it, and an epoll instance — registered with each fd's wait set
-//! once, at `epoll_ctl(Add)` — is notified only when a thread waits in
-//! `epoll_wait` on it. A peer that answers within the spin costs
-//! neither a park nor a wake. `docs/vos.md` gives the lost-wakeup
-//! argument.
+//! Blocking calls, a stream read and `epoll_wait`, block one way: each
+//! waits on a `WaitCell`, a value under a mutex with a condvar. A wait
+//! polls for up to 10 µs, about what a park and its wake cost in wall
+//! time, yielding between polls (a waiter whose recent polls kept
+//! running out skips the next few); then it parks, and a wake-up costs
+//! a futex syscall only when a thread is parked. An epoll instance is
+//! registered with each fd's wait set once, at `epoll_ctl(Add)`. A peer
+//! that answers within the spin costs neither a park nor a wake.
+//! `docs/vos.md` gives the lost-wakeup argument.
 //!
 //! # Example
 //!

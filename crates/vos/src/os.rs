@@ -12,15 +12,15 @@ use crate::poll::CtlOp;
 ///
 /// This trait is the interposition boundary of the whole system — the
 /// moral equivalent of the libc/kernel line that Varan intercepts with
-/// binary rewriting. Server variants receive a `&mut dyn Os` whose
-/// concrete type depends on their MVE role:
+/// binary rewriting. Server variants receive a `&mut dyn Os`, one of:
 ///
 /// * [`DirectOs`] — native execution, no interposition (the "Native" rows
 ///   in the paper's Table 2);
-/// * `SingleLeaderOs` (in `mvedsua-mve`) — lightweight interception that
-///   tracks kernel state so a follower can be forked later;
-/// * `LeaderOs` — executes and logs each call into the ring buffer;
-/// * `FollowerOs` — replays the leader's log, never touching the kernel.
+/// * `VariantOs` (in `mvedsua-mve`) — one type in three roles: *single*
+///   executes each call with lightweight interception, so a follower
+///   can be forked later; *leader* executes and logs each call into the
+///   ring buffer; *follower* replays the leader's log, never touching
+///   the kernel.
 ///
 /// Blocking calls take explicit millisecond timeouts so the event loop
 /// regularly returns to its update point (the paper §5.3 makes

@@ -20,127 +20,185 @@ const SPIN_BUDGET: Duration = Duration::from_micros(10);
 /// The most waits in a row a waiter skips its spin for.
 const MAX_SKIPPED_SPINS: u32 = 15;
 
-/// The spin phase of a blocking wait, with a memory of how the waiter's
-/// last spins ended.
+/// A value that threads block on until it changes: vos's one way to
+/// wait. Each stream end's inbox is one, and each epoll instance's
+/// [`Notifier`].
 ///
-/// [`spin_until`](Self::spin_until) polls `changed` until it holds,
-/// [`SPIN_BUDGET`] passes or the caller's deadline does, whichever is
-/// first, and returns whether it held. It yields between polls, so a
-/// peer that shares this CPU gets to run and answer.
+/// The value and the count of parked waiters share one mutex.
+/// [`update`](Self::update) changes the value and counts the change in
+/// `changes`; [`wait`](Self::wait) blocks until a check of the value
+/// passes. No wake-up is lost: a waiter checks and counts itself in
+/// under the lock, and the condvar wait releases that lock atomically,
+/// while an updater changes the value and reads the count under the
+/// same lock. So either the update comes first and the waiter's check
+/// sees it, or the waiter is counted first and the updater notifies.
+/// `update` calls the condvar only when someone is parked: a
+/// `notify_all` with no sleeper is still a futex syscall.
 ///
-/// A waiter whose peer keeps answering later than the budget only
-/// wastes its polls: after `n` spins in a row ran out, its next `n`
-/// waits (at most [`MAX_SKIPPED_SPINS`]) go straight to the park, and
-/// the wait after them spins again, so it notices when its peer speeds
-/// up. A spin that sees its change clears the count. A spin cut short
-/// by the caller's own deadline counts neither way.
+/// Before it parks, a wait spins once: it polls `changes` with the lock
+/// released, for at most [`SPIN_BUDGET`] or until its deadline, yielding
+/// between polls so that a peer on the same CPU gets to answer, and
+/// then checks again under the lock. The spin decides only when the
+/// waiter checks, never what it returns. A spinning waiter is not
+/// counted, so an updater skips its wake, which is right: the waiter
+/// polls the counter the updater has already moved.
 ///
-/// `changed` reads a lock-free mirror of the waited-on state. Its
-/// answer only decides when the caller re-checks that state under its
-/// lock; the caller then parks exactly as it would have without the
-/// spin, so the spin never changes what a wait returns. The history is
-/// kept with plain loads and stores: two waiters racing on one endpoint
-/// can blur it, which changes only whether a later wait spins.
+/// A waiter whose updates keep coming later than the budget only wastes
+/// its polls: after `n` spins in a row ran out, its next `n` waits (at
+/// most [`MAX_SKIPPED_SPINS`]) go straight to the park, and the wait
+/// after them spins again, so it notices when updates speed up. A spin
+/// that sees a change clears the count; a spin cut short by the wait's
+/// own deadline counts neither way. The history is kept with plain
+/// loads and stores: two waiters racing on one cell can blur it, which
+/// changes only whether a later wait spins.
 #[derive(Debug, Default)]
-struct Spinner {
+pub(crate) struct WaitCell<T> {
+    slot: Mutex<Slot<T>>,
+    /// Updates so far. Changed only under the lock, so a check under the
+    /// lock reads it exactly; an atomic, so that the spin and
+    /// [`changes`](Self::changes) read it without the lock. `update`'s
+    /// `Release` pairs with `changes`'s `Acquire`: a thread that sees a
+    /// new count also sees what the updater did before it.
+    changes: AtomicU64,
+    cv: Condvar,
     /// Spins in a row that ran out of budget.
     misses: AtomicU32,
     /// Waits left that skip the spin.
     skips: AtomicU32,
 }
 
-impl Spinner {
-    fn spin_until(&self, changed: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
+#[derive(Debug, Default)]
+struct Slot<T> {
+    value: T,
+    /// Threads parked in `wait`, counted in right before the park and
+    /// out right after it, under the lock: `update` relies on it being
+    /// exact, and tests rendezvous on it instead of sleeping.
+    parked: usize,
+}
+
+impl<T> WaitCell<T> {
+    /// Updates so far.
+    pub fn changes(&self) -> u64 {
+        self.changes.load(Ordering::Acquire)
+    }
+
+    /// Threads parked in [`wait`](Self::wait) (test rendezvous and
+    /// diagnostics). A wait that ends inside its spin never counts.
+    pub fn parked(&self) -> usize {
+        self.slot.lock().parked
+    }
+
+    /// Reads the value under the lock.
+    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        f(&self.slot.lock().value)
+    }
+
+    /// Changes the value with `f`, counts the change and wakes the
+    /// parked waiters, if any, to check it.
+    pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut slot = self.slot.lock();
+        let out = f(&mut slot.value);
+        self.changes.fetch_add(1, Ordering::Release);
+        if slot.parked > 0 {
+            self.cv.notify_all();
+        }
+        out
+    }
+
+    /// Blocks until `ready` returns `Some`, which it returns, or until
+    /// `timeout` (if given) passes, when it returns `None`. `ready` runs
+    /// under the lock. The deadline is set when a check first fails, so
+    /// a wait whose first check passes reads no clock.
+    pub fn wait<R>(
+        &self,
+        timeout: Option<Duration>,
+        mut ready: impl FnMut(&mut T) -> Option<R>,
+    ) -> Option<R> {
+        let mut slot = self.slot.lock();
+        let mut deadline = None;
+        let mut spun = false;
+        loop {
+            if let Some(out) = ready(&mut slot.value) {
+                return Some(out);
+            }
+            let left = match timeout {
+                None => None,
+                Some(t) => {
+                    let now = Instant::now();
+                    let d = *deadline.get_or_insert(now + t);
+                    if now >= d {
+                        return None;
+                    }
+                    Some(d - now)
+                }
+            };
+            if !spun {
+                spun = true;
+                let seen = self.changes.load(Ordering::Relaxed);
+                drop(slot);
+                self.spin(seen, deadline);
+                slot = self.slot.lock();
+                continue;
+            }
+            slot.parked += 1;
+            match left {
+                None => self.cv.wait(&mut slot),
+                Some(left) => {
+                    let _ = self.cv.wait_for(&mut slot, left);
+                }
+            }
+            slot.parked -= 1;
+        }
+    }
+
+    /// The spin phase of a wait: polls `changes` until it moves from
+    /// `seen`, [`SPIN_BUDGET`] passes or `deadline` does, whichever is
+    /// first, and keeps the skip history.
+    fn spin(&self, seen: u64, deadline: Option<Instant>) {
         let skips = self.skips.load(Ordering::Relaxed);
         if skips > 0 {
             self.skips.store(skips - 1, Ordering::Relaxed);
-            return false;
+            return;
         }
         let budget = Instant::now() + SPIN_BUDGET;
-        // Whether the budget, not the caller's deadline, ends the spin.
+        // Whether the budget, not the wait's deadline, ends the spin.
         let (end, budgeted) = match deadline {
             Some(d) if d < budget => (d, false),
             _ => (budget, true),
         };
-        while !changed() {
+        while self.changes.load(Ordering::Relaxed) == seen {
             if Instant::now() >= end {
                 if budgeted {
                     let misses = (self.misses.load(Ordering::Relaxed) + 1).min(MAX_SKIPPED_SPINS);
                     self.misses.store(misses, Ordering::Relaxed);
                     self.skips.store(misses, Ordering::Relaxed);
                 }
-                return false;
+                return;
             }
             std::thread::yield_now();
         }
         self.misses.store(0, Ordering::Relaxed);
-        true
     }
 }
 
-/// A readiness notifier: a generation counter plus a condvar.
+/// A readiness notifier: its value is nothing, and a waiter waits for
+/// [`changes`](WaitCell::changes) to move.
 ///
 /// Every epoll instance owns one. `epoll_ctl(Add)` registers it
 /// (weakly) with the [`WaitSet`] of the added descriptor, so a state
 /// change on fd A wakes only the instances interested in fd A.
-///
-/// The generation changes only under the mutex that counts the parked
-/// waiters, so a waiter that checks it under that mutex before parking
-/// cannot miss a bump; it is an atomic so that [`current`](Self::current)
-/// and the spin phase read it without the lock. `bump` calls the condvar
-/// only when someone is parked: a `notify_all` with no sleeper is still
-/// a futex syscall. The check is made under the lock the sleeper parks
-/// on, so no wake-up is lost.
-#[derive(Debug, Default)]
-pub(crate) struct Notifier {
-    /// `bump`'s `Release` pairs with `current`'s `Acquire`: a waiter
-    /// that sees a new generation also sees the state change that
-    /// preceded the bump when it rescans.
-    gen: AtomicU64,
-    /// Threads inside `wait_change`'s park; `bump` wakes only if > 0.
-    parked: Mutex<usize>,
-    cv: Condvar,
-    spinner: Spinner,
-}
+pub(crate) type Notifier = WaitCell<()>;
 
 impl Notifier {
-    pub fn current(&self) -> u64 {
-        self.gen.load(Ordering::Acquire)
-    }
-
-    /// Threads currently parked in [`wait_change`](Self::wait_change)
-    /// (test rendezvous and diagnostics). A wait that ends inside the
-    /// spin phase never counts.
-    pub fn parked(&self) -> usize {
-        *self.parked.lock()
-    }
-
     pub fn bump(&self) {
-        let parked = self.parked.lock();
-        self.gen.fetch_add(1, Ordering::Release);
-        if *parked > 0 {
-            self.cv.notify_all();
-        }
+        self.update(|_| ());
     }
 
-    /// Waits until the generation differs from `seen` or `timeout` passes.
-    /// Returns the generation observed on wakeup.
-    pub fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
-        if self
-            .spinner
-            .spin_until(|| self.current() != seen, Some(deadline))
-        {
-            return self.current();
-        }
-        let mut parked = self.parked.lock();
-        let left = deadline.saturating_duration_since(Instant::now());
-        if self.current() == seen && !left.is_zero() {
-            *parked += 1;
-            let _ = self.cv.wait_for(&mut parked, left);
-            *parked -= 1;
-        }
-        self.current()
+    /// Waits until [`changes`](WaitCell::changes) differs from `seen` or
+    /// `timeout` passes. True if it moved.
+    pub fn wait_change(&self, seen: u64, timeout: Duration) -> bool {
+        self.wait(Some(timeout), |_| (self.changes() != seen).then_some(()))
+            .is_some()
     }
 }
 
@@ -201,7 +259,7 @@ impl WaitSet {
 /// without copying; only a read spanning chunk boundaries coalesces
 /// (one bulk copy), preserving the seed's "contiguous min(max,
 /// buffered) bytes" contract.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inbox {
     chunks: VecDeque<Buf>,
     /// Total buffered bytes (sum of chunk lengths), kept incrementally.
@@ -209,11 +267,41 @@ struct Inbox {
     /// Set when the peer endpoint closed: reads drain remaining bytes and
     /// then report EOF (an empty read).
     closed: bool,
-    /// Readers currently parked on the condvar. `write` calls the
-    /// condvar only when this is non-zero, so it is kept exactly: a
-    /// reader counts itself in under this lock right before it parks.
-    /// Tests also rendezvous on it instead of sleeping.
-    waiting_readers: usize,
+}
+
+impl Inbox {
+    /// Removes exactly `min(max, buffered)` bytes.
+    fn take(&mut self, max: usize) -> Buf {
+        let n = max.min(self.len);
+        debug_assert!(n > 0);
+        let front_len = self.chunks.front().map(Buf::len).unwrap_or(0);
+        let out = if n < front_len {
+            // Partial front chunk: zero-copy sub-slice.
+            self.chunks.front_mut().expect("front checked").split_to(n)
+        } else if n == front_len {
+            // Whole front chunk: zero-copy hand-off.
+            self.chunks.pop_front().expect("front checked")
+        } else {
+            // Spans chunks: coalesce with bulk copies (the seed copied
+            // byte-at-a-time here).
+            let mut out = Vec::with_capacity(n);
+            let mut remaining = n;
+            while remaining > 0 {
+                let mut chunk = self.chunks.pop_front().expect("len accounted");
+                if chunk.len() <= remaining {
+                    remaining -= chunk.len();
+                    out.extend_from_slice(&chunk);
+                } else {
+                    out.extend_from_slice(&chunk.split_to(remaining));
+                    remaining = 0;
+                    self.chunks.push_front(chunk);
+                }
+            }
+            Buf::from_vec(out)
+        };
+        self.len -= n;
+        out
+    }
 }
 
 /// One endpoint of a duplex in-kernel byte stream.
@@ -221,16 +309,9 @@ struct Inbox {
 /// Each endpoint owns the buffer of bytes flowing *toward* it; writing on
 /// an endpoint pushes the written [`Buf`] into the peer's inbox without
 /// copying its payload.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct StreamEnd {
-    inbox: Mutex<Inbox>,
-    /// Writes and closes that reached the inbox, bumped under its lock:
-    /// the lock-free mirror the spin phase of `read` polls. `Relaxed`
-    /// throughout, because it publishes nothing: a reader that sees it
-    /// move takes the inbox lock before it looks at the inbox.
-    arrivals: AtomicU64,
-    spinner: Spinner,
-    cv: Condvar,
+    inbox: WaitCell<Inbox>,
     peer: OnceLock<Weak<StreamEnd>>,
     /// Epoll waiters interested in this endpoint's readability.
     waiters: Arc<WaitSet>,
@@ -239,27 +320,11 @@ pub(crate) struct StreamEnd {
 impl StreamEnd {
     /// Creates a connected pair of endpoints.
     pub fn pair() -> (Arc<StreamEnd>, Arc<StreamEnd>) {
-        let a = Arc::new(StreamEnd::new());
-        let b = Arc::new(StreamEnd::new());
+        let a = Arc::new(StreamEnd::default());
+        let b = Arc::new(StreamEnd::default());
         a.peer.set(Arc::downgrade(&b)).expect("fresh endpoint");
         b.peer.set(Arc::downgrade(&a)).expect("fresh endpoint");
         (a, b)
-    }
-
-    fn new() -> Self {
-        StreamEnd {
-            inbox: Mutex::new(Inbox {
-                chunks: VecDeque::new(),
-                len: 0,
-                closed: false,
-                waiting_readers: 0,
-            }),
-            arrivals: AtomicU64::new(0),
-            spinner: Spinner::default(),
-            cv: Condvar::new(),
-            peer: OnceLock::new(),
-            waiters: Arc::new(WaitSet::new()),
-        }
     }
 
     fn peer(&self) -> Option<Arc<StreamEnd>> {
@@ -272,21 +337,19 @@ impl StreamEnd {
         &self.waiters
     }
 
-    /// Readers currently parked waiting for data (test synchronization).
-    /// A read that ends inside the spin phase never counts.
-    pub fn waiting_readers(&self) -> usize {
-        self.inbox.lock().waiting_readers
+    /// Readers currently parked waiting for data (see
+    /// [`WaitCell::parked`]).
+    pub fn parked(&self) -> usize {
+        self.inbox.parked()
     }
 
     /// Writes `data` toward the peer, sharing (not copying) the payload.
     /// Fails with `ConnReset` if the peer endpoint is gone or has closed
-    /// its receiving side. Wakes the peer's condvar only when a reader is
-    /// parked on it.
+    /// its receiving side.
     pub fn write(&self, data: Buf) -> OsResult<usize> {
         let peer = self.peer().ok_or(Errno::ConnReset)?;
         let n = data.len();
-        {
-            let mut inbox = peer.inbox.lock();
+        peer.inbox.update(|inbox| {
             if inbox.closed {
                 return Err(Errno::ConnReset);
             }
@@ -294,11 +357,8 @@ impl StreamEnd {
                 inbox.len += n;
                 inbox.chunks.push_back(data);
             }
-            peer.arrivals.fetch_add(1, Ordering::Relaxed);
-            if inbox.waiting_readers > 0 {
-                peer.cv.notify_all();
-            }
-        }
+            Ok(())
+        })?;
         peer.waiters.wake();
         Ok(n)
     }
@@ -309,118 +369,40 @@ impl StreamEnd {
     /// The common case — the front chunk covers the request — returns a
     /// slice of the writer's own allocation, zero-copy. A request that
     /// spans chunks coalesces them with bulk copies.
-    ///
-    /// A read that finds the inbox empty first spins (see [`Spinner`])
-    /// on `arrivals` with the lock released, then re-checks under the
-    /// lock; only when that finds nothing does it park.
     pub fn read(&self, max: usize, timeout: Option<Duration>) -> OsResult<Buf> {
         if max == 0 {
             return Ok(Buf::new());
         }
-        let mut inbox = self.inbox.lock();
-        // Set on the first empty check only: a read that finds data never
-        // reads a clock.
-        let mut deadline = None;
-        let mut spun = false;
-        loop {
-            if inbox.len > 0 {
-                return Ok(Self::take(&mut inbox, max));
-            }
-            if inbox.closed {
-                return Ok(Buf::new());
-            }
-            let left = match timeout {
-                None => None,
-                Some(t) => {
-                    let now = Instant::now();
-                    let d = *deadline.get_or_insert(now + t);
-                    if now >= d {
-                        return Err(Errno::TimedOut);
-                    }
-                    Some(d - now)
-                }
-            };
-            if !spun {
-                spun = true;
-                let seen = self.arrivals.load(Ordering::Relaxed);
-                drop(inbox);
-                self.spinner
-                    .spin_until(|| self.arrivals.load(Ordering::Relaxed) != seen, deadline);
-                inbox = self.inbox.lock();
-                continue;
-            }
-            inbox.waiting_readers += 1;
-            match left {
-                None => self.cv.wait(&mut inbox),
-                Some(left) => {
-                    let _ = self.cv.wait_for(&mut inbox, left);
-                }
-            }
-            inbox.waiting_readers -= 1;
-        }
-    }
-
-    /// Removes exactly `min(max, buffered)` bytes from the inbox.
-    fn take(inbox: &mut Inbox, max: usize) -> Buf {
-        let n = max.min(inbox.len);
-        debug_assert!(n > 0);
-        let front_len = inbox.chunks.front().map(Buf::len).unwrap_or(0);
-        let out = if n < front_len {
-            // Partial front chunk: zero-copy sub-slice.
-            inbox.chunks.front_mut().expect("front checked").split_to(n)
-        } else if n == front_len {
-            // Whole front chunk: zero-copy hand-off.
-            inbox.chunks.pop_front().expect("front checked")
-        } else {
-            // Spans chunks: coalesce with bulk copies (the seed copied
-            // byte-at-a-time here).
-            let mut out = Vec::with_capacity(n);
-            let mut remaining = n;
-            while remaining > 0 {
-                let mut chunk = inbox.chunks.pop_front().expect("len accounted");
-                if chunk.len() <= remaining {
-                    remaining -= chunk.len();
-                    out.extend_from_slice(&chunk);
+        self.inbox
+            .wait(timeout, |inbox| {
+                if inbox.len > 0 {
+                    Some(inbox.take(max))
+                } else if inbox.closed {
+                    Some(Buf::new())
                 } else {
-                    out.extend_from_slice(&chunk.split_to(remaining));
-                    remaining = 0;
-                    inbox.chunks.push_front(chunk);
+                    None
                 }
-            }
-            Buf::from_vec(out)
-        };
-        inbox.len -= n;
-        out
+            })
+            .ok_or(Errno::TimedOut)
     }
 
     /// True when a read would not block: buffered bytes or EOF pending.
     pub fn readable(&self) -> bool {
-        let inbox = self.inbox.lock();
-        inbox.len > 0 || inbox.closed
+        self.inbox.with(|inbox| inbox.len > 0 || inbox.closed)
     }
 
     /// Number of buffered bytes waiting to be read from this endpoint.
     pub fn pending(&self) -> usize {
-        self.inbox.lock().len
+        self.inbox.with(|inbox| inbox.len)
     }
 
     /// Closes this endpoint: the peer sees EOF after draining, and local
     /// reads see EOF immediately once the buffer drains.
     pub fn close(&self) {
-        {
-            let mut inbox = self.inbox.lock();
-            inbox.closed = true;
-            self.arrivals.fetch_add(1, Ordering::Relaxed);
-            self.cv.notify_all();
-        }
+        self.inbox.update(|inbox| inbox.closed = true);
         self.waiters.wake();
         if let Some(peer) = self.peer() {
-            {
-                let mut inbox = peer.inbox.lock();
-                inbox.closed = true;
-                peer.arrivals.fetch_add(1, Ordering::Relaxed);
-                peer.cv.notify_all();
-            }
+            peer.inbox.update(|inbox| inbox.closed = true);
             peer.waiters.wake();
         }
     }
@@ -429,7 +411,6 @@ impl StreamEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
     use std::time::Duration;
 
     fn buf(data: &[u8]) -> Buf {
@@ -447,12 +428,12 @@ mod tests {
     }
 
     /// Yields until `end` has a parked reader — the deterministic
-    /// replacement for the seed's 20 ms sleep: the waiting_readers
-    /// counter is incremented under the inbox lock immediately before
-    /// the condvar park, so observing it guarantees the reader cannot
-    /// miss a subsequent notify.
+    /// replacement for the seed's 20 ms sleep: the parked count is
+    /// incremented under the inbox lock immediately before the condvar
+    /// park, so observing it guarantees the reader cannot miss a
+    /// subsequent notify.
     fn await_reader(end: &StreamEnd) {
-        await_parked(|| end.waiting_readers());
+        await_parked(|| end.parked());
     }
 
     #[test]
@@ -541,6 +522,23 @@ mod tests {
     }
 
     #[test]
+    fn close_wakes_a_reader_parked_on_either_end() {
+        let (a, b) = StreamEnd::pair();
+        let readers = [&a, &b].map(|end| {
+            let end = end.clone();
+            std::thread::spawn(move || end.read(8, Some(Duration::from_secs(10))))
+        });
+        await_reader(&a);
+        await_reader(&b);
+        let closer = a.clone();
+        std::thread::spawn(move || closer.close()).join().unwrap();
+        for reader in readers {
+            assert_eq!(reader.join().unwrap().unwrap(), Vec::<u8>::new(), "EOF");
+        }
+        assert_eq!((a.parked(), b.parked()), (0, 0));
+    }
+
+    #[test]
     fn write_to_closed_peer_is_reset() {
         let (a, b) = StreamEnd::pair();
         b.close();
@@ -574,11 +572,11 @@ mod tests {
         let bystander = Arc::new(Notifier::default());
         b.waiters().register(&watcher);
         assert_eq!(b.waiters().len(), 1);
-        let w0 = watcher.current();
-        let b0 = bystander.current();
+        let w0 = watcher.changes();
+        let b0 = bystander.changes();
         a.write(buf(b"x")).unwrap();
-        assert!(watcher.current() > w0, "registered waiter woken");
-        assert_eq!(bystander.current(), b0, "unregistered notifier untouched");
+        assert!(watcher.changes() > w0, "registered waiter woken");
+        assert_eq!(bystander.changes(), b0, "unregistered notifier untouched");
     }
 
     #[test]
@@ -596,7 +594,7 @@ mod tests {
     fn write_wakes_only_a_parked_reader_and_loses_nothing() {
         let (a, b) = StreamEnd::pair();
         // No reader parked: the write only queues.
-        assert_eq!(b.waiting_readers(), 0);
+        assert_eq!(b.parked(), 0);
         a.write(buf(b"early")).unwrap();
         let b2 = b.clone();
         let t = std::thread::spawn(move || {
@@ -609,27 +607,23 @@ mod tests {
         a.write(buf(b"late")).unwrap();
         let (first, second) = t.join().unwrap();
         assert_eq!((&first[..], &second[..]), (&b"early"[..], &b"late"[..]));
-        assert_eq!(
-            b.waiting_readers(),
-            0,
-            "the woken reader counted itself out"
-        );
+        assert_eq!(b.parked(), 0, "the woken reader counted itself out");
     }
 
     #[test]
     fn notifier_counts_parked_waiters() {
         let n = Arc::new(Notifier::default());
-        n.bump(); // Nobody parked: the generation still moves.
-        let seen = n.current();
+        n.bump(); // Nobody parked: the count still moves.
+        let seen = n.changes();
         assert_eq!(seen, 1);
         let n2 = n.clone();
         let t = std::thread::spawn(move || n2.wait_change(seen, Duration::from_secs(5)));
         await_parked(|| n.parked());
         n.bump();
-        assert_eq!(t.join().unwrap(), 2);
-        assert_eq!(n.parked(), 0);
-        // A stale generation returns at once without parking.
-        assert_eq!(n.wait_change(seen, Duration::from_secs(5)), 2);
+        assert!(t.join().unwrap(), "the bump woke the parked waiter");
+        assert_eq!((n.changes(), n.parked()), (2, 0));
+        // A stale count returns at once without parking.
+        assert!(n.wait_change(seen, Duration::from_secs(5)));
     }
 
     /// Runs `wait` 100 times with a 1 ns timeout, each time on a fresh
@@ -662,7 +656,7 @@ mod tests {
     fn read_shorter_than_the_spin_budget_times_out_on_time() {
         let fastest = fastest_short_wait(StreamEnd::pair, |(_a, b), timeout| {
             assert_eq!(b.read(8, Some(timeout)).unwrap_err(), Errno::TimedOut);
-            assert_eq!(b.waiting_readers(), 0);
+            assert_eq!(b.parked(), 0);
         });
         assert!(
             fastest < SPIN_BUDGET,
@@ -673,7 +667,7 @@ mod tests {
     #[test]
     fn wait_change_shorter_than_the_spin_budget_returns_on_time() {
         let fastest = fastest_short_wait(Notifier::default, |n, timeout| {
-            assert_eq!(n.wait_change(0, timeout), 0, "the old generation");
+            assert!(!n.wait_change(0, timeout), "nothing changed");
             assert_eq!(n.parked(), 0);
         });
         assert!(
@@ -684,38 +678,81 @@ mod tests {
 
     #[test]
     fn spins_that_keep_running_out_are_skipped_then_retried() {
-        let spinner = Spinner::default();
-        let state = |s: &Spinner| {
+        let cell = WaitCell::<()>::default();
+        let state = |c: &WaitCell<()>| {
             (
-                s.misses.load(Ordering::Relaxed),
-                s.skips.load(Ordering::Relaxed),
+                c.misses.load(Ordering::Relaxed),
+                c.skips.load(Ordering::Relaxed),
             )
         };
-        // Each spin that runs out skips one more of the following waits.
+        // Nothing updates the cell, so every spin that polls runs out,
+        // and each one skips one more of the following waits.
         for misses in 1..=3 {
-            assert!(!spinner.spin_until(|| false, None));
-            assert_eq!(state(&spinner), (misses, misses));
+            cell.spin(0, None);
+            assert_eq!(state(&cell), (misses, misses));
             for skipped in 1..=misses {
-                let polls = Cell::new(0);
-                let changed = || {
-                    polls.set(polls.get() + 1);
-                    false
-                };
-                assert!(!spinner.spin_until(changed, None));
-                assert_eq!(polls.get(), 0, "a skipped spin does not poll");
-                assert_eq!(state(&spinner), (misses, misses - skipped));
+                // `seen` is stale: a spin that polled would see a change
+                // at once and clear the count.
+                cell.spin(u64::MAX, None);
+                assert_eq!(
+                    state(&cell),
+                    (misses, misses - skipped),
+                    "a skipped spin does not poll"
+                );
             }
         }
-        // The count is capped, and one spin that sees its change clears it.
-        spinner.misses.store(MAX_SKIPPED_SPINS, Ordering::Relaxed);
-        assert!(!spinner.spin_until(|| false, None));
-        assert_eq!(state(&spinner), (MAX_SKIPPED_SPINS, MAX_SKIPPED_SPINS));
-        spinner.skips.store(0, Ordering::Relaxed);
-        assert!(spinner.spin_until(|| true, None));
-        assert_eq!(state(&spinner), (0, 0));
-        // A spin cut short by the caller's deadline counts neither way.
-        assert!(!spinner.spin_until(|| false, Some(Instant::now())));
-        assert_eq!(state(&spinner), (0, 0));
+        // The count is capped, and one spin that sees a change clears it.
+        cell.misses.store(MAX_SKIPPED_SPINS, Ordering::Relaxed);
+        cell.spin(0, None);
+        assert_eq!(state(&cell), (MAX_SKIPPED_SPINS, MAX_SKIPPED_SPINS));
+        cell.skips.store(0, Ordering::Relaxed);
+        cell.spin(u64::MAX, None);
+        assert_eq!(state(&cell), (0, 0));
+        // A spin cut short by the wait's deadline counts neither way.
+        cell.spin(0, Some(Instant::now()));
+        assert_eq!(state(&cell), (0, 0));
+    }
+
+    #[test]
+    fn a_read_woken_by_an_empty_write_keeps_waiting() {
+        // An empty write moves the inbox's change count and gives the
+        // reader nothing: whether it sees the move in its spin or is
+        // woken from its park, the reader must check again and wait on.
+        let (a, b) = StreamEnd::pair();
+        let b2 = b.clone();
+        let reader = std::thread::spawn(move || b2.read(8, None));
+        while b.parked() == 0 && !reader.is_finished() {
+            a.write(Buf::new()).unwrap();
+        }
+        a.write(buf(b"data")).unwrap();
+        assert_eq!(reader.join().unwrap().unwrap(), b"data");
+    }
+
+    #[test]
+    fn parking_hand_offs_lose_no_wake_up() {
+        // Two threads take turns on one cell, and every wait skips its
+        // spin, so a wait that finds the other side's turn unfinished
+        // parks. A lost wake-up leaves a waiter asleep until its timeout
+        // although its turn has come.
+        const ROUNDS: u64 = 20_000;
+        let limit = Duration::from_secs(1);
+        let cell = Arc::new(WaitCell::<u64>::default());
+        cell.skips.store(u32::MAX, Ordering::Relaxed);
+        let side = |parity: u64| {
+            let cell = cell.clone();
+            std::thread::spawn(move || {
+                for turn in (0..ROUNDS).map(|i| 2 * i + parity) {
+                    let t0 = Instant::now();
+                    cell.wait(Some(limit), |v| (*v == turn).then_some(()));
+                    assert!(t0.elapsed() < limit, "turn {turn} slept to its timeout");
+                    cell.update(|v| *v += 1);
+                }
+            })
+        };
+        let (a, b) = (side(0), side(1));
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!((cell.with(|v| *v), cell.parked()), (2 * ROUNDS, 0));
     }
 
     #[test]
@@ -736,6 +773,6 @@ mod tests {
             assert_eq!(a.read(64, None).unwrap(), &i.to_le_bytes()[..]);
         }
         echo.join().unwrap();
-        assert_eq!((a.waiting_readers(), b.waiting_readers()), (0, 0));
+        assert_eq!((a.parked(), b.parked()), (0, 0));
     }
 }

@@ -10,11 +10,12 @@ verify:
 test-all:
     cargo test --workspace --no-fail-fast -q
 
-# lifebench's own tests: it is a package outside the workspace, so
-# `test-all` does not reach them. `--locked` fails instead of rewriting
-# lifebench/Cargo.lock when its dependency graph changes.
+# lifebench's own tests and lints: it is a package outside the
+# workspace, so `test-all` does not reach it. `--locked` fails instead
+# of rewriting lifebench/Cargo.lock when its dependency graph changes.
 test-lifebench:
     cargo test --locked --offline --manifest-path lifebench/Cargo.toml -q
+    cargo clippy --locked --offline --manifest-path lifebench/Cargo.toml --all-targets -- -D warnings
 
 # The chaos smoke sweep the test tier runs, via the harness binary
 # (fixed 200-seed base; exits 1 with seed + minimized trace on failure).
