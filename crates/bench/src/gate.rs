@@ -21,7 +21,9 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// Parses the process arguments, with `default_out` as the report
-    /// path when `--out` is absent. Exits 2 on a bad command line.
+    /// path when `--out` is absent. Exits 2 on a bad command line,
+    /// including one whose report path is its `--check` baseline: the
+    /// run would overwrite the baseline and then gate against itself.
     pub fn from_env(bin: &str, default_out: &str) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         BenchArgs::parse(default_out, &args).unwrap_or_else(|message| {
@@ -51,6 +53,12 @@ impl BenchArgs {
                 }
                 other => return Err(format!("unknown argument: {other}")),
             }
+        }
+        if parsed.check.as_ref() == Some(&parsed.out) {
+            return Err(format!(
+                "the report would overwrite the baseline {}: pass --out PATH",
+                parsed.out
+            ));
         }
         Ok(parsed)
     }
@@ -125,6 +133,19 @@ mod tests {
             let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(BenchArgs::parse("B.json", &bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn refuses_to_write_the_report_over_its_baseline() {
+        for args in ["--quick --check B.json", "--out o.json --check o.json"] {
+            let args: Vec<String> = args.split(' ').map(String::from).collect();
+            let message = BenchArgs::parse("B.json", &args).unwrap_err();
+            assert!(message.contains("pass --out"), "{message}");
+        }
+        let args: Vec<String> = ["--check", "B.json", "--out", "o.json"]
+            .map(String::from)
+            .to_vec();
+        assert!(BenchArgs::parse("B.json", &args).is_ok());
     }
 
     #[test]

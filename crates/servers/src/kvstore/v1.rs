@@ -77,9 +77,16 @@ impl DsuApp for KvV1 {
             return StepOutcome::Idle;
         }
         for event in events {
-            if let NetEvent::Line(fd, line) = event {
-                let reply = Self::respond(&line, &mut self.state.table);
-                self.state.net.send(os, fd, reply.as_bytes());
+            if let NetEvent::Lines(fd, lines) = event {
+                // One write per line, as Figure 1's server does. The
+                // update rules (`updates.rs`) rewrite a whole `read` as
+                // one command, so under them the versions agree only
+                // while each read carries one command, however the
+                // replies are written.
+                for line in lines {
+                    let reply = Self::respond(&line, &mut self.state.table);
+                    self.state.net.send(os, fd, reply.as_bytes());
+                }
             }
         }
         StepOutcome::Progress

@@ -190,8 +190,26 @@ impl DsuApp for McApp {
         }
         for event in events {
             match event {
-                NetEvent::Line(fd, line) => {
-                    let (reply, close) = self.respond(fd, &line);
+                NetEvent::Lines(fd, lines) => {
+                    // One write answers the whole read, as Memcached 1.2
+                    // flushes its output buffer once per event. `quit`
+                    // ends the batch: the lines after it are never run.
+                    let mut reply = Vec::new();
+                    let mut close = false;
+                    for line in &lines {
+                        let (part, quit) = self.respond(fd, line);
+                        // Moved, not copied, while nothing precedes it: a
+                        // read with one command copies no reply.
+                        if reply.is_empty() {
+                            reply = part;
+                        } else {
+                            reply.extend_from_slice(&part);
+                        }
+                        if quit {
+                            close = true;
+                            break;
+                        }
+                    }
                     if !reply.is_empty() {
                         self.state.net.send(os, fd, &reply);
                     }
@@ -348,6 +366,22 @@ mod tests {
         }
         // Server closed its end: the client reads EOF.
         assert_eq!(r.kernel.client_recv(r.client, 8).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn lines_after_quit_leave_no_pending_store() {
+        let mut r = rig(11219);
+        r.kernel
+            .client_send(r.client, b"get k\r\nquit\r\nset k 0 0 1\r\n")
+            .unwrap();
+        for _ in 0..20 {
+            let _ = r.app.step(&mut r.os);
+        }
+        // The reply to the line before `quit` went out, then EOF.
+        assert_eq!(r.kernel.client_recv(r.client, 64).unwrap(), b"END\r\n");
+        assert_eq!(r.kernel.client_recv(r.client, 8).unwrap(), Vec::<u8>::new());
+        assert_eq!(r.app.state.pending, HashMap::new());
+        assert!(r.app.quiescent(), "a closed connection blocks no update");
     }
 
     #[test]

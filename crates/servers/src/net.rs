@@ -3,11 +3,30 @@
 //!
 //! Every server in this crate drives its protocol off [`NetCore::step`],
 //! which performs one bounded `epoll_wait` round and turns readiness
-//! into line-granular [`NetEvent`]s. The type is `Clone` so it can ride
-//! inside DSU state snapshots; [`NetCore::migrated`] is what an updated
-//! version calls to re-attach to the surviving kernel objects — it
-//! deliberately rebuilds the event loop *without* its round-robin
-//! memory, reproducing the paper's LibEvent behaviour (§5.3).
+//! into [`NetEvent`]s: each read that completes request lines yields one
+//! [`NetEvent::Lines`] carrying all of them, so a server sees a
+//! client's pipelined batch as one unit.
+//!
+//! Redis and Memcached answer such a batch with one `write` (Redis with
+//! one stats clock read too), as Redis 2.0 and Memcached 1.2 append
+//! replies to a per-connection output buffer and flush it once per
+//! event-loop turn. Under MVE every replicated call is a record and a
+//! hand-off to the follower, so a pipelined batch of 128 commands costs
+//! one write record instead of 128. If either dies partway through a
+//! batch, the replies to the batch's earlier commands are lost, as a
+//! real Redis loses its unflushed reply buffer.
+//!
+//! The key-value store and Vsftpd still write once per line. Vsftpd's
+//! generated reply maps rewrite exactly one reply per `write`, and a
+//! merged write would stop matching them. The key-value store's rules
+//! rewrite a whole `read` as one command, so under them a read must
+//! carry one command however the replies are written.
+//!
+//! The type is `Clone` so it can ride inside DSU state snapshots;
+//! [`NetCore::migrated`] is what an updated version calls to re-attach
+//! to the surviving kernel objects — it deliberately rebuilds the event
+//! loop *without* its round-robin memory, reproducing the paper's
+//! LibEvent behaviour (§5.3).
 
 use std::collections::HashMap;
 
@@ -31,16 +50,22 @@ impl ConnIo {
         self.buf.extend_from_slice(data);
     }
 
-    /// Pops the next complete line (terminated by `\n`; a trailing `\r`
-    /// is stripped), or `None` if no full line is buffered.
-    pub fn next_line(&mut self) -> Option<String> {
-        let pos = self.buf.iter().position(|b| *b == b'\n')?;
-        let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-        line.pop(); // '\n'
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        Some(String::from_utf8_lossy(&line).into_owned())
+    /// Pops every complete line (each terminated by `\n`; a trailing
+    /// `\r` is stripped), oldest first, and keeps the incomplete tail.
+    /// The consumed prefix is drained once, however many lines it holds.
+    pub fn take_lines(&mut self) -> Vec<String> {
+        let Some(end) = self.buf.iter().rposition(|b| *b == b'\n') else {
+            return Vec::new();
+        };
+        let lines = self.buf[..end]
+            .split(|b| *b == b'\n')
+            .map(|line| {
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                String::from_utf8_lossy(line).into_owned()
+            })
+            .collect();
+        self.buf.drain(..=end);
+        lines
     }
 
     /// Bytes currently buffered (incomplete line).
@@ -61,8 +86,9 @@ enum Tok {
 pub enum NetEvent {
     /// A new client connection was accepted.
     Accepted(Fd),
-    /// A full request line arrived.
-    Line(Fd, String),
+    /// One read completed these request lines, oldest first (never
+    /// empty).
+    Lines(Fd, Vec<String>),
     /// The peer closed; the descriptor is already released.
     Closed(Fd),
 }
@@ -186,8 +212,9 @@ impl NetCore {
                     Ok(data) => {
                         let io = self.conns.entry(fd).or_default();
                         io.feed(&data);
-                        while let Some(line) = io.next_line() {
-                            events.push(NetEvent::Line(fd, line));
+                        let lines = io.take_lines();
+                        if !lines.is_empty() {
+                            events.push(NetEvent::Lines(fd, lines));
                         }
                     }
                     Err(Errno::TimedOut) => {}
@@ -248,11 +275,12 @@ mod tests {
     fn conn_io_line_extraction() {
         let mut io = ConnIo::new();
         io.feed(b"GET k\r\nPUT a");
-        assert_eq!(io.next_line().as_deref(), Some("GET k"));
-        assert_eq!(io.next_line(), None);
+        assert_eq!(io.take_lines(), ["GET k"]);
+        assert!(io.take_lines().is_empty());
         assert_eq!(io.pending(), 5);
-        io.feed(b" b\n");
-        assert_eq!(io.next_line().as_deref(), Some("PUT a b"));
+        io.feed(b" b\n\r\nDEL x\r\r\nGE");
+        assert_eq!(io.take_lines(), ["PUT a b", "", "DEL x\r"]);
+        assert_eq!(io.pending(), 2);
     }
 
     #[test]
@@ -260,7 +288,9 @@ mod tests {
         let (kernel, mut os, mut core) = rig(6000);
         let _ = core.step(&mut os).unwrap(); // binds
         let client = kernel.connect(6000).unwrap();
-        kernel.client_send(client, b"hello world\r\n").unwrap();
+        kernel
+            .client_send(client, b"hello world\r\nsecond\r\nthi")
+            .unwrap();
         let mut seen = Vec::new();
         for _ in 0..10 {
             seen.extend(core.step(&mut os).unwrap());
@@ -268,8 +298,12 @@ mod tests {
                 break;
             }
         }
-        assert!(matches!(seen[0], NetEvent::Accepted(_)));
-        assert!(matches!(&seen[1], NetEvent::Line(_, l) if l == "hello world"));
+        let NetEvent::Accepted(conn) = seen[0] else {
+            panic!("first event {:?}", seen[0]);
+        };
+        // One read, one event carrying every line it completed.
+        let lines = vec!["hello world".to_string(), "second".to_string()];
+        assert_eq!(seen[1..], [NetEvent::Lines(conn, lines)]);
         assert_eq!(core.conn_count(), 1);
     }
 
@@ -314,7 +348,7 @@ mod tests {
         let mut conn = None;
         for _ in 0..10 {
             for e in core.step(&mut os).unwrap() {
-                if let NetEvent::Line(fd, _) = e {
+                if let NetEvent::Lines(fd, _) = e {
                     conn = Some(fd);
                 }
             }

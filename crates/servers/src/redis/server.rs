@@ -152,14 +152,23 @@ impl DsuApp for RedisApp {
             return StepOutcome::Idle;
         }
         for event in events {
-            if let NetEvent::Line(fd, line) = event {
-                let reply = Self::respond(
-                    &line,
-                    &mut self.state.store,
-                    self.features,
-                    self.hmget_crashes,
-                );
-                self.state.ops_seen += 1;
+            if let NetEvent::Lines(fd, lines) = event {
+                // Redis 2.0 buffers the replies of one read and flushes
+                // them once, so a read costs one `write` and one stats
+                // clock read however many commands it carried, and the
+                // `stats_reorder` rules see one `write`/`now` pair.
+                let reply: String = lines
+                    .iter()
+                    .map(|line| {
+                        Self::respond(
+                            line,
+                            &mut self.state.store,
+                            self.features,
+                            self.hmget_crashes,
+                        )
+                    })
+                    .collect();
+                self.state.ops_seen += lines.len() as u64;
                 if self.features.stats_before_reply {
                     self.state.last_stat_nanos = os.now();
                     self.state.net.send(os, fd, reply.as_bytes());

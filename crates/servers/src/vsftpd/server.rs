@@ -273,7 +273,18 @@ impl DsuApp for VsftpdApp {
                     let banner = self.features.banner;
                     self.state.net.send(os, fd, banner.as_bytes());
                 }
-                NetEvent::Line(fd, line) => self.handle(os, fd, &line),
+                // One write per line, unlike Redis and Memcached: the
+                // generated reply maps (`updates.rs`) rewrite exactly one
+                // reply per `write`, and a merged write would not match.
+                // `QUIT` drops the session and ends the batch.
+                NetEvent::Lines(fd, lines) => {
+                    for line in lines {
+                        self.handle(os, fd, &line);
+                        if !self.state.sessions.contains_key(&fd) {
+                            break;
+                        }
+                    }
+                }
                 NetEvent::Closed(fd) => {
                     self.state.sessions.remove(&fd);
                 }
@@ -650,5 +661,24 @@ mod tests {
         assert_eq!(resolve("/", "f"), "/f");
         assert_eq!(resolve("/pub", "f"), "/pub/f");
         assert_eq!(resolve("/pub", "/abs"), "/abs");
+    }
+
+    #[test]
+    fn lines_after_quit_leave_no_session() {
+        let mut r = rig("2.0.5", 2118);
+        let _banner = recv_until(&mut r, b"\r\n");
+        r.kernel
+            .client_send(r.client, b"QUIT\r\nUSER anonymous\r\n")
+            .unwrap();
+        assert_eq!(recv_until(&mut r, b"\r\n"), b"221 Goodbye!\r\n");
+        for _ in 0..10 {
+            let _ = r.app.step(&mut r.os);
+        }
+        assert_eq!(r.app.state.net.conn_count(), 0);
+        assert!(
+            r.app.state.sessions.is_empty(),
+            "{:?}",
+            r.app.state.sessions
+        );
     }
 }

@@ -7,10 +7,12 @@
 # builds lifebench in both trees, then runs N pairs of 30 s runs on
 # WORKLOAD with seed = pair number. Odd pairs run the parent first, even
 # pairs the change first, so an order effect between the two sides
-# cancels out over the pairs. Prints each pair's CPU per op and set-up
-# time with the change/parent ratios, then one line per metric: parent
-# median, change median, their ratio and in how many pairs the change
-# read lower. Run from the repository root.
+# cancels out over the pairs. Prints each pair's CPU per op, set-up CPU
+# time and set-up wall time with the change/parent ratios, then one line
+# per metric: parent median, change median, their ratio and in how many
+# pairs the change read lower. Set-up wall time sits next to its CPU
+# time so that a set-up that ran fast on both counts shows as such.
+# Run from the repository root.
 set -euo pipefail
 if [ $# -ne 3 ]; then
     echo "usage: $0 REV WORKLOAD N" >&2
@@ -32,8 +34,16 @@ declare -A bin=(
     [parent]="$base/target/release/lifebench"
     [change]=lifebench/target/release/lifebench
 )
-metrics=(cpu_us_per_op_single cpu_us_per_op_monitored setup_s ok_frac)
-value() { tail -n 1 "$1" | sed -E "s/.*\"$2\": \{\"value\": ([-0-9.eE+]+).*/\1/"; }
+metrics=(cpu_us_per_op_single cpu_us_per_op_monitored setup_s setup_wall_s ok_frac)
+# The end-to-end metrics come from the JSON result line, the table-only
+# `setup_wall_s` from the table.
+value() {
+    if [ "$2" = setup_wall_s ]; then
+        awk -v m="$2" '$1 == m { print $2 }' "$1"
+    else
+        tail -n 1 "$1" | sed -E "s/.*\"$2\": \{\"value\": ([-0-9.eE+]+).*/\1/"
+    fi
+}
 for i in $(seq 1 "$n"); do
     if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do

@@ -197,3 +197,60 @@ fn update_pause_is_a_fork_not_a_transformation() {
     assert_eq!(ask(&mut c, "GET key250"), "VAL value250");
     session.shutdown();
 }
+
+#[test]
+fn pipelined_batches_meet_the_per_read_rules() {
+    // Figure 4's rules rewrite a whole `read` as one command. A batch of
+    // old commands passes them untouched. A batch holding a typed `PUT`
+    // reaches the follower as one `bad-cmd` line, so the follower
+    // answers fewer commands than the leader: the session rolls back,
+    // and the client has the old version's reply to every command.
+    let session = launch(PORT + 4);
+    let mut c = client(&session, PORT + 4);
+    session
+        .update_monitored(
+            kvstore::update_package(FaultPlan::none()),
+            Duration::from_millis(100),
+        )
+        .unwrap();
+    c.send(b"PUT a 1\r\nPUT b 2\r\nGET a\r\n").unwrap();
+    assert_eq!(
+        c.recv_until(b"VAL 1\r\n").unwrap(),
+        b"OK\r\nOK\r\nVAL 1\r\n"
+    );
+    c.send(b"PUT-number x 1\r\nGET b\r\n").unwrap();
+    assert_eq!(
+        c.recv_until(b"VAL 2\r\n").unwrap(),
+        b"ERR bad-cmd\r\nVAL 2\r\n"
+    );
+    assert!(session
+        .timeline()
+        .wait_for_stage(Stage::SingleLeader, Duration::from_secs(5)));
+    let diverged: Vec<String> = session
+        .timeline()
+        .entries()
+        .into_iter()
+        .filter_map(|e| match e.event {
+            TimelineEvent::Diverged { description, .. } => Some(description),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(diverged.len(), 1, "{diverged:?}");
+    assert!(diverged[0].contains("VAL 2"), "{diverged:?}");
+    assert_eq!(session.active_version(), dsu::v(kvstore::V1));
+
+    // The same commands one per read match the rules.
+    session
+        .update_monitored(
+            kvstore::update_package(FaultPlan::none()),
+            Duration::from_millis(100),
+        )
+        .unwrap();
+    assert_eq!(ask(&mut c, "PUT-number x 1"), "ERR bad-cmd");
+    assert_eq!(ask(&mut c, "GET b"), "VAL 2");
+    session.promote().unwrap();
+    assert!(session
+        .timeline()
+        .wait_for_stage(Stage::UpdatedLeader, Duration::from_secs(5)));
+    session.shutdown();
+}
