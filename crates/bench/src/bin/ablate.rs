@@ -37,7 +37,7 @@ fn ring_capacity_sweep() {
             std::thread::spawn(move || {
                 let mut n = 0u64;
                 // Drains like the follower, doing a little work per
-                // record (matching + reconstructing).
+                // record (matching + replaying).
                 while let Ok(batch) = ring.pop_batch(mve::FOLLOWER_BATCH) {
                     for _record in batch {
                         n = n.wrapping_mul(31).wrapping_add(1);

@@ -463,8 +463,7 @@ impl Mvedsua {
             });
         };
         active.roll_back();
-        self.shared.timeline.set_stage(Stage::SingleLeader);
-        self.shared.timeline.record(TimelineEvent::RolledBack);
+        self.shared.timeline.roll_back();
         Ok(())
     }
 

@@ -183,12 +183,11 @@ fn finish_failed_follower(shared: &Shared, id: VariantId) {
     match active.as_ref() {
         Some(a) if a.follower_id == id => {
             active.take().expect("matched above").roll_back();
-            // Era (promote action included), stage, then RolledBack, all
-            // under the era lock: a waiter woken by RolledBack must
-            // observe the restored stage, and may fork the next update
-            // at once.
-            shared.timeline.set_stage(Stage::SingleLeader);
-            shared.timeline.record(TimelineEvent::RolledBack);
+            // Era (promote action included), then stage and RolledBack
+            // in one timeline step, all under the era lock: a waiter
+            // woken by either observes both, and may fork the next
+            // update at once.
+            shared.timeline.roll_back();
         }
         None => shared.timeline.set_stage(Stage::SingleLeader),
         // A *different* update is already being monitored (the

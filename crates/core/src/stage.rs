@@ -158,16 +158,30 @@ impl Timeline {
 
     /// Moves the stage machine, recording the transition.
     pub fn set_stage(&self, stage: Stage) {
+        self.set_stage_then(stage, None);
+    }
+
+    /// Moves the stage back to single-leader and records the rollback
+    /// in one step: a waiter woken by the stage change already sees the
+    /// `RolledBack` that caused it, so an update it starts next cannot
+    /// take this rollback for its own.
+    pub fn roll_back(&self) {
+        self.set_stage_then(Stage::SingleLeader, Some(TimelineEvent::RolledBack));
+    }
+
+    fn set_stage_then(&self, stage: Stage, event: Option<TimelineEvent>) {
         let at_nanos = self.kernel.now_nanos();
         let mut inner = self.inner.lock();
-        if inner.stage == stage {
-            return;
+        if inner.stage != stage {
+            inner.stage = stage;
+            inner.entries.push(TimelineEntry {
+                at_nanos,
+                event: TimelineEvent::StageChanged { stage },
+            });
         }
-        inner.stage = stage;
-        inner.entries.push(TimelineEntry {
-            at_nanos,
-            event: TimelineEvent::StageChanged { stage },
-        });
+        inner
+            .entries
+            .extend(event.map(|event| TimelineEntry { at_nanos, event }));
         self.changed.notify_all();
     }
 
@@ -261,6 +275,27 @@ mod tests {
         t.set_stage(Stage::OutdatedLeader); // no duplicate entry
         assert_eq!(t.stage(), Stage::OutdatedLeader);
         assert_eq!(t.entries().len(), 1);
+    }
+
+    #[test]
+    fn a_stage_waiter_woken_by_a_rollback_sees_it_recorded() {
+        let t = Arc::new(Timeline::new(VirtualKernel::new()));
+        t.set_stage(Stage::OutdatedLeader);
+        let t2 = t.clone();
+        let waiter = thread::spawn(move || {
+            assert!(t2.wait_for_stage(Stage::SingleLeader, Duration::from_secs(2)));
+            t2.entries()
+        });
+        thread::sleep(Duration::from_millis(20));
+        t.roll_back();
+        let seen = waiter.join().unwrap();
+        assert!(matches!(
+            seen.last().map(|e| &e.event),
+            Some(TimelineEvent::RolledBack)
+        ));
+        // Already single-leader: only the rollback is recorded.
+        t.roll_back();
+        assert_eq!(t.entries().len(), 4);
     }
 
     #[test]

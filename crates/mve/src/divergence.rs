@@ -16,7 +16,7 @@ pub struct Divergence {
     pub expected: Option<Event>,
     /// What the follower actually attempted (display form).
     pub attempted: String,
-    /// Extra context: rule-evaluation failures, reconstruction problems.
+    /// Extra context: rule-evaluation failures, malformed computed events.
     pub detail: String,
 }
 

@@ -51,16 +51,22 @@
 //!   until the stream settles it: the next record, `Demote`, or the ring
 //!   closing. No clock decides it, so a verdict is a function of the
 //!   leader's records alone, however long the leader pauses mid-window.
-//! * A record whose window no rule rewrites is queued as the leader's
-//!   raw record: compared record-to-record, its logged result (errno
-//!   included) replayed as is. A rule template that copies one pattern
-//!   verbatim queues the matched raw record too. Only a rule that tests
-//!   or computes argument values makes the follower project records into
-//!   DSL events, each record at most once.
+//! * Every window is decided into logged records, queued in stream
+//!   order: a record no rule rewrites is queued as the leader's raw
+//!   record, and so is one a rule template copies verbatim. An event a
+//!   template computes becomes the record it projects from
+//!   ([`record_of_event`]), or, when no record does (a wrong argument
+//!   count or shape, a byte payload with characters above `U+00FF`), a
+//!   failure at its own queue position. Each call is compared with one
+//!   record ([`record_matches`]) and gets that record's result, errno
+//!   included. Only a rule that tests or computes argument values makes
+//!   the follower project records into DSL events, each record at most
+//!   once.
 //! * Everything a window emits is attributed to the window's last
-//!   record, and rule matches and rule errors surface when replay
-//!   reaches them, so divergence reports and flight-recorder output are
-//!   the same as refilling one window at a time would give.
+//!   record. A rule error or a malformed computed event surfaces when
+//!   replay reaches it, so divergence reports are the same as refilling
+//!   one window at a time would give. Each rule that fires is recorded
+//!   as a `RuleMatch` when its window is decided, at that last record.
 
 mod divergence;
 mod event;
@@ -72,9 +78,7 @@ mod variant;
 pub use divergence::{Divergence, RetireReason, RetiredSignal};
 pub use event::{ControlRecord, EventRecord, EventRing, SyscallRecord};
 pub use lockstep::{LagPlan, LockstepMode};
-pub use project::{
-    event_signatures, reconstruct_result, record_matches, request_matches, syscall_event,
-};
+pub use project::{event_signatures, record_matches, record_of_event, syscall_event};
 pub use stats::SyscallStats;
 pub use variant::{
     FollowerConfig, LeaderConfig, Notice, NoticeHook, NoticeKind, Role, VariantId, VariantOs,

@@ -3,9 +3,11 @@
 //! Each syscall kind has a fixed event schema combining its *request*
 //! fields (known before execution) and its *response* fields (the
 //! leader's result). The paper's rules match on both — e.g. Figure 4
-//! treats the buffer a `read` returned as matchable — so the follower
-//! compares only the request fields ([`request_matches`]) and then takes
-//! the response fields as its own result ([`reconstruct_result`]).
+//! treats the buffer a `read` returned as matchable. [`syscall_event`]
+//! projects a logged record into its event; [`record_of_event`] is its
+//! inverse, which turns an event a rule template computed into the
+//! record the follower checks its call against ([`record_matches`],
+//! request fields only) and whose result it replays.
 //!
 //! Schemas (`*` marks request fields used for comparison):
 //!
@@ -35,12 +37,46 @@
 //! rules. Rule-synthesized strings containing characters above `U+00FF`
 //! cannot be encoded back into bytes and are reported as malformed.
 
-use dsl::{Event, Value};
-use vos::{Buf, Errno, Fd, FileStat, NodeKind, OpenMode, SysRet, Syscall};
+use dsl::{ArgKind, Event, Value};
+use vos::{Buf, Errno, Fd, FileStat, NodeKind, OpenMode, SysRet, Syscall, SyscallKind};
+
+use crate::event::SyscallRecord;
+
+/// The argument kinds of each syscall's event, indexed by
+/// [`SyscallKind::index`]: the one schema that [`event_signatures`],
+/// [`event_arity`] and [`record_of_event`] read.
+const EVENT_ARGS: [&[ArgKind]; 16] = {
+    use ArgKind::{Int, List, Str};
+    [
+        &[Int, Int],      // listen
+        &[Int, Int],      // accept
+        &[Int, Str, Int], // read
+        &[Int, Str, Int], // write
+        &[Int],           // close
+        &[Int],           // epoll_create
+        &[Int, Str, Int], // epoll_ctl
+        &[Int, List],     // epoll_wait
+        &[Str, Str, Int], // open
+        &[Str],           // unlink
+        &[Str, Str, Int], // stat
+        &[Str, List],     // list
+        &[Str],           // mkdir
+        &[Str, Str],      // rename
+        &[Int],           // now
+        &[Int],           // pid
+    ]
+};
 
 fn fd_val(fd: Fd) -> Value {
     Value::Int(fd.as_raw() as i64)
 }
+
+const MODES: [OpenMode; 4] = [
+    OpenMode::Read,
+    OpenMode::Write,
+    OpenMode::Append,
+    OpenMode::CreateNew,
+];
 
 fn mode_name(mode: OpenMode) -> &'static str {
     match mode {
@@ -58,6 +94,19 @@ fn op_name(op: vos::CtlOp) -> &'static str {
     }
 }
 
+fn node_name(kind: NodeKind) -> &'static str {
+    match kind {
+        NodeKind::File => "file",
+        NodeKind::Dir => "dir",
+    }
+}
+
+/// The one of `all` that `name_of` calls `name`: the inverse of the
+/// naming functions above.
+fn named<T: Copy>(all: &[T], name_of: fn(T) -> &'static str, name: &str) -> Option<T> {
+    all.iter().copied().find(|&v| name_of(v) == name)
+}
+
 /// Lossless byte→string projection (Latin-1: each byte is one char).
 fn bytes_val(data: &[u8]) -> Value {
     Value::Str(data.iter().map(|b| char::from(*b)).collect())
@@ -68,7 +117,7 @@ fn bytes_val(data: &[u8]) -> Value {
 /// # Errors
 /// Fails when the string contains characters above `U+00FF`, which no
 /// byte sequence projects to (a rule-authoring mistake).
-fn str_to_bytes(s: &str) -> Result<Vec<u8>, String> {
+fn str_to_bytes(s: &str) -> Result<Buf, String> {
     s.chars()
         .map(|c| {
             let code = c as u32;
@@ -84,26 +133,10 @@ fn str_to_bytes(s: &str) -> Result<Vec<u8>, String> {
 /// [`syscall_event`] actually emits. This is what the deployment gate
 /// and `harness lint` check pattern/template events against.
 pub fn event_signatures() -> Vec<dsl::EventSig> {
-    use dsl::ArgKind::{Int, List, Str};
-    use dsl::EventSig;
-    vec![
-        EventSig::new("listen", &[Int, Int]),
-        EventSig::new("accept", &[Int, Int]),
-        EventSig::new("read", &[Int, Str, Int]),
-        EventSig::new("write", &[Int, Str, Int]),
-        EventSig::new("close", &[Int]),
-        EventSig::new("epoll_create", &[Int]),
-        EventSig::new("epoll_ctl", &[Int, Str, Int]),
-        EventSig::new("epoll_wait", &[Int, List]),
-        EventSig::new("open", &[Str, Str, Int]),
-        EventSig::new("unlink", &[Str]),
-        EventSig::new("stat", &[Str, Str, Int]),
-        EventSig::new("list", &[Str, List]),
-        EventSig::new("mkdir", &[Str]),
-        EventSig::new("rename", &[Str, Str]),
-        EventSig::new("now", &[Int]),
-        EventSig::new("pid", &[Int]),
-    ]
+    SyscallKind::ALL
+        .iter()
+        .map(|kind| dsl::EventSig::new(kind.name(), EVENT_ARGS[kind.index()]))
+        .collect()
 }
 
 /// Projects a logged `(call, result)` pair into the DSL event the rule
@@ -173,13 +206,7 @@ pub fn syscall_event(call: &Syscall, ret: &SysRet) -> Event {
         Syscall::FsStat { path } => {
             let (kind, size) = if ok {
                 match ret.as_stat() {
-                    Some(st) => (
-                        match st.kind {
-                            NodeKind::File => "file",
-                            NodeKind::Dir => "dir",
-                        },
-                        st.size as i64,
-                    ),
+                    Some(st) => (node_name(st.kind), st.size as i64),
                     None => ("", -1),
                 }
             } else {
@@ -226,25 +253,7 @@ pub fn syscall_event(call: &Syscall, ret: &SysRet) -> Event {
 /// Argument count of the event [`syscall_event`] projects `call` into,
 /// known without projecting it.
 pub(crate) fn event_arity(call: &Syscall) -> usize {
-    match call {
-        Syscall::Close { .. }
-        | Syscall::EpollCreate
-        | Syscall::FsUnlink { .. }
-        | Syscall::FsMkdir { .. }
-        | Syscall::Now
-        | Syscall::Pid => 1,
-        Syscall::Listen { .. }
-        | Syscall::Accept { .. }
-        | Syscall::EpollWait { .. }
-        | Syscall::FsList { .. }
-        | Syscall::FsRename { .. } => 2,
-        Syscall::Read { .. }
-        | Syscall::ReadTimeout { .. }
-        | Syscall::Write { .. }
-        | Syscall::EpollCtl { .. }
-        | Syscall::FsOpen { .. }
-        | Syscall::FsStat { .. } => 3,
-    }
+    EVENT_ARGS[call.kind().index()].len()
 }
 
 fn int_of(v: &Value) -> Option<i64> {
@@ -261,21 +270,15 @@ fn str_of(v: &Value) -> Option<&str> {
     }
 }
 
-fn fd_eq(v: &Value, fd: Fd) -> bool {
-    int_of(v) == Some(fd.as_raw() as i64)
-}
-
-/// Raw-record twin of [`request_matches`]: does the follower's
-/// *attempted* syscall agree with the leader's *logged* call on the
-/// request fields, compared record-to-record with no event projection?
+/// Does the follower's *attempted* syscall agree with an expected
+/// record's call on the request fields? Response fields come from the
+/// leader and are not compared, nor are a read's or a poll's `max` and
+/// timeout.
 ///
-/// The follower uses it for every record it replays as logged: one no
-/// rule rewrote, or one a rule template copies verbatim. It is
-/// equivalent to
-/// `request_matches(&syscall_event(expected, ret), attempted)` for every
-/// directly-projected record: the Latin-1 byte↔char projection is
-/// injective, so payload equality on the projected strings is payload
-/// equality on the bytes — which for shared [`Buf`]s short-circuits on
+/// The follower checks every call it replays with it: against a record
+/// no rule rewrote, one a rule template copies verbatim, or the record
+/// of an event a template computed ([`record_of_event`]). Payloads
+/// compare as bytes, which for shared [`Buf`]s short-circuits on
 /// pointer identity without touching the payload at all.
 pub fn record_matches(expected: &Syscall, attempted: &Syscall) -> bool {
     // `Read` and `ReadTimeout` share a kind (and an event name): a
@@ -328,113 +331,125 @@ pub fn record_matches(expected: &Syscall, attempted: &Syscall) -> bool {
     }
 }
 
-/// Does the follower's *attempted* syscall agree with the expected event
-/// on the request fields? (Response fields come from the leader and are
-/// not compared.)
-pub fn request_matches(expected: &Event, attempted: &Syscall) -> bool {
-    if expected.name != attempted.kind().name() {
-        return false;
-    }
-    let a = &expected.args;
-    match attempted {
-        Syscall::Listen { port } => int_of(&a[0]) == Some(*port as i64),
-        Syscall::Accept { listener } => fd_eq(&a[0], *listener),
-        Syscall::Read { fd, .. } | Syscall::ReadTimeout { fd, .. } => fd_eq(&a[0], *fd),
-        Syscall::Write { fd, data } => {
-            fd_eq(&a[0], *fd)
-                && str_of(&a[1]).is_some_and(|s| matches!(str_to_bytes(s), Ok(b) if b == *data))
-        }
-        Syscall::Close { fd } => fd_eq(&a[0], *fd),
-        Syscall::EpollCreate => true,
-        Syscall::EpollCtl { ep, op, fd } => {
-            fd_eq(&a[0], *ep) && str_of(&a[1]) == Some(op_name(*op)) && fd_eq(&a[2], *fd)
-        }
-        Syscall::EpollWait { ep, .. } => fd_eq(&a[0], *ep),
-        Syscall::FsOpen { path, mode } => {
-            str_of(&a[0]) == Some(path) && str_of(&a[1]) == Some(mode_name(*mode))
-        }
-        Syscall::FsUnlink { path } | Syscall::FsStat { path } | Syscall::FsList { path } => {
-            str_of(&a[0]) == Some(path)
-        }
-        Syscall::FsMkdir { path } => str_of(&a[0]) == Some(path),
-        Syscall::FsRename { from, to } => str_of(&a[0]) == Some(from) && str_of(&a[1]) == Some(to),
-        Syscall::Now | Syscall::Pid => true,
-    }
-}
-
-/// Rebuilds the [`SysRet`] the follower should observe from an expected
-/// event (possibly rule-synthesized).
+/// Turns an event back into the record it projects from: the inverse of
+/// [`syscall_event`]. The follower calls it where a rule template
+/// computes an event, so a computed expectation is checked and replayed
+/// exactly as a logged record is.
+///
+/// Fields that no event carries (a read's `max`, a poll's `max` and
+/// timeout) come back as 0: [`record_matches`] does not compare them.
+/// A failed event's response fields are placeholders and are not read,
+/// nor is a read's length, which its data already gives.
 ///
 /// # Errors
-/// Returns a description when the event's fields have the wrong shape —
-/// an update-spec (rule) bug, surfaced as a divergence by the caller.
-pub fn reconstruct_result(expected: &Event, attempted: &Syscall) -> Result<SysRet, String> {
-    if let Some(err_name) = &expected.error {
-        let e = Errno::from_name(err_name)
-            .ok_or_else(|| format!("unknown errno {err_name:?} in expected event"))?;
-        return Ok(SysRet::Err(e));
+/// Describes the event when it names no syscall, has another number of
+/// arguments than its schema, has an argument of the wrong shape, or
+/// carries an unknown errno: an update-spec (rule) bug, which the
+/// follower reports as a divergence.
+pub fn record_of_event(event: &Event) -> Result<SyscallRecord, String> {
+    let kind = SyscallKind::from_name(&event.name)
+        .ok_or_else(|| format!("expected event {event} names no syscall"))?;
+    let arity = EVENT_ARGS[kind.index()].len();
+    if event.arity() != arity {
+        return Err(format!(
+            "expected event {event} is malformed: `{}` takes {arity} arguments",
+            event.name
+        ));
     }
-    let a = &expected.args;
-    let bad = |what: &str| format!("expected event {expected} has malformed {what}");
-    Ok(match attempted {
-        Syscall::Listen { .. } | Syscall::Accept { .. } => SysRet::Fd(Fd::from_raw(
-            int_of(&a[1]).ok_or_else(|| bad("fd result"))? as u64,
-        )),
-        Syscall::Read { .. } | Syscall::ReadTimeout { .. } => SysRet::Data(Buf::from_vec(
-            str_to_bytes(str_of(&a[1]).ok_or_else(|| bad("read data"))?)?,
-        )),
-        Syscall::Write { .. } => {
-            SysRet::Size(int_of(&a[2]).ok_or_else(|| bad("write size"))?.max(0) as usize)
-        }
-        Syscall::Close { .. }
-        | Syscall::EpollCtl { .. }
-        | Syscall::FsUnlink { .. }
-        | Syscall::FsMkdir { .. }
-        | Syscall::FsRename { .. } => SysRet::Unit,
-        Syscall::EpollCreate => SysRet::Fd(Fd::from_raw(
-            int_of(&a[0]).ok_or_else(|| bad("fd result"))? as u64,
-        )),
-        Syscall::EpollWait { .. } => {
-            let list = match &a[1] {
-                Value::List(items) => items,
-                _ => return Err(bad("ready list")),
-            };
-            let mut fds = Vec::with_capacity(list.len());
-            for item in list {
-                fds.push(Fd::from_raw(
-                    int_of(item).ok_or_else(|| bad("ready fd"))? as u64
-                ));
-            }
-            SysRet::Fds(fds)
-        }
-        Syscall::FsOpen { .. } => SysRet::Fd(Fd::from_raw(
-            int_of(&a[2]).ok_or_else(|| bad("fd result"))? as u64,
-        )),
-        Syscall::FsStat { .. } => {
-            let kind = match str_of(&a[1]) {
-                Some("file") => NodeKind::File,
-                Some("dir") => NodeKind::Dir,
-                _ => return Err(bad("stat kind")),
-            };
-            SysRet::Stat(FileStat {
-                kind,
-                size: int_of(&a[2]).ok_or_else(|| bad("stat size"))?.max(0) as u64,
-            })
-        }
-        Syscall::FsList { .. } => {
-            let list = match &a[1] {
-                Value::List(items) => items,
-                _ => return Err(bad("name list")),
-            };
-            let mut names = Vec::with_capacity(list.len());
-            for item in list {
-                names.push(str_of(item).ok_or_else(|| bad("name"))?.to_string());
-            }
-            SysRet::Names(names)
-        }
-        Syscall::Now => SysRet::Time(int_of(&a[0]).ok_or_else(|| bad("time"))?.max(0) as u64),
-        Syscall::Pid => SysRet::Pid(int_of(&a[0]).ok_or_else(|| bad("pid"))?.max(0) as u32),
-    })
+    let a = &event.args;
+    let bad = |i: usize| format!("expected event {event} has malformed argument {}", i + 1);
+    let int = |i: usize| int_of(&a[i]).ok_or_else(|| bad(i));
+    let string = |i: usize| str_of(&a[i]).ok_or_else(|| bad(i));
+    let list = |i: usize| match &a[i] {
+        Value::List(items) => Ok(items.as_slice()),
+        _ => Err(bad(i)),
+    };
+    let fd_of = |v: &Value| {
+        int_of(v)
+            .and_then(|n| u64::try_from(n).ok())
+            .map(Fd::from_raw)
+    };
+    let fd = |i: usize| fd_of(&a[i]).ok_or_else(|| bad(i));
+    let path = |i: usize| string(i).map(str::to_string);
+    let bytes = |i: usize| str_to_bytes(string(i)?).map_err(|e| format!("{}: {e}", bad(i)));
+    let call = match kind {
+        SyscallKind::Listen => Syscall::Listen {
+            port: u16::try_from(int(0)?).map_err(|_| bad(0))?,
+        },
+        SyscallKind::Accept => Syscall::Accept { listener: fd(0)? },
+        SyscallKind::Read => Syscall::Read { fd: fd(0)?, max: 0 },
+        SyscallKind::Write => Syscall::Write {
+            fd: fd(0)?,
+            data: bytes(1)?,
+        },
+        SyscallKind::Close => Syscall::Close { fd: fd(0)? },
+        SyscallKind::EpollCreate => Syscall::EpollCreate,
+        SyscallKind::EpollCtl => Syscall::EpollCtl {
+            ep: fd(0)?,
+            op: named(&[vos::CtlOp::Add, vos::CtlOp::Del], op_name, string(1)?)
+                .ok_or_else(|| bad(1))?,
+            fd: fd(2)?,
+        },
+        SyscallKind::EpollWait => Syscall::EpollWait {
+            ep: fd(0)?,
+            max: 0,
+            timeout_ms: 0,
+        },
+        SyscallKind::FsOpen => Syscall::FsOpen {
+            path: path(0)?,
+            mode: named(&MODES, mode_name, string(1)?).ok_or_else(|| bad(1))?,
+        },
+        SyscallKind::FsUnlink => Syscall::FsUnlink { path: path(0)? },
+        SyscallKind::FsStat => Syscall::FsStat { path: path(0)? },
+        SyscallKind::FsList => Syscall::FsList { path: path(0)? },
+        SyscallKind::FsMkdir => Syscall::FsMkdir { path: path(0)? },
+        SyscallKind::FsRename => Syscall::FsRename {
+            from: path(0)?,
+            to: path(1)?,
+        },
+        SyscallKind::Now => Syscall::Now,
+        SyscallKind::Pid => Syscall::Pid,
+    };
+    if let Some(name) = &event.error {
+        let errno = Errno::from_name(name)
+            .ok_or_else(|| format!("unknown errno {name:?} in expected event {event}"))?;
+        return Ok(SyscallRecord {
+            call,
+            ret: SysRet::Err(errno),
+        });
+    }
+    let ret = match kind {
+        SyscallKind::Listen | SyscallKind::Accept => SysRet::Fd(fd(1)?),
+        SyscallKind::Read => SysRet::Data(bytes(1)?),
+        SyscallKind::Write => SysRet::Size(int(2)?.max(0) as usize),
+        SyscallKind::Close
+        | SyscallKind::EpollCtl
+        | SyscallKind::FsUnlink
+        | SyscallKind::FsMkdir
+        | SyscallKind::FsRename => SysRet::Unit,
+        SyscallKind::EpollCreate => SysRet::Fd(fd(0)?),
+        SyscallKind::EpollWait => SysRet::Fds(
+            list(1)?
+                .iter()
+                .map(|v| fd_of(v).ok_or_else(|| bad(1)))
+                .collect::<Result<_, _>>()?,
+        ),
+        SyscallKind::FsOpen => SysRet::Fd(fd(2)?),
+        SyscallKind::FsStat => SysRet::Stat(FileStat {
+            kind: named(&[NodeKind::File, NodeKind::Dir], node_name, string(1)?)
+                .ok_or_else(|| bad(1))?,
+            size: int(2)?.max(0) as u64,
+        }),
+        SyscallKind::FsList => SysRet::Names(
+            list(1)?
+                .iter()
+                .map(|v| str_of(v).map(str::to_string).ok_or_else(|| bad(1)))
+                .collect::<Result<_, _>>()?,
+        ),
+        SyscallKind::Now => SysRet::Time(int(0)?.max(0) as u64),
+        SyscallKind::Pid => SysRet::Pid(u32::try_from(int(0)?).map_err(|_| bad(0))?),
+    };
+    Ok(SyscallRecord { call, ret })
 }
 
 #[cfg(test)]
@@ -465,8 +480,9 @@ mod tests {
         assert_eq!(sigs.len(), 16);
     }
 
-    /// Projection followed by reconstruction gives the original result,
-    /// for every syscall kind the servers use.
+    /// Projection followed by [`record_of_event`] gives back the
+    /// original result, and a call that agrees with the original one,
+    /// for every syscall kind, failed or not.
     #[test]
     fn project_reconstruct_round_trip() {
         let cases: Vec<(Syscall, SysRet)> = vec![
@@ -540,16 +556,17 @@ mod tests {
             (Syscall::Pid, SysRet::Pid(101)),
         ];
         for (call, ret) in cases {
-            let event = syscall_event(&call, &ret);
-            assert_eq!(event_arity(&call), event.arity(), "arity of {event}");
-            let failed = syscall_event(&call, &SysRet::Err(Errno::ConnReset));
-            assert_eq!(event_arity(&call), failed.arity(), "arity of {failed}");
-            assert!(
-                request_matches(&event, &call),
-                "self-match failed for {event}"
-            );
-            let back = reconstruct_result(&event, &call).unwrap();
-            assert_eq!(back, ret, "round trip failed for {event}");
+            let failed = SysRet::Err(Errno::ConnReset);
+            for ret in [ret, failed] {
+                let event = syscall_event(&call, &ret);
+                assert_eq!(event_arity(&call), event.arity(), "arity of {event}");
+                let back = record_of_event(&event).unwrap();
+                assert_eq!(back.ret, ret, "round trip failed for {event}");
+                assert!(
+                    record_matches(&back.call, &call),
+                    "self-match failed for {event}"
+                );
+            }
         }
     }
 
@@ -559,23 +576,25 @@ mod tests {
         let ret = SysRet::Err(Errno::TimedOut);
         let event = syscall_event(&call, &ret);
         assert_eq!(event.error.as_deref(), Some("timed out"));
-        assert!(request_matches(&event, &call));
-        assert_eq!(reconstruct_result(&event, &call).unwrap(), ret);
+        let back = record_of_event(&event).unwrap();
+        assert!(record_matches(&back.call, &call));
+        assert_eq!(back.ret, ret);
     }
 
     #[test]
     fn read_matches_on_fd_only() {
         let leader = Syscall::Read { fd: fd(5), max: 64 };
         let event = syscall_event(&leader, &SysRet::Data(b"data".to_vec().into()));
+        let expected = record_of_event(&event).unwrap().call;
         // Follower may use a different max / timeout form.
         let follower = Syscall::ReadTimeout {
             fd: fd(5),
             max: 128,
             timeout_ms: 50,
         };
-        assert!(request_matches(&event, &follower));
+        assert!(record_matches(&expected, &follower));
         let other_fd = Syscall::Read { fd: fd(6), max: 64 };
-        assert!(!request_matches(&event, &other_fd));
+        assert!(!record_matches(&expected, &other_fd));
     }
 
     #[test]
@@ -585,17 +604,18 @@ mod tests {
             data: b"+OK\r\n".to_vec().into(),
         };
         let event = syscall_event(&leader, &SysRet::Size(5));
+        let expected = record_of_event(&event).unwrap().call;
         let same = Syscall::Write {
             fd: fd(5),
             data: b"+OK\r\n".to_vec().into(),
         };
-        assert!(request_matches(&event, &same));
+        assert!(record_matches(&expected, &same));
         let different_payload = Syscall::Write {
             fd: fd(5),
             data: b"+NO\r\n".to_vec().into(),
         };
         assert!(
-            !request_matches(&event, &different_payload),
+            !record_matches(&expected, &different_payload),
             "payload divergence must be caught"
         );
     }
@@ -603,7 +623,8 @@ mod tests {
     #[test]
     fn kind_mismatch_never_matches() {
         let event = syscall_event(&Syscall::Now, &SysRet::Time(1));
-        assert!(!request_matches(&event, &Syscall::Pid));
+        let expected = record_of_event(&event).unwrap().call;
+        assert!(!record_matches(&expected, &Syscall::Pid));
     }
 
     #[test]
@@ -618,25 +639,47 @@ mod tests {
             max: 64,
             timeout_ms: 10,
         };
-        assert!(request_matches(&event, &attempted));
-        assert_eq!(
-            reconstruct_result(&event, &attempted).unwrap(),
-            SysRet::Data(b"bad-cmd".to_vec().into())
-        );
+        let record = record_of_event(&event).unwrap();
+        assert!(record_matches(&record.call, &attempted));
+        assert_eq!(record.ret, SysRet::Data(b"bad-cmd".to_vec().into()));
     }
 
     #[test]
     fn malformed_rule_event_is_reported() {
-        let event = Event::new("read", vec![Value::Int(5), Value::Int(99), Value::Int(7)]);
-        let attempted = Syscall::Read { fd: fd(5), max: 8 };
-        let err = reconstruct_result(&event, &attempted).unwrap_err();
-        assert!(err.contains("malformed"), "{err}");
+        let int = Value::Int;
+        let s = |v: &str| Value::Str(v.into());
+        for event in [
+            // A read's data must be a string.
+            Event::new("read", vec![int(5), int(99), int(7)]),
+            // Fewer arguments than the schema: a `write(fd)` template.
+            Event::new("write", vec![int(5)]),
+            // More arguments than the schema.
+            Event::new("close", vec![int(5), int(6)]),
+            // A payload no byte string projects to.
+            Event::new("write", vec![int(5), s("caf\u{e9}\u{2603}"), int(5)]),
+            // Names that are not in the vocabulary.
+            Event::new("epoll_ctl", vec![int(4), s("mod"), int(5)]),
+            Event::new("open", vec![s("/f"), s("exec"), int(3)]),
+            Event::new("stat", vec![s("/f"), s("link"), int(0)]),
+            // Numbers out of range: a port, a negative fd, a pid.
+            Event::new("listen", vec![int(70_000), int(3)]),
+            Event::new("close", vec![int(-1)]),
+            Event::new("pid", vec![int(1 << 40)]),
+            // A ready list holding a string.
+            Event::new("epoll_wait", vec![int(4), Value::List(vec![s("9")])]),
+        ] {
+            let err = record_of_event(&event).unwrap_err();
+            assert!(err.contains("malformed"), "{event}: {err}");
+        }
+        let err = record_of_event(&Event::new("fork", vec![])).unwrap_err();
+        assert!(err.contains("names no syscall"), "{err}");
     }
 
     #[test]
     fn unknown_errno_in_event_is_reported() {
-        let event = Event::with_error("read", vec![Value::Int(5)], "made-up failure");
-        let err = reconstruct_result(&event, &Syscall::Read { fd: fd(5), max: 8 }).unwrap_err();
+        let args = vec![Value::Int(5), Value::Str(String::new()), Value::Int(-1)];
+        let event = Event::with_error("read", args, "made-up failure");
+        let err = record_of_event(&event).unwrap_err();
         assert!(err.contains("unknown errno"), "{err}");
     }
 }

@@ -14,9 +14,7 @@ use vos::{
 use crate::divergence::{Divergence, RetireReason, RetiredSignal};
 use crate::event::{ControlRecord, EventRecord, EventRing, SyscallRecord};
 use crate::lockstep::{LagPlan, LockstepMode};
-use crate::project::{
-    event_arity, reconstruct_result, record_matches, request_matches, syscall_event,
-};
+use crate::project::{event_arity, record_matches, record_of_event, syscall_event};
 use crate::stats::SyscallStats;
 use vos::Buf;
 
@@ -98,26 +96,17 @@ struct LeaderState {
 
 /// One queued expectation on the follower side.
 enum Expected {
-    /// A leader record replayed as logged: a record no rule rewrote, or
-    /// one a rule template copies verbatim. The comparison runs
-    /// record-to-record ([`record_matches`]) and the replayed result is
-    /// the logged `SysRet` itself, errno included — a refcount bump on
-    /// any shared payload, with the DSL event projected only if a
-    /// divergence must be reported.
+    /// A record the follower's call must agree with ([`record_matches`])
+    /// and whose result it replays as is, errno included: a leader
+    /// record no rule rewrote, one a rule template copies verbatim, or
+    /// the record of an event a template computed ([`record_of_event`]).
+    /// Replaying a logged record is a refcount bump on any shared
+    /// payload; its DSL event is projected only if a divergence must be
+    /// reported.
     Record(SyscallRecord),
-    /// An event a rule template computed.
-    Event(Event),
-    /// A rule fired on the window whose expectations follow. Queued only
-    /// while a recorder is attached, and emitted as a `RuleMatch` when
-    /// replay reaches it: the point at which refilling one window at a
-    /// time would have emitted it.
-    Matched {
-        rule: String,
-        consumed: usize,
-        emitted: usize,
-    },
-    /// Rule evaluation failed on the window: replay diverges on reaching
-    /// it, during the call that would have refilled that window.
+    /// Rule evaluation failed on the window, or a template computed an
+    /// event that no record projects to: replay diverges on reaching it,
+    /// during the call that would have refilled that window.
     Failed { event: Event, detail: String },
 }
 
@@ -649,60 +638,34 @@ impl VariantOs {
             }))
         };
         loop {
-            if let Some((seq, front)) = state.expected.front() {
-                let seq = *seq;
-                let matches = match front {
-                    Expected::Record(rec) => record_matches(&rec.call, call),
-                    Expected::Event(event) => request_matches(event, call),
-                    Expected::Matched { .. } => true,
-                    Expected::Failed { event, detail } => diverge(Some(event), detail.clone(), seq),
-                };
-                if !matches {
-                    // Cold path: project the record into its event only
-                    // now that a report must be rendered.
-                    let front = match front {
-                        Expected::Record(rec) => syscall_event(&rec.call, &rec.ret),
-                        Expected::Event(event) => event.clone(),
-                        _ => unreachable!("matched above"),
-                    };
-                    diverge(Some(&front), String::new(), seq);
+            match state.expected.pop_front() {
+                // The record's result IS the replayed result — nothing is
+                // rebuilt per call, and any payload is shared, not copied.
+                Some((seq, Expected::Record(rec))) if record_matches(&rec.call, call) => {
+                    return FollowerVerdict::Ret { ret: rec.ret, seq };
                 }
-                let (seq, front) = state.expected.pop_front().expect("checked front");
-                match front {
-                    // The leader's logged result IS the replayed result —
-                    // no reconstruction, and any payload is shared, not
-                    // copied.
-                    Expected::Record(rec) => return FollowerVerdict::Ret { ret: rec.ret, seq },
-                    Expected::Event(event) => match reconstruct_result(&event, call) {
-                        Ok(ret) => return FollowerVerdict::Ret { ret, seq },
-                        Err(detail) => diverge(Some(&event), detail, seq),
-                    },
-                    Expected::Matched {
-                        rule,
-                        consumed,
-                        emitted,
-                    } => {
-                        obs.emit(id, || ObsKind::RuleMatch {
-                            rule,
-                            consumed,
-                            emitted,
-                            pos: seq,
-                        });
-                        continue;
-                    }
-                    Expected::Failed { .. } => unreachable!("diverged above"),
+                // Cold path: project the record into its event only now
+                // that a report must be rendered.
+                Some((seq, Expected::Record(rec))) => diverge(
+                    Some(&syscall_event(&rec.call, &rec.ret)),
+                    String::new(),
+                    seq,
+                ),
+                Some((seq, Expected::Failed { event, detail })) => {
+                    diverge(Some(&event), detail, seq)
                 }
+                None => {}
             }
             if state.promote_pending {
                 return FollowerVerdict::Promote;
             }
             // Refill the expected queue from the leader's stream.
             match state.ring.pop_batch(FOLLOWER_BATCH) {
-                Ok(batch) => Self::take_batch(state, batch, obs.is_enabled()),
+                Ok(batch) => Self::take_batch(id, state, batch, obs),
                 // The stream ended: it settles any open window, and the
                 // follower takes over once the queue drains.
                 Err(RingError::Closed) if !state.carried.is_empty() => {
-                    Self::settle(state, true, obs.is_enabled())
+                    Self::settle(id, state, true, obs)
                 }
                 Err(RingError::Closed) => return FollowerVerdict::Single,
                 Err(RingError::Poisoned) => RetiredSignal::raise(RetireReason::Terminated),
@@ -712,7 +675,7 @@ impl VariantOs {
 
     /// Queues a batch taken from the ring: each record joins the carried
     /// run, and every window the stream has settled is decided.
-    fn take_batch(state: &mut FollowerState, batch: Vec<EventRecord>, recording: bool) {
+    fn take_batch(id: VariantId, state: &mut FollowerState, batch: Vec<EventRecord>, obs: &Obs) {
         for record in batch {
             match record {
                 EventRecord::Control {
@@ -722,7 +685,7 @@ impl VariantOs {
                     // The demoting leader's final record on this ring:
                     // it settles any open window, and the follower
                     // promotes once the queued prefix is replayed.
-                    Self::settle(state, true, recording);
+                    Self::settle(id, state, true, obs);
                     state.promote_pending = true;
                 }
                 EventRecord::Syscall { seq, record } => {
@@ -739,7 +702,7 @@ impl VariantOs {
                 }
             }
         }
-        Self::settle(state, false, recording);
+        Self::settle(id, state, false, obs);
     }
 
     /// Cuts the carried records into rule windows and decides each one.
@@ -748,7 +711,7 @@ impl VariantOs {
     /// stream has ended (`at_end`). Window boundaries are therefore a
     /// function of the record stream alone, whatever the batch sizes and
     /// however long the leader takes to send the next record.
-    fn settle(state: &mut FollowerState, at_end: bool, recording: bool) {
+    fn settle(id: VariantId, state: &mut FollowerState, at_end: bool, obs: &Obs) {
         let mut start = 0;
         while start < state.carried.len() {
             let mut end = start + 1;
@@ -765,7 +728,7 @@ impl VariantOs {
                 }
                 end += 1;
             }
-            Self::decide(state, start, end, recording);
+            Self::decide(id, state, start, end, obs);
             start = end;
         }
         state.carried.clear();
@@ -773,7 +736,9 @@ impl VariantOs {
 
     /// Runs the rules over the window `carried[start..end]` and queues
     /// what it emits, every entry attributed to the window's last record.
-    fn decide(state: &mut FollowerState, start: usize, end: usize, recording: bool) {
+    /// Each rule that fires is recorded here, as a `RuleMatch` at that
+    /// record: deciding the window is where the rule matched.
+    fn decide(id: VariantId, state: &mut FollowerState, start: usize, end: usize, obs: &Obs) {
         let FollowerState {
             carried,
             rules,
@@ -783,9 +748,7 @@ impl VariantOs {
         } = state;
         let window = &mut carried[start..end];
         let last_seq = window[end - start - 1].seq;
-        // Notes go before the window's expectations; see `Matched`.
-        let notes_at = expected.len();
-        let mut notes = 0;
+        let window_at = expected.len();
         let mut offset = 0;
         while offset < window.len() {
             let rewrite = match rules.rewrite(&Window(window), offset, builtins) {
@@ -794,7 +757,7 @@ impl VariantOs {
                     // Only the failure stays: replay diverges on it
                     // before any of this window's expectations.
                     let event = Window(window).event(offset).clone();
-                    expected.truncate(notes_at + notes);
+                    expected.truncate(window_at);
                     expected.push_back((
                         window[0].seq,
                         Expected::Failed {
@@ -812,15 +775,12 @@ impl VariantOs {
                 offset += 1;
                 continue;
             };
-            if recording {
-                let note = Expected::Matched {
-                    rule: rewrite.rule.to_string(),
-                    consumed: rewrite.consumed,
-                    emitted: rewrite.emitted.len(),
-                };
-                expected.insert(notes_at + notes, (last_seq, note));
-                notes += 1;
-            }
+            obs.emit(id, || ObsKind::RuleMatch {
+                rule: rewrite.rule.to_string(),
+                consumed: rewrite.consumed,
+                emitted: rewrite.emitted.len(),
+                pos: last_seq,
+            });
             let (consumed, emitted) = (rewrite.consumed, rewrite.emitted);
             // A record copied twice is cloned; otherwise it moves.
             let duplicated = emitted
@@ -833,7 +793,10 @@ impl VariantOs {
                         Expected::Record(window[index].record.clone())
                     }
                     Emit::Copy(index) => Expected::Record(take_record(&mut window[index])),
-                    Emit::Event(event) => Expected::Event(event),
+                    Emit::Event(event) => match record_of_event(&event) {
+                        Ok(record) => Expected::Record(record),
+                        Err(detail) => Expected::Failed { event, detail },
+                    },
                 };
                 expected.push_back((last_seq, entry));
             }

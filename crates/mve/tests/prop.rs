@@ -198,38 +198,99 @@ fn arb_syscall() -> impl Strategy<Value = Syscall> {
     ]
 }
 
-/// A plausible result for the expected record — the equivalence must hold
-/// whatever the leader's result was, since only request fields are
-/// compared.
-fn arb_ret() -> impl Strategy<Value = SysRet> {
-    prop_oneof![
-        Just(SysRet::Unit),
-        (0u64..6).prop_map(|fd| SysRet::Fd(Fd::from_raw(fd))),
-        proptest::collection::vec(any::<u8>(), 0..6)
-            .prop_map(|d| SysRet::Data(vos::Buf::from_vec(d))),
-        (0usize..64).prop_map(SysRet::Size),
-        Just(SysRet::Err(vos::Errno::WouldBlock)),
-    ]
+/// One candidate result of every shape a call can return, and maybe a
+/// failure: `(fd, data, size, fds)`, `(stat, names, time, pid)`, errno.
+type Results = (
+    (Fd, Vec<u8>, usize, Vec<Fd>),
+    (vos::FileStat, Vec<String>, u64, u32),
+    Option<vos::Errno>,
+);
+
+fn arb_results() -> impl Strategy<Value = Results> {
+    let stat = (
+        prop_oneof![Just(vos::NodeKind::File), Just(vos::NodeKind::Dir)],
+        0u64..1 << 20,
+    )
+        .prop_map(|(kind, size)| vos::FileStat { kind, size });
+    let errno = prop_oneof![
+        Just(vos::Errno::WouldBlock),
+        Just(vos::Errno::ConnReset),
+        Just(vos::Errno::TimedOut),
+        Just(vos::Errno::NoEnt),
+    ];
+    (
+        (
+            arb_fd(),
+            proptest::collection::vec(any::<u8>(), 0..6),
+            0usize..64,
+            proptest::collection::vec(arb_fd(), 0..4),
+        ),
+        (
+            stat,
+            proptest::collection::vec("[a-c]{0,3}", 0..4),
+            0u64..1 << 40,
+            any::<u32>(),
+        ),
+        proptest::option::of(errno),
+    )
+}
+
+/// The result the leader logs for `call`: the failure if there is one,
+/// else the candidate of the shape `call` returns.
+fn ret_for(call: &Syscall, results: Results) -> SysRet {
+    let ((fd, data, size, fds), (stat, names, time, pid), errno) = results;
+    if let Some(errno) = errno {
+        return SysRet::Err(errno);
+    }
+    match call {
+        Syscall::Listen { .. }
+        | Syscall::Accept { .. }
+        | Syscall::EpollCreate
+        | Syscall::FsOpen { .. } => SysRet::Fd(fd),
+        Syscall::Read { .. } | Syscall::ReadTimeout { .. } => {
+            SysRet::Data(vos::Buf::from_vec(data))
+        }
+        Syscall::Write { .. } => SysRet::Size(size),
+        Syscall::EpollWait { .. } => SysRet::Fds(fds),
+        Syscall::FsStat { .. } => SysRet::Stat(stat),
+        Syscall::FsList { .. } => SysRet::Names(names),
+        Syscall::Now => SysRet::Time(time),
+        Syscall::Pid => SysRet::Pid(pid),
+        Syscall::Close { .. }
+        | Syscall::EpollCtl { .. }
+        | Syscall::FsUnlink { .. }
+        | Syscall::FsMkdir { .. }
+        | Syscall::FsRename { .. } => SysRet::Unit,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The follower's raw identity fast path (`record_matches`, no event
-    /// projection) agrees exactly with the projected comparison
-    /// (`request_matches` over `syscall_event`) for every pair of
-    /// syscalls and every leader result. This is what makes skipping the
-    /// projection on the hot path a pure representation change.
+    /// A logged record survives projection and `record_of_event`: the
+    /// follower replays the leader's exact result, and the call it gets
+    /// back agrees with exactly the attempted calls the logged one
+    /// agrees with. This is what lets the follower keep one kind of
+    /// expectation, a record, whether the leader logged it or a rule
+    /// computed its event.
     #[test]
-    fn record_matches_is_equivalent_to_projected_comparison(
-        expected in arb_syscall(),
+    fn record_of_event_inverts_the_projection(
+        call in arb_syscall(),
+        results in arb_results(),
         attempted in arb_syscall(),
-        ret in arb_ret(),
     ) {
-        let fast = mve::record_matches(&expected, &attempted);
-        let event = mve::syscall_event(&expected, &ret);
-        let slow = mve::request_matches(&event, &attempted);
-        prop_assert_eq!(fast, slow, "expected={:?} attempted={:?}", expected, attempted);
+        let ret = ret_for(&call, results);
+        let event = mve::syscall_event(&call, &ret);
+        let back = mve::record_of_event(&event)
+            .unwrap_or_else(|e| panic!("{event} did not come back: {e}"));
+        prop_assert_eq!(&back.ret, &ret, "{}", event);
+        prop_assert_eq!(
+            mve::record_matches(&back.call, &attempted),
+            mve::record_matches(&call, &attempted),
+            "call={:?} attempted={:?}",
+            call,
+            attempted
+        );
     }
 
     /// Mutating nothing always matches: a record compared against itself

@@ -156,6 +156,60 @@ fn rules_reconcile_expected_differences() {
 }
 
 #[test]
+fn a_computed_event_of_the_wrong_arity_diverges_with_a_detail() {
+    // No deployment gate checks this rule against the event schemas, so
+    // its template may compute `write(fd)`, one argument where `write`
+    // takes three. The follower reports that as a divergence at the
+    // window's record; it must not crash.
+    let kernel = VirtualKernel::new();
+    let ring_a = new_ring(64);
+
+    let mut leader = VariantOs::single(0, kernel.clone(), None);
+    let listener = leader.listen(5003).unwrap();
+    leader.attach_follower(LeaderConfig {
+        ring: ring_a.clone(),
+        lockstep: None,
+    });
+    let _client = kernel.connect(5003).unwrap();
+    let conn = leader.accept(listener).unwrap();
+    leader.write(conn, b"+OK\r\n").unwrap();
+
+    let rules = RuleSet::parse(
+        r#"
+        rule short_write {
+            on write(fd, s, n)
+            => write(fd)
+        }
+    "#,
+    )
+    .unwrap();
+    let mut follower = VariantOs::follower(
+        1,
+        kernel,
+        FollowerConfig {
+            rules: Arc::new(rules),
+            ..follower_config(ring_a)
+        },
+        None,
+    );
+    let _ = follower.accept(listener).unwrap();
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        let _ = follower.write(conn, b"+OK\r\n");
+    }))
+    .unwrap_err();
+    let signal = RetiredSignal::from_payload(&*payload).expect("typed divergence signal");
+    match &signal.0 {
+        RetireReason::Diverged(d) => {
+            // The leader logged `accept` at seq 1 and `write` at seq 2.
+            assert_eq!(d.seq, 2, "{d}");
+            assert_eq!(d.expected.as_ref().map(|e| e.arity()), Some(1), "{d}");
+            assert!(d.detail.contains("malformed"), "{d}");
+        }
+        other => panic!("expected divergence, got {other:?}"),
+    }
+}
+
+#[test]
 fn demotion_promotes_follower_via_in_band_marker() {
     let kernel = VirtualKernel::new();
     let ring_a = new_ring(64);

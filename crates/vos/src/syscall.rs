@@ -87,49 +87,34 @@ impl SyscallKind {
 
     /// The DSL-visible name of this kind.
     pub fn name(self) -> &'static str {
-        match self {
-            SyscallKind::Listen => "listen",
-            SyscallKind::Accept => "accept",
-            SyscallKind::Read => "read",
-            SyscallKind::Write => "write",
-            SyscallKind::Close => "close",
-            SyscallKind::EpollCreate => "epoll_create",
-            SyscallKind::EpollCtl => "epoll_ctl",
-            SyscallKind::EpollWait => "epoll_wait",
-            SyscallKind::FsOpen => "open",
-            SyscallKind::FsUnlink => "unlink",
-            SyscallKind::FsStat => "stat",
-            SyscallKind::FsList => "list",
-            SyscallKind::FsMkdir => "mkdir",
-            SyscallKind::FsRename => "rename",
-            SyscallKind::Now => "now",
-            SyscallKind::Pid => "pid",
-        }
+        KIND_NAMES[self.index()]
     }
 
     /// Parses a DSL-visible name back into a kind.
     pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "listen" => SyscallKind::Listen,
-            "accept" => SyscallKind::Accept,
-            "read" => SyscallKind::Read,
-            "write" => SyscallKind::Write,
-            "close" => SyscallKind::Close,
-            "epoll_create" => SyscallKind::EpollCreate,
-            "epoll_ctl" => SyscallKind::EpollCtl,
-            "epoll_wait" => SyscallKind::EpollWait,
-            "open" => SyscallKind::FsOpen,
-            "unlink" => SyscallKind::FsUnlink,
-            "stat" => SyscallKind::FsStat,
-            "list" => SyscallKind::FsList,
-            "mkdir" => SyscallKind::FsMkdir,
-            "rename" => SyscallKind::FsRename,
-            "now" => SyscallKind::Now,
-            "pid" => SyscallKind::Pid,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|kind| kind.name() == name)
     }
 }
+
+/// The DSL-visible name of each kind, indexed by [`SyscallKind::index`].
+const KIND_NAMES: [&str; 16] = [
+    "listen",
+    "accept",
+    "read",
+    "write",
+    "close",
+    "epoll_create",
+    "epoll_ctl",
+    "epoll_wait",
+    "open",
+    "unlink",
+    "stat",
+    "list",
+    "mkdir",
+    "rename",
+    "now",
+    "pid",
+];
 
 impl Syscall {
     /// Classifies the call.
@@ -324,24 +309,7 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in [
-            SyscallKind::Listen,
-            SyscallKind::Accept,
-            SyscallKind::Read,
-            SyscallKind::Write,
-            SyscallKind::Close,
-            SyscallKind::EpollCreate,
-            SyscallKind::EpollCtl,
-            SyscallKind::EpollWait,
-            SyscallKind::FsOpen,
-            SyscallKind::FsUnlink,
-            SyscallKind::FsStat,
-            SyscallKind::FsList,
-            SyscallKind::FsMkdir,
-            SyscallKind::FsRename,
-            SyscallKind::Now,
-            SyscallKind::Pid,
-        ] {
+        for kind in SyscallKind::ALL {
             assert_eq!(SyscallKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(SyscallKind::from_name("fork"), None);

@@ -108,6 +108,13 @@ ci:
 lifebench-pairs rev workload n:
     scripts/lifebench-pairs.sh {{rev}} {{workload}} {{n}}
 
+# Flake census of tier-1: each root-suite test alone, N times on an idle
+# box and N times beside two busy loops the script starts itself;
+# prints failures per test and exits 1 on any. The body is
+# scripts/flake-census.sh, which also takes test names to census.
+flake-census n:
+    scripts/flake-census.sh {{n}}
+
 # CPU µs and parks (voluntary switches) per attempted op for each thread
 # role of one lifebench run of BIN, sampled from /proc; see
 # scripts/lifebench-roles.sh.

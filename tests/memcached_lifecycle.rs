@@ -2,7 +2,7 @@
 //! → 1.2.4 chain, promotion under load, and the version-string
 //! divergence the monitoring workload must avoid.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dsu::FaultPlan;
 use mvedsua::{Mvedsua, MvedsuaConfig, Stage, TimelineEvent};
@@ -130,7 +130,15 @@ fn quiescence_defers_the_fork_past_a_mid_set() {
     let session = launch(port);
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(5)).unwrap();
     c.send_line("set k 0 0 3").unwrap(); // first half only
-    std::thread::sleep(Duration::from_millis(100));
+
+    // Wait until the leader has read that line: it checks for an update
+    // only between steps, so from here on it holds the pending set.
+    let sent = "set k 0 0 3\r\n".len() as u64;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while session.metrics().counter("syscalls.bytes_read") < sent {
+        assert!(Instant::now() < deadline, "the leader never read the line");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     session
         .request_update(memcached::update_package(

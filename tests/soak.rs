@@ -3,9 +3,9 @@
 //! paper's reliability claim ("no state changes made during or after the
 //! update are lost") stress-tested across many cycles.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dsu::FaultPlan;
 use mvedsua::{Mvedsua, MvedsuaConfig, MvedsuaError, Stage, TimelineEvent, UpdatePackage};
@@ -58,11 +58,13 @@ fn ten_update_rollback_cycles_lose_nothing() {
     .unwrap();
     let mut c = LineClient::connect_retry(session.kernel(), port, Duration::from_secs(30)).unwrap();
 
-    // Background writer hammering a counter key the whole time.
+    // Background writer hammering a counter key the whole time; `acked`
+    // is the number of its writes answered so far.
     let stop = Arc::new(AtomicBool::new(false));
+    let acked = Arc::new(AtomicU64::new(0));
     let writer = {
         let kernel = session.kernel();
-        let stop = stop.clone();
+        let (stop, acked) = (stop.clone(), acked.clone());
         std::thread::spawn(move || {
             let mut c = LineClient::connect_retry(kernel, port, Duration::from_secs(30)).unwrap();
             let mut writes = 0u64;
@@ -71,6 +73,7 @@ fn ten_update_rollback_cycles_lose_nothing() {
                 c.send_line(&format!("PUT tick {writes}")).unwrap();
                 let reply = c.recv_line().unwrap();
                 assert_eq!(reply, "OK", "write {writes}");
+                acked.store(writes, Ordering::Relaxed);
             }
             writes
         })
@@ -93,6 +96,15 @@ fn ten_update_rollback_cycles_lose_nothing() {
                 format!("VAL {probe}"),
                 "cycle {cycle} probing {probe}"
             );
+        }
+        // Writes continue through the monitored stage: 60 more are
+        // answered before the cycle ends it, however the writer thread
+        // happens to be scheduled against this one.
+        let target = acked.load(Ordering::Relaxed) + 60;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while acked.load(Ordering::Relaxed) < target {
+            assert!(Instant::now() < deadline, "cycle {cycle}: writer stalled");
+            std::thread::sleep(Duration::from_millis(1));
         }
         if cycle % 2 == 0 {
             session.rollback().unwrap();

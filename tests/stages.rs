@@ -119,7 +119,11 @@ fn figure2_stage_order() {
 #[test]
 fn tiny_ring_applies_backpressure_but_loses_nothing() {
     // With a 4-entry ring, the leader repeatedly blocks on the slower
-    // follower; every request still completes exactly once.
+    // follower; every request still completes exactly once. The follower
+    // lags 200 µs before each record it takes, so it is the slower side
+    // on every schedule: at full speed it can empty the ring between two
+    // of the closed-loop client's requests, and no push ever finds the
+    // ring full.
     let port = 7801;
     let session = Mvedsua::launch_observed(
         vos::VirtualKernel::new(),
@@ -127,6 +131,9 @@ fn tiny_ring_applies_backpressure_but_loses_nothing() {
         dsu::v(kvstore::V1),
         MvedsuaConfig {
             ring_capacity: 4,
+            follower_lag: Some(mve::LagPlan {
+                stalls: vec![(1, 200_000)],
+            }),
             ..MvedsuaConfig::default()
         },
         obs::Obs::disabled(),
