@@ -135,6 +135,22 @@ struct Inner {
     stage: Stage,
 }
 
+impl Inner {
+    /// Moves to `stage` and records the transition; false (and nothing
+    /// recorded) if already there.
+    fn move_to(&mut self, stage: Stage, at_nanos: u64) -> bool {
+        if self.stage == stage {
+            return false;
+        }
+        self.stage = stage;
+        self.entries.push(TimelineEntry {
+            at_nanos,
+            event: TimelineEvent::StageChanged { stage },
+        });
+        true
+    }
+}
+
 impl Timeline {
     /// A fresh timeline in the single-leader stage.
     pub fn new(kernel: Arc<VirtualKernel>) -> Self {
@@ -158,7 +174,11 @@ impl Timeline {
 
     /// Moves the stage machine, recording the transition.
     pub fn set_stage(&self, stage: Stage) {
-        self.set_stage_then(stage, None);
+        let at_nanos = self.kernel.now_nanos();
+        let mut inner = self.inner.lock();
+        if inner.move_to(stage, at_nanos) {
+            self.changed.notify_all();
+        }
     }
 
     /// Moves the stage back to single-leader and records the rollback
@@ -166,22 +186,13 @@ impl Timeline {
     /// `RolledBack` that caused it, so an update it starts next cannot
     /// take this rollback for its own.
     pub fn roll_back(&self) {
-        self.set_stage_then(Stage::SingleLeader, Some(TimelineEvent::RolledBack));
-    }
-
-    fn set_stage_then(&self, stage: Stage, event: Option<TimelineEvent>) {
         let at_nanos = self.kernel.now_nanos();
         let mut inner = self.inner.lock();
-        if inner.stage != stage {
-            inner.stage = stage;
-            inner.entries.push(TimelineEntry {
-                at_nanos,
-                event: TimelineEvent::StageChanged { stage },
-            });
-        }
-        inner
-            .entries
-            .extend(event.map(|event| TimelineEntry { at_nanos, event }));
+        inner.move_to(Stage::SingleLeader, at_nanos);
+        inner.entries.push(TimelineEntry {
+            at_nanos,
+            event: TimelineEvent::RolledBack,
+        });
         self.changed.notify_all();
     }
 

@@ -42,30 +42,23 @@ use vos::{Buf, Errno, Fd, FileStat, NodeKind, OpenMode, SysRet, Syscall, Syscall
 
 use crate::event::SyscallRecord;
 
-/// The argument kinds of each syscall's event, indexed by
-/// [`SyscallKind::index`]: the one schema that [`event_signatures`],
-/// [`event_arity`] and [`record_of_event`] read.
-const EVENT_ARGS: [&[ArgKind]; 16] = {
+/// The argument kinds of each syscall's event: the one schema that
+/// [`event_signatures`], [`event_arity`] and [`record_of_event`] read.
+fn event_args(kind: SyscallKind) -> &'static [ArgKind] {
     use ArgKind::{Int, List, Str};
-    [
-        &[Int, Int],      // listen
-        &[Int, Int],      // accept
-        &[Int, Str, Int], // read
-        &[Int, Str, Int], // write
-        &[Int],           // close
-        &[Int],           // epoll_create
-        &[Int, Str, Int], // epoll_ctl
-        &[Int, List],     // epoll_wait
-        &[Str, Str, Int], // open
-        &[Str],           // unlink
-        &[Str, Str, Int], // stat
-        &[Str, List],     // list
-        &[Str],           // mkdir
-        &[Str, Str],      // rename
-        &[Int],           // now
-        &[Int],           // pid
-    ]
-};
+    match kind {
+        SyscallKind::Listen | SyscallKind::Accept => &[Int, Int],
+        SyscallKind::Read | SyscallKind::Write | SyscallKind::EpollCtl => &[Int, Str, Int],
+        SyscallKind::Close | SyscallKind::EpollCreate | SyscallKind::Now | SyscallKind::Pid => {
+            &[Int]
+        }
+        SyscallKind::EpollWait => &[Int, List],
+        SyscallKind::FsOpen | SyscallKind::FsStat => &[Str, Str, Int],
+        SyscallKind::FsUnlink | SyscallKind::FsMkdir => &[Str],
+        SyscallKind::FsList => &[Str, List],
+        SyscallKind::FsRename => &[Str, Str],
+    }
+}
 
 fn fd_val(fd: Fd) -> Value {
     Value::Int(fd.as_raw() as i64)
@@ -134,8 +127,8 @@ fn str_to_bytes(s: &str) -> Result<Buf, String> {
 /// and `harness lint` check pattern/template events against.
 pub fn event_signatures() -> Vec<dsl::EventSig> {
     SyscallKind::ALL
-        .iter()
-        .map(|kind| dsl::EventSig::new(kind.name(), EVENT_ARGS[kind.index()]))
+        .into_iter()
+        .map(|kind| dsl::EventSig::new(kind.name(), event_args(kind)))
         .collect()
 }
 
@@ -253,7 +246,7 @@ pub fn syscall_event(call: &Syscall, ret: &SysRet) -> Event {
 /// Argument count of the event [`syscall_event`] projects `call` into,
 /// known without projecting it.
 pub(crate) fn event_arity(call: &Syscall) -> usize {
-    EVENT_ARGS[call.kind().index()].len()
+    event_args(call.kind()).len()
 }
 
 fn int_of(v: &Value) -> Option<i64> {
@@ -349,7 +342,7 @@ pub fn record_matches(expected: &Syscall, attempted: &Syscall) -> bool {
 pub fn record_of_event(event: &Event) -> Result<SyscallRecord, String> {
     let kind = SyscallKind::from_name(&event.name)
         .ok_or_else(|| format!("expected event {event} names no syscall"))?;
-    let arity = EVENT_ARGS[kind.index()].len();
+    let arity = event_args(kind).len();
     if event.arity() != arity {
         return Err(format!(
             "expected event {event} is malformed: `{}` takes {arity} arguments",
